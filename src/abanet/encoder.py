@@ -24,14 +24,11 @@ from .tensor import (
     layer_norm,
     masked_softmax,
     matmul,
-    mul,
     mul_const,
     record_op,
-    reduce_sum,
     relu,
     reshape,
     slice_axis,
-    sqrt,
     transpose,
 )
 
@@ -49,60 +46,68 @@ def positional_encoding(n: int, d: int) -> np.ndarray:
     return table
 
 
+def _squash(s: np.ndarray, eps: float = 1e-12):
+    """Numpy squash of ``s`` along the last axis, plus its gradient map.
+
+    Returns ``(v, grad)`` where ``grad`` maps dL/dv to dL/ds.
+    """
+    sq = (s * s).sum(axis=-1, keepdims=True)
+    scale = np.sqrt(sq + eps) / (sq + 1.0)
+
+    def grad(g: np.ndarray) -> np.ndarray:
+        # v = s * scale(q) with q = |s|^2; scale'(q) = scale * (1/(2(q+eps)) - 1/(q+1))
+        dscale = scale * (0.5 / (sq + eps) - 1.0 / (sq + 1.0))
+        return g * scale + (2.0 * (g * s).sum(axis=-1, keepdims=True) * dscale) * s
+
+    return s * scale, grad
+
+
 def squash(v: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale vectors along the last axis to norm |v|^2/(1+|v|^2).
 
     Direction is preserved and the zero vector maps to zero; eps keeps
     the gradient finite there.
     """
-    sq = reduce_sum(mul(v, v), axis=-1, keepdims=True)
-    norm = sqrt(sq + eps)
-    return mul(v, norm / (sq + 1.0))
-
-
-def capsule_predictions(primary: Tensor, transform: Tensor) -> Tensor:
-    """Prediction vectors u_hat[n,i,j,:] = transform[i,j] @ primary[n,i,:]."""
-    pc, dc, pd, dd = transform.shape
-    if primary.ndim != 3 or primary.shape[1:] != (pc, pd):
-        raise ShapeError(
-            f"capsule_predictions: primary {primary.shape} does not match "
-            f"transform {transform.shape}")
-    out = np.einsum("nip,ijpq->nijq", primary.data, transform.data)
-
-    def bw(g):
-        return (np.einsum("nijq,ijpq->nip", g, transform.data),
-                np.einsum("nip,nijq->ijpq", primary.data, g))
-
-    return record_op("capsule_predictions", out, (primary, transform), bw)
+    out, grad = _squash(v.data, eps)
+    return record_op("squash", out, (v,), lambda g: (grad(g),))
 
 
 def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
                     coupling_log: list | None = None) -> Tensor:
     """Routing-by-agreement from primary to digit capsules, per position.
 
-    The logits b live outside the tape: couplings are treated as
-    constants each iteration, so gradients flow through the prediction
-    vectors and the final squash only.
+    Prediction vectors are u_hat[n,i,j,:] = transform[i,j] @ primary[n,i,:].
+    Every iteration runs outside the tape.  The backward pass treats the
+    last iteration's couplings c as constants: it differentiates
+    v = squash(sum_i c_ij * u_hat_ij) through the prediction vectors and
+    that final squash only.  The gradient is therefore exact only at
+    ``iterations=1``; with more, the dependence of c on u_hat is dropped.
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, got {iterations}")
-    u_hat = capsule_predictions(primary, transform)
-    n, pc, dc, _ = u_hat.shape
-    logits = np.zeros((n, pc, dc))
-    v: Tensor | None = None
+    pc, _, pd, _ = transform.shape
+    if primary.ndim != 3 or primary.shape[1:] != (pc, pd):
+        raise ShapeError(
+            f"dynamic_routing: primary {primary.shape} does not match "
+            f"transform {transform.shape}")
+    u_hat = np.einsum("nip,ijpq->nijq", primary.data, transform.data)
+    logits = np.zeros(u_hat.shape[:3], dtype=u_hat.dtype)
     for step in range(iterations):
         shifted = logits - logits.max(axis=-1, keepdims=True)
         weights = np.exp(shifted)
         couplings = weights / weights.sum(axis=-1, keepdims=True)
         if coupling_log is not None:
             coupling_log.append(couplings.copy())
-        weighted = mul_const(u_hat, couplings[..., None])
-        s = reduce_sum(weighted, axis=1)
-        v = squash(s)
+        v, squash_grad = _squash((u_hat * couplings[..., None]).sum(axis=1))
         if step + 1 < iterations:
-            logits = logits + np.einsum("nijq,njq->nij", u_hat.data, v.data)
-    assert v is not None
-    return v
+            logits = logits + np.einsum("nijq,njq->nij", u_hat, v)
+
+    def bw(g):
+        du_hat = couplings[..., None] * squash_grad(g)[:, None]
+        return (np.einsum("nijq,ijpq->nip", du_hat, transform.data),
+                np.einsum("nip,nijq->ijpq", primary.data, du_hat))
+
+    return record_op("dynamic_routing", v, (primary, transform), bw)
 
 
 def conv_pri_dig_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor,

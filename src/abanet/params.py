@@ -200,18 +200,14 @@ def fd_gradient(f: Callable[[], Tensor], tensor: Tensor, epsilon: float) -> np.n
 
 def grad_check(f: Callable[[], Tensor], params: ParamStore, *,
                epsilon: float = 1e-3, tolerance: float = 1e-3,
-               stochastic: bool = False, rel_floor: float = 1e-3) -> GradCheckReport:
+               rel_floor: float = 1e-3) -> GradCheckReport:
     """Compare tape gradients of scalar ``f()`` against central differences.
 
-    ``f`` must close over the store's tensors and be deterministic;
-    callers assert that by passing ``stochastic=False``.  Relative error
-    per element is |analytic - numeric| / max(|analytic|, |numeric|,
-    rel_floor); the floor keeps near-zero gradients from dividing by
-    noise.  Runs in float64 only.
+    ``f`` must close over the store's tensors and be deterministic.
+    Relative error per element is |analytic - numeric| / max(|analytic|,
+    |numeric|, rel_floor); the floor keeps near-zero gradients from
+    dividing by noise.  Runs in float64 only.
     """
-    if stochastic:
-        raise ConfigError(
-            "grad_check refuses to run with stochastic regularizers enabled")
     if default_dtype() is not np.float64:
         raise ConfigError("grad_check requires float64 mode")
 

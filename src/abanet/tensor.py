@@ -88,12 +88,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
     def __neg__(self):
         return neg(self)
 
@@ -243,13 +237,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-    return record_op("div", out, (a, b), lambda g: (
-        _unbroadcast(g / b.data, a.shape),
-        _unbroadcast(-g * out / b.data, b.shape)))
-
-
 def neg(a: Tensor) -> Tensor:
     return record_op("neg", -a.data, (a,), lambda g: (-g,))
 
@@ -340,19 +327,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return record_op("sum", out, (a,), bw)
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy() / count,)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy() / count,)
-
-    return record_op("mean", out, (a,), bw)
-
-
 def reduce_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; gradient routes to the first argmax per slice."""
     out = a.data.max(axis=axis, keepdims=keepdims)
@@ -374,11 +348,6 @@ def exp(a: Tensor) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     return record_op("log", np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return record_op("sqrt", out, (a,), lambda g: (g / (2.0 * out),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -448,11 +417,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match "
             f"feature width {x.shape[-1]}")
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, Tensor(eps, dtype=x.data.dtype))))
-    return add(mul(normed, gain), bias)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+    out = normed * gain.data + bias.data
+
+    def bw(g):
+        dn = g * gain.data
+        dx = (dn - dn.mean(axis=-1, keepdims=True)
+              - normed * (dn * normed).mean(axis=-1, keepdims=True)) / std
+        return (dx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape))
+
+    return record_op("layer_norm", out, (x, gain, bias), bw)
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:

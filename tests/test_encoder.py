@@ -10,7 +10,6 @@ import abanet.encoder as encoder
 from abanet.config import CapsuleConfig, EncoderBlockConfig
 from abanet.encoder import (
     build_encoder_stack,
-    capsule_predictions,
     conv_pri_dig_layer,
     dynamic_routing,
     feed_forward,
@@ -23,7 +22,7 @@ from abanet.encoder import (
 )
 from abanet.errors import ConfigError, ShapeError
 from abanet.params import ParamStore, fd_gradient, grad_check
-from abanet.tensor import Tape, Tensor, layer_norm, mul, reduce_sum
+from abanet.tensor import Tape, Tensor, layer_norm, mul, reduce_sum, set_default_dtype
 
 MINI_BLOCK = EncoderBlockConfig(num_conv_layers=1, kernel=3, num_blocks=1)
 MINI_CAPS = CapsuleConfig(2, 4, 2, 4, 1)
@@ -94,6 +93,21 @@ class TestSquash:
         f = fd_gradient(build, v, 1e-5)
         np.testing.assert_allclose(g, f, atol=1e-6)
 
+    def test_gradient_finite_at_zero_vector(self):
+        """At 0 the gradient is sqrt(eps) * identity; a step well below
+        sqrt(eps) resolves it by finite differences."""
+        v = Tensor(np.zeros((2, 3)))
+        w = np.random.default_rng(16).normal(size=(2, 3))
+
+        def build():
+            return reduce_sum(mul(squash(v), Tensor(w)))
+
+        (g,) = tape_grads(build, [v])
+        assert np.isfinite(g).all()
+        f = fd_gradient(build, v, 1e-9)
+        np.testing.assert_allclose(g, f, rtol=1e-4)
+        np.testing.assert_allclose(g, w * 1e-6, rtol=1e-4)
+
 
 def mp_routing_oracle(primary, transform, iterations):
     """Extended-precision hand simulation of routing-by-agreement (n=1)."""
@@ -158,9 +172,9 @@ class TestDynamicRouting:
                             Tensor(np.zeros((2, 2, 2, 2))), 0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError, match="capsule_predictions"):
-            capsule_predictions(Tensor(np.zeros((1, 3, 2))),
-                                Tensor(np.zeros((2, 2, 2, 2))))
+        with pytest.raises(ShapeError, match="dynamic_routing"):
+            dynamic_routing(Tensor(np.zeros((1, 3, 2))),
+                            Tensor(np.zeros((2, 2, 2, 2))), 1)
 
     def test_gradient_single_iteration(self):
         rng = np.random.default_rng(21)
@@ -175,6 +189,33 @@ class TestDynamicRouting:
             (g,) = tape_grads(build, [t])
             f = fd_gradient(build, t, 1e-5)
             np.testing.assert_allclose(g, f, atol=1e-6)
+
+    def test_gradient_three_iterations_freezes_final_couplings(self):
+        """Beyond one iteration the tape gradient is that of
+        v = squash(sum_i c_ij u_hat_ij) with c frozen at the last couplings."""
+        rng = np.random.default_rng(23)
+        primary = Tensor(rng.normal(size=(2, 3, 4)))
+        transform = Tensor(rng.normal(size=(3, 2, 4, 4)) * 0.5)
+        w = rng.normal(size=(2, 2, 4))
+        log = []
+        dynamic_routing(primary, transform, 3, coupling_log=log)
+        frozen = log[-1]
+
+        def frozen_routing():
+            u_hat = np.einsum("nip,ijpq->nijq", primary.data, transform.data)
+            s = (u_hat * frozen[..., None]).sum(axis=1)
+            sq = (s * s).sum(axis=-1, keepdims=True)
+            return Tensor((s * np.sqrt(sq) / (1.0 + sq) * w).sum())
+
+        def build():
+            return reduce_sum(mul(dynamic_routing(primary, transform, 3), Tensor(w)))
+
+        for t in (primary, transform):
+            (g,) = tape_grads(build, [t])
+            f = fd_gradient(frozen_routing, t, 1e-6)
+            np.testing.assert_allclose(g, f, atol=1e-8)
+            # The couplings do depend on the inputs: the full derivative differs.
+            assert np.abs(fd_gradient(build, t, 1e-6) - g).max() > 1e-3
 
 
 class TestConvPriDigLayer:
@@ -220,6 +261,37 @@ class TestConvPriDigLayer:
             (g,) = tape_grads(build, [t])
             f = fd_gradient(build, t, 1e-5)
             np.testing.assert_allclose(g, f, atol=1e-5)
+
+
+class TestFloat32:
+    def test_outputs_and_gradients_stay_float32(self):
+        """Fused primitives keep float32 inputs float32, forward and backward."""
+        set_default_dtype(np.float32)
+        try:
+            rng = np.random.default_rng(8)
+            x, gain, bias, dw, pw = (Tensor(rng.normal(size=shape)) for shape in
+                                     ((3, 8), (8,), (8,), (3, 8), (8, 8)))
+            primary = Tensor(rng.normal(size=(3, 2, 4)))
+            transform = Tensor(rng.normal(size=(2, 2, 4, 4)) * 0.5)
+            caps = CapsuleConfig(2, 4, 2, 4, 3)
+            cases = {
+                "layer_norm": (lambda: layer_norm(x, gain, bias), (x, gain, bias)),
+                "squash": (lambda: squash(primary), (primary,)),
+                "dynamic_routing": (lambda: dynamic_routing(primary, transform, 3),
+                                    (primary, transform)),
+                "conv_pri_dig_layer": (
+                    lambda: conv_pri_dig_layer(x, dw, pw, transform, caps),
+                    (x, dw, pw, transform)),
+            }
+            for name, (op, inputs) in cases.items():
+                with Tape() as tape:
+                    out = op()
+                    loss = reduce_sum(mul(out, Tensor(rng.normal(size=out.shape))))
+                grads = tape.gradients(loss)
+                dtypes = [out.data.dtype] + [grads[id(t)].dtype for t in inputs]
+                assert dtypes == [np.float32] * len(dtypes), name
+        finally:
+            set_default_dtype(np.float64)
 
 
 class TestMultiHeadSelfAttention:
