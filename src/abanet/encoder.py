@@ -7,13 +7,13 @@ across the whole stack.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .config import CapsuleConfig, EncoderBlockConfig
 from .errors import ConfigError, ShapeError
-from .params import ParamStore, ones_init, xavier_uniform, zeros_init
+from .params import ParamStore, ones_init, zeros_init
 from .tensor import (
     Tensor,
     add,
@@ -82,30 +82,43 @@ def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
     v = squash(sum_i c_ij * u_hat_ij) through the prediction vectors and
     that final squash only.  The gradient is therefore exact only at
     ``iterations=1``; with more, the dependence of c on u_hat is dropped.
+
+    Internally u_hat is laid out [n, j, i, q] and logits and couplings
+    [n, j, i], so every contraction is one batched ``np.matmul``;
+    ``coupling_log`` still receives each iteration's couplings as [n, i, j].
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, got {iterations}")
-    pc, _, pd, _ = transform.shape
+    pc, dc, pd, dd = transform.shape
     if primary.ndim != 3 or primary.shape[1:] != (pc, pd):
         raise ShapeError(
             f"dynamic_routing: primary {primary.shape} does not match "
             f"transform {transform.shape}")
-    u_hat = np.einsum("nip,ijpq->nijq", primary.data, transform.data)
+    n = primary.shape[0]
+    u_hat = np.empty((n, dc, pc, dd),
+                     dtype=np.result_type(primary.data, transform.data))
+    # [i, 1, n, p] @ [i, j, p, q] written straight into the [n, j, i, q] buffer.
+    np.matmul(primary.data.transpose(1, 0, 2)[:, None], transform.data,
+              out=u_hat.transpose(2, 1, 0, 3))
     logits = np.zeros(u_hat.shape[:3], dtype=u_hat.dtype)
     for step in range(iterations):
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        weights = np.exp(shifted)
-        couplings = weights / weights.sum(axis=-1, keepdims=True)
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        couplings = weights / weights.sum(axis=1, keepdims=True)
         if coupling_log is not None:
-            coupling_log.append(couplings.copy())
-        v, squash_grad = _squash((u_hat * couplings[..., None]).sum(axis=1))
+            coupling_log.append(couplings.transpose(0, 2, 1).copy())
+        v, squash_grad = _squash(np.matmul(couplings[:, :, None, :], u_hat)[:, :, 0])
         if step + 1 < iterations:
-            logits = logits + np.einsum("nijq,njq->nij", u_hat, v)
+            logits = logits + np.matmul(u_hat, v[..., None])[..., 0]
 
     def bw(g):
-        du_hat = couplings[..., None] * squash_grad(g)[:, None]
-        return (np.einsum("nijq,ijpq->nip", du_hat, transform.data),
-                np.einsum("nip,nijq->ijpq", primary.data, du_hat))
+        # du_hat laid out [i, n, j*q]: both gradients are then batched over i.
+        du_hat = (couplings.transpose(2, 0, 1)[..., None]
+                  * squash_grad(g)[None]).reshape(pc, n, dc * dd)
+        t_rows = transform.data.transpose(0, 1, 3, 2).reshape(pc, dc * dd, pd)
+        dprimary = np.matmul(du_hat, t_rows).transpose(1, 0, 2)
+        dtransform = np.matmul(primary.data.transpose(1, 2, 0), du_hat)
+        return (dprimary,
+                dtransform.reshape(pc, pd, dc, dd).transpose(0, 2, 1, 3))
 
     return record_op("dynamic_routing", v, (primary, transform), bw)
 

@@ -392,16 +392,17 @@ def decode_span(p_begin: np.ndarray, p_end: np.ndarray, max_len: int,
     unanswerable mode the (last, last) span means "no answer".
     """
     n = p_begin.shape[0]
-    best = (0, 0)
-    best_score = -1.0
-    for i in range(n):
-        window = p_end[i:min(n, i + max_len)]
-        j = i + int(np.argmax(window))
-        score = float(p_begin[i] * p_end[j])
-        if score > best_score:
-            best, best_score = (i, j), score
-    answerable = not (unanswerable_mode and best == (n - 1, n - 1))
-    return best[0], best[1], best_score, answerable
+    width = min(max_len, n)
+    # Row i of the window view is p_end[i:i + max_len]; the -inf tail
+    # keeps positions past the passage from being chosen.
+    padded = np.concatenate([p_end, np.full(width - 1, -np.inf, dtype=p_end.dtype)])
+    ends = np.arange(n) + np.argmax(
+        np.lib.stride_tricks.sliding_window_view(padded, width), axis=1)
+    scores = p_begin * p_end[ends]
+    begin = int(np.argmax(scores))
+    end = int(ends[begin])
+    answerable = not (unanswerable_mode and begin == end == n - 1)
+    return begin, end, float(scores[begin]), answerable
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ to run in float32.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -242,13 +242,21 @@ def neg(a: Tensor) -> Tensor:
 
 
 def add_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """a + c where c carries no gradient (positional tables, offsets)."""
+    """a + c where c carries no gradient (positional tables, offsets).
+
+    c is cast to a's dtype, so float64 tables keep float32 inputs float32.
+    """
+    c = np.asarray(c, dtype=a.data.dtype)
     return record_op("add_const", a.data + c, (a,),
                      lambda g: (_unbroadcast(g, a.shape),))
 
 
 def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """a * c where c carries no gradient (dropout masks, fixed scales)."""
+    """a * c where c carries no gradient (dropout masks, fixed scales).
+
+    c is cast to a's dtype, as in ``add_const``.
+    """
+    c = np.asarray(c, dtype=a.data.dtype)
     return record_op("mul_const", a.data * c, (a,),
                      lambda g: (_unbroadcast(g * c, a.shape),))
 

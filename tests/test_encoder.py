@@ -138,6 +138,27 @@ def mp_routing_oracle(primary, transform, iterations):
     return np.array([[float(x) for x in row] for row in v])
 
 
+def einsum_routing_reference(primary, transform, iterations, g):
+    """The [n, i, j, q] einsum routing the matmul layout replaced.
+
+    Returns the output, the per-iteration couplings [n, i, j] and the
+    frozen-coupling gradients of sum(v * g) wrt primary and transform.
+    """
+    u_hat = np.einsum("nip,ijpq->nijq", primary, transform)
+    logits = np.zeros(u_hat.shape[:3])
+    log = []
+    for step in range(iterations):
+        weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        couplings = weights / weights.sum(axis=-1, keepdims=True)
+        log.append(couplings)
+        v, squash_grad = encoder._squash((u_hat * couplings[..., None]).sum(axis=1))
+        if step + 1 < iterations:
+            logits = logits + np.einsum("nijq,njq->nij", u_hat, v)
+    du_hat = couplings[..., None] * squash_grad(g)[:, None]
+    return (v, log, np.einsum("nijq,ijpq->nip", du_hat, transform),
+            np.einsum("nip,nijq->ijpq", primary, du_hat))
+
+
 class TestDynamicRouting:
     def test_single_iteration_couplings_uniform(self):
         rng = np.random.default_rng(3)
@@ -217,6 +238,30 @@ class TestDynamicRouting:
             # The couplings do depend on the inputs: the full derivative differs.
             assert np.abs(fd_gradient(build, t, 1e-6) - g).max() > 1e-3
 
+    @pytest.mark.parametrize("n", [1, 7, 140])
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_matches_einsum_reference(self, n, iterations):
+        rng = np.random.default_rng(100 + n + iterations)
+        primary = Tensor(rng.normal(size=(n, 16, 8)))
+        transform = Tensor(rng.normal(size=(16, 16, 8, 8)) * 0.2)
+        g = rng.normal(size=(n, 16, 8))
+        log = []
+        with Tape() as tape:
+            out = dynamic_routing(primary, transform, iterations, coupling_log=log)
+            loss = reduce_sum(mul(out, Tensor(g)))
+        grads = tape.gradients(loss)
+        v, couplings, dprimary, dtransform = einsum_routing_reference(
+            primary.data, transform.data, iterations, g)
+        assert len(log) == iterations
+        pairs = [("output", out.data, v),
+                 ("d primary", grads[id(primary)], dprimary),
+                 ("d transform", grads[id(transform)], dtransform)]
+        pairs += [(f"couplings {k}", a, b)
+                  for k, (a, b) in enumerate(zip(log, couplings))]
+        for name, got, want in pairs:
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
 
 class TestConvPriDigLayer:
     def _weights(self, rng, d, kernel, caps):
@@ -290,6 +335,29 @@ class TestFloat32:
                 grads = tape.gradients(loss)
                 dtypes = [out.data.dtype] + [grads[id(t)].dtype for t in inputs]
                 assert dtypes == [np.float32] * len(dtypes), name
+        finally:
+            set_default_dtype(np.float64)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_encoder_stack_stays_float32(self, training):
+        """Constants (positional table, survival and attention scales) must
+        not promote a float32 stack to float64."""
+        set_default_dtype(np.float32)
+        try:
+            store = ParamStore()
+            rng = np.random.default_rng(9)
+            build_mini_stack(store, "enc", rng)
+            x = Tensor(rng.normal(size=(5, 8)))
+            with Tape() as tape:
+                out = run_encoder_stack(x, None, store, "enc", num_heads=2,
+                                        block=MINI_BLOCK, caps=MINI_CAPS,
+                                        dropout_rate=0.1, training=training,
+                                        rng=np.random.default_rng(0))
+                loss = reduce_sum(mul(out, Tensor(rng.normal(size=out.shape))))
+            records = [(name, o.data.dtype) for name, o, _, _ in tape._records]
+            assert records and all(dt == np.float32 for _, dt in records), records
+            grads = tape.gradients(loss)
+            assert all(g.dtype == np.float32 for g in grads.values())
         finally:
             set_default_dtype(np.float64)
 
