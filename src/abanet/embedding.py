@@ -16,11 +16,13 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import (
     Tensor,
+    _sigmoid,
     add,
     concat,
     gather_rows,
     matmul,
     mul,
+    record_op,
     reduce_max,
     reshape,
     sigmoid,
@@ -186,24 +188,56 @@ def lstm_run(x: Tensor, w: Tensor, u: Tensor, b: Tensor, *,
 
     Gate layout along the 4h axis is input, forget, cell, output; the
     forget section of ``b`` is conventionally initialized to 1.
+
+    The whole direction is one tape record.  The recurrence runs in numpy
+    and keeps every step's gate activations and cell state; the backward
+    walks the steps once in reverse to build dL/dz for all of them, then
+    forms the input and weight gradients as whole-sequence matmuls.  The
+    reverse direction runs the same recurrence over a flipped view.
     """
-    n = x.shape[0]
-    h = u.shape[0]
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    h_prev = Tensor(np.zeros((1, h)))
-    c_prev = Tensor(np.zeros((1, h)))
-    outputs: list[Tensor | None] = [None] * n
-    for t in order:
-        xt = slice_axis(x, 0, t, 1)
-        z = add(add(matmul(xt, w), matmul(h_prev, u)), b)
-        i = sigmoid(slice_axis(z, 1, 0, h))
-        f = sigmoid(slice_axis(z, 1, h, h))
-        g = tanh(slice_axis(z, 1, 2 * h, h))
-        o = sigmoid(slice_axis(z, 1, 3 * h, h))
-        c_prev = add(mul(f, c_prev), mul(i, g))
-        h_prev = mul(o, tanh(c_prev))
-        outputs[t] = h_prev
-    return concat(outputs, axis=0)
+    n, h = x.shape[0], u.shape[0]
+    xs = x.data[::-1] if reverse else x.data       # processing order
+    z_in = xs @ w.data + b.data                      # [n, 4h], input part of z
+    gates = np.empty_like(z_in)                      # i, f, g, o after activation
+    states = np.zeros((n + 1, h), dtype=z_in.dtype)  # states[t] = h_{t-1}
+    cells = np.zeros((n + 1, h), dtype=z_in.dtype)   # cells[t] = c_{t-1}
+    tanh_cells = np.empty((n, h), dtype=z_in.dtype)
+    for t in range(n):
+        z = z_in[t] + states[t] @ u.data
+        a = gates[t]
+        a[:] = _sigmoid(z)
+        a[2 * h:3 * h] = np.tanh(z[2 * h:3 * h])
+        cells[t + 1] = a[h:2 * h] * cells[t] + a[:h] * a[2 * h:3 * h]
+        tanh_cells[t] = np.tanh(cells[t + 1])
+        states[t + 1] = a[3 * h:] * tanh_cells[t]
+    hidden = states[1:]
+
+    def bw(g_out):
+        dh_out = g_out[::-1] if reverse else g_out
+        i, f, g, o = (gates[:, k * h:(k + 1) * h] for k in range(4))
+        slope = gates * (1.0 - gates)                # sigmoid' for i, f, o
+        slope[:, 2 * h:3 * h] = 1.0 - g * g          # tanh' for g
+        dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
+        dz = np.empty_like(gates)
+        dh_next = np.zeros(h, dtype=gates.dtype)
+        dc_next = np.zeros(h, dtype=gates.dtype)
+        for t in range(n - 1, -1, -1):
+            dh = dh_out[t] + dh_next
+            dc = dc_next + dh * dc_from_h[t]
+            step = dz[t]
+            step[:h] = dc * g[t]
+            step[h:2 * h] = dc * cells[t]
+            step[2 * h:3 * h] = dc * i[t]
+            step[3 * h:] = dh * tanh_cells[t]
+            step *= slope[t]
+            dc_next = dc * f[t]
+            dh_next = u.data @ step
+        dx = dz @ w.data.T
+        return (dx[::-1] if reverse else dx, xs.T @ dz, states[:-1].T @ dz,
+                dz.sum(axis=0))
+
+    return record_op("lstm", hidden[::-1] if reverse else hidden,
+                     (x, w, u, b), bw)
 
 
 LstmWeights = tuple[Tensor, Tensor, Tensor]

@@ -3,7 +3,8 @@ model encoders, span head, loss, decoding, and the training loop."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +55,11 @@ from .tensor import (
 # rule, but with margins, so selection is stable under tiny perturbations.
 _ALPHA_INIT = np.linspace(0.25, 0.0, len(COMPONENT_NAMES))
 
+# Byte budget of the provider cache; least recently used entries go first.
+# An entry takes 4 KB per sub-token at the paper profile, so this holds
+# about ten 200-word passages of two sub-tokens per word.
+PROVIDER_CACHE_BYTES = 16 * 2**20
+
 
 @dataclass
 class ForwardResult:
@@ -89,7 +95,8 @@ class Model:
         self.config = config
         self.word_vocab = word_vocab
         self.char_vocab = char_vocab
-        self._provider_cache: dict[bytes, list[np.ndarray]] = {}
+        self._provider_cache: OrderedDict[bytes, list[np.ndarray]] = OrderedDict()
+        self._provider_cache_bytes = 0
         self.store = ParamStore()
         self._register(np.random.default_rng(seed), word_vectors)
         self.provider = ContextualProvider(
@@ -204,6 +211,7 @@ class Model:
         key = expanded_ids.tobytes()
         cached = self._provider_cache.get(key)
         if cached is not None:
+            self._provider_cache.move_to_end(key)
             return cached
         with no_grad():
             x = Tensor(self.store.get("provider.table").data[expanded_ids])
@@ -216,10 +224,15 @@ class Model:
             block=self._provider_block(), caps=self.config.capsules,
             collect_blocks=True)] if not layers else layers
         self._provider_cache[key] = layers
+        self._provider_cache_bytes += sum(layer.nbytes for layer in layers)
+        while self._provider_cache_bytes > PROVIDER_CACHE_BYTES:
+            _, evicted = self._provider_cache.popitem(last=False)
+            self._provider_cache_bytes -= sum(layer.nbytes for layer in evicted)
         return layers
 
     def invalidate_caches(self) -> None:
         self._provider_cache.clear()
+        self._provider_cache_bytes = 0
 
     # -- forward -------------------------------------------------------------
 

@@ -198,15 +198,23 @@ def fd_gradient(f: Callable[[], Tensor], tensor: Tensor, epsilon: float) -> np.n
     return grad
 
 
+def relative_error(analytic: np.ndarray, numeric: np.ndarray,
+                   rel_floor: float = 1e-3) -> np.ndarray:
+    """Elementwise |analytic - numeric| / max(|analytic|, |numeric|, rel_floor).
+
+    The floor keeps near-zero gradients from dividing by noise.
+    """
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), rel_floor)
+    return np.abs(analytic - numeric) / denom
+
+
 def grad_check(f: Callable[[], Tensor], params: ParamStore, *,
                epsilon: float = 1e-3, tolerance: float = 1e-3,
                rel_floor: float = 1e-3) -> GradCheckReport:
     """Compare tape gradients of scalar ``f()`` against central differences.
 
     ``f`` must close over the store's tensors and be deterministic.
-    Relative error per element is |analytic - numeric| / max(|analytic|,
-    |numeric|, rel_floor); the floor keeps near-zero gradients from
-    dividing by noise.  Runs in float64 only.
+    The per-element error is ``relative_error``.  Runs in float64 only.
     """
     if default_dtype() is not np.float64:
         raise ConfigError("grad_check requires float64 mode")
@@ -223,7 +231,6 @@ def grad_check(f: Callable[[], Tensor], params: ParamStore, *,
         if analytic is None:
             analytic = np.zeros_like(tensor.data)
         numeric = fd_gradient(f, tensor, epsilon)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), rel_floor)
-        rel = np.abs(analytic - numeric) / denom
+        rel = relative_error(analytic, numeric, rel_floor)
         report[name] = float(rel.max()) if rel.size else 0.0
     return GradCheckReport(per_param=report, tolerance=tolerance)

@@ -363,13 +363,17 @@ def tanh(a: Tensor) -> Tensor:
     return record_op("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|.
+
+    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; shared with the fused LSTM.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(a.data)
     return record_op("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 

@@ -22,7 +22,19 @@ from abanet.embedding import (
 )
 from abanet.errors import ConfigError, DataError, ShapeError
 from abanet.params import fd_gradient
-from abanet.tensor import Tape, Tensor, mul, reduce_sum
+from abanet.tensor import (
+    Tape,
+    Tensor,
+    add,
+    concat,
+    matmul,
+    mul,
+    reduce_sum,
+    set_default_dtype,
+    sigmoid,
+    slice_axis,
+    tanh,
+)
 
 
 def tape_grads(build, tensors):
@@ -240,7 +252,95 @@ def make_lstm_weights(rng, d, h, scale=0.4):
     return w, u, b
 
 
+def composite_lstm_run(x, w, u, b, *, reverse=False):
+    """The per-timestep chain of tape ops that the fused ``lstm_run`` replaced."""
+    n = x.shape[0]
+    h = u.shape[0]
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    h_prev = Tensor(np.zeros((1, h)))
+    c_prev = Tensor(np.zeros((1, h)))
+    outputs = [None] * n
+    for t in order:
+        xt = slice_axis(x, 0, t, 1)
+        z = add(add(matmul(xt, w), matmul(h_prev, u)), b)
+        i = sigmoid(slice_axis(z, 1, 0, h))
+        f = sigmoid(slice_axis(z, 1, h, h))
+        g = tanh(slice_axis(z, 1, 2 * h, h))
+        o = sigmoid(slice_axis(z, 1, 3 * h, h))
+        c_prev = add(mul(f, c_prev), mul(i, g))
+        h_prev = mul(o, tanh(c_prev))
+        outputs[t] = h_prev
+    return concat(outputs, axis=0)
+
+
+def composite_bilstm_encode(x, layers):
+    out = x
+    for fwd, bwd in layers:
+        out = concat([composite_lstm_run(out, *fwd),
+                      composite_lstm_run(out, *bwd, reverse=True)], axis=1)
+    return out
+
+
+def output_and_grads(run, inputs, weight):
+    """Output of ``run()`` and the gradients of sum(out * weight) w.r.t. inputs."""
+    with Tape() as tape:
+        out = run()
+        loss = reduce_sum(mul(out, Tensor(weight)))
+    grads = tape.gradients(loss)
+    return out.data, [grads[id(t)] for t in inputs], tape
+
+
 class TestBiLstm:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 140])
+    def test_matches_composite_reference(self, n, reverse):
+        rng = np.random.default_rng(200 + n + reverse)
+        x = Tensor(rng.normal(size=(n, 128)))
+        weights = make_lstm_weights(rng, 128, 128, scale=0.1)
+        g = rng.normal(size=(n, 128))
+        inputs = (x,) + weights
+        got, got_grads, tape = output_and_grads(
+            lambda: lstm_run(x, *weights, reverse=reverse), inputs, g)
+        assert [rec[0] for rec in tape._records].count("lstm") == 1
+        want, want_grads, _ = output_and_grads(
+            lambda: composite_lstm_run(x, *weights, reverse=reverse), inputs, g)
+        names = ["output", "d x", "d w", "d u", "d b"]
+        for name, a, e in zip(names, [got] + got_grads, [want] + want_grads):
+            assert a.shape == e.shape, name
+            assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max(), name
+
+    def test_stacked_matches_composite_reference(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(9, 128)))
+        layers = [(make_lstm_weights(rng, 128, 128, scale=0.1),
+                   make_lstm_weights(rng, 128, 128, scale=0.1)),
+                  (make_lstm_weights(rng, 256, 128, scale=0.1),
+                   make_lstm_weights(rng, 256, 128, scale=0.1))]
+        inputs = (x,) + tuple(t for layer in layers for d in layer for t in d)
+        g = rng.normal(size=(9, 256))
+        got, got_grads, tape = output_and_grads(
+            lambda: bilstm_encode(x, layers), inputs, g)
+        assert [rec[0] for rec in tape._records].count("lstm") == 4
+        want, want_grads, _ = output_and_grads(
+            lambda: composite_bilstm_encode(x, layers), inputs, g)
+        for k, (a, e) in enumerate(zip([got] + got_grads, [want] + want_grads)):
+            assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max(), k
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_float32_stays_float32(self, reverse):
+        set_default_dtype(np.float32)
+        try:
+            rng = np.random.default_rng(3)
+            x = Tensor(rng.normal(size=(6, 5)))
+            weights = make_lstm_weights(rng, 5, 4)
+            out, grads, _ = output_and_grads(
+                lambda: lstm_run(x, *weights, reverse=reverse), (x,) + weights,
+                rng.normal(size=(6, 4)))
+        finally:
+            set_default_dtype(np.float64)
+        assert out.dtype == np.float32
+        assert [gr.dtype for gr in grads] == [np.float32] * 4
+
     def test_single_step_halves_equal_with_shared_weights(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(1, 4)))

@@ -1,13 +1,16 @@
-"""Span head (masked distributions, gold-span likelihood, decoding) and
-float32 purity of a whole model step."""
+"""Span head (masked distributions, gold-span likelihood, decoding),
+float32 purity of a whole model step, the provider cache, full-model
+gradients and the Adam update."""
 
 import numpy as np
 import pytest
 
+from abanet import model as model_module
 from abanet.config import mini_profile
 from abanet.data import build_vocabs, gen_synthetic
 from abanet.errors import DataError
-from abanet.model import Model, decode_span, span_logits, span_nll
+from abanet.model import Adam, Model, decode_span, span_logits, span_nll
+from abanet.params import ParamStore, relative_error
 from abanet.tensor import Tape, Tensor, set_default_dtype
 
 
@@ -152,3 +155,121 @@ def test_float32_model_forward_and_backward_stay_float32():
         assert all(g.dtype == np.float32 for g in grads.values())
     finally:
         set_default_dtype(np.float64)
+
+
+def mini_model(seed=0):
+    examples = gen_synthetic("copy-locate", 4, seed)
+    return Model(mini_profile(), *build_vocabs(examples), seed=seed), examples
+
+
+class TestProviderCache:
+    """Least-recently-used eviction under a byte budget of two entries."""
+
+    def setup_method(self):
+        self.model, _ = mini_model()
+        self.keys = [np.array([2, 3, k]) for k in (4, 5, 6)]
+        entry = self.model._provider_run(self.keys[0])
+        self.model.invalidate_caches()
+        self.budget = 2 * sum(layer.nbytes for layer in entry)
+
+    def cached(self):
+        return [np.frombuffer(k, dtype=np.int64)[-1]
+                for k in self.model._provider_cache]
+
+    def test_oldest_entry_is_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(model_module, "PROVIDER_CACHE_BYTES", self.budget)
+        for key in self.keys:
+            self.model._provider_run(key)
+        assert self.cached() == [5, 6]
+        assert self.model._provider_cache_bytes == self.budget
+
+    def test_hit_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr(model_module, "PROVIDER_CACHE_BYTES", self.budget)
+        a, b, c = self.keys
+        first = self.model._provider_run(a)
+        self.model._provider_run(b)
+        assert self.model._provider_run(a) is first
+        self.model._provider_run(c)
+        assert self.cached() == [4, 6]
+
+    def test_invalidate_empties(self):
+        for key in self.keys:
+            self.model._provider_run(key)
+        assert len(self.model._provider_cache) == 3
+        self.model.invalidate_caches()
+        assert not self.model._provider_cache
+        assert self.model._provider_cache_bytes == 0
+
+
+@pytest.mark.parametrize("selected", [(0, 1, 2), (3, 4, 5)])
+def test_full_model_gradient_matches_finite_differences(selected):
+    """Eval-mode span loss on one copy-locate example at the mini profile:
+    three seeded elements of every trainable parameter.
+
+    Only the three selected HOS levels reach the loss, so alpha is set to
+    select either the initial levels (word, char, embed) or the other
+    three (contextual, block, bilstm), whose paths cover the encoder
+    stack and the BiLSTM.
+    """
+    model, examples = mini_model()
+    example = examples[0]
+    alpha = model.store.get("alpha")
+    alpha.data = np.where(np.isin(np.arange(alpha.size), selected), 0.5, 0.0)
+
+    def loss():
+        result = model.forward(example, training=False)
+        return span_nll(result.p_begin, result.p_end,
+                        example.answer_begin, example.answer_end)
+
+    assert model.forward(example).selected_levels == selected
+    with Tape() as tape:
+        value = loss()
+    grads = tape.gradients(value)
+    rng = np.random.default_rng(0)
+    step = 1e-6
+    worst = {}
+    for name, tensor in model.store.trainable():
+        base = tensor.data
+        picks = rng.choice(base.size, size=min(3, base.size), replace=False)
+        analytic = grads.get(id(tensor), np.zeros_like(base)).ravel()[picks]
+        numeric = np.empty(len(picks))
+        for k, idx in enumerate(picks):
+            values = []
+            for sign in (1.0, -1.0):
+                probe = base.copy()
+                probe.ravel()[idx] += sign * step
+                tensor.data = probe
+                values.append(float(loss().data))
+            tensor.data = base
+            numeric[k] = (values[0] - values[1]) / (2.0 * step)
+        worst[name] = float(relative_error(analytic, numeric, 1e-3).max())
+    assert len(worst) > 50
+    assert max(worst.values()) < 1e-5, max(worst.items(), key=lambda kv: kv[1])
+
+
+def test_adam_two_steps_with_warmup_match_hand_computation():
+    store = ParamStore()
+    p = store.register("p", Tensor(np.array([1.0, -2.0])))
+    frozen = store.register("frozen", Tensor(np.array([3.0])), trainable=False)
+    idle = store.register("idle", Tensor(np.array([4.0])))
+    adam = Adam(store, learning_rate=0.1, warmup_steps=2)
+
+    g1 = np.array([0.5, -1.0])
+    p.grad = g1
+    frozen.grad = np.array([1.0])
+    adam.step()
+    # Step 1: rate 0.1 * 1/2; bias-corrected moments are g1 and g1**2.
+    p1 = np.array([1.0, -2.0]) - 0.05 * g1 / (np.abs(g1) + 1e-8)
+    np.testing.assert_allclose(p.data, p1, rtol=1e-12)
+    assert p.grad is None and frozen.grad is None
+    assert frozen.data[0] == 3.0 and idle.data[0] == 4.0
+
+    p.grad = np.array([0.25, 0.5])
+    adam.step()
+    # Step 2: full rate 0.1; m2 = 0.9 m1 + 0.1 g2, v2 = 0.999 v1 + 0.001 g2**2,
+    # bias corrections 1 - 0.9**2 = 0.19 and 1 - 0.999**2 = 0.001999.
+    m2 = np.array([0.07, -0.04])
+    v2 = np.array([0.00031225, 0.001249])
+    p2 = p1 - 0.1 * (m2 / 0.19) / (np.sqrt(v2 / 0.001999) + 1e-8)
+    np.testing.assert_allclose(p.data, p2, rtol=1e-12)
+    assert adam.step_count == 2
