@@ -7,6 +7,8 @@ across the whole stack.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -18,31 +20,40 @@ from .tensor import (
     Tensor,
     add,
     add_const,
-    concat,
     depthwise_separable_conv1d,
     dropout,
     layer_norm,
-    masked_softmax,
     matmul,
     mul_const,
     record_op,
     relu,
     reshape,
-    slice_axis,
-    transpose,
 )
+
+# Cached positional tables: one per width and power-of-two length.
+POSITIONAL_CACHE_SIZE = 32
 
 
 def positional_encoding(n: int, d: int) -> np.ndarray:
-    """Sinusoidal position table [n x d]; sin on even columns, cos on odd."""
+    """Sinusoidal position table [n x d]; sin on even columns, cos on odd.
+
+    A row does not depend on n, so this is a read-only view of the first
+    n rows of a shared table whose length is n rounded up to a power of two.
+    """
     if d % 2:
         raise ConfigError(f"positional encoding needs an even width, got {d}")
-    positions = np.arange(n)[:, None]
+    return _sinusoid_table(1 << max(n - 1, 0).bit_length(), d)[:n]
+
+
+@lru_cache(maxsize=POSITIONAL_CACHE_SIZE)
+def _sinusoid_table(rows: int, d: int) -> np.ndarray:
+    positions = np.arange(rows)[:, None]
     frequencies = np.power(10000.0, -2.0 * np.arange(d // 2) / d)[None, :]
     angles = positions * frequencies
-    table = np.zeros((n, d))
+    table = np.zeros((rows, d))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
+    table.setflags(write=False)
     return table
 
 
@@ -139,27 +150,55 @@ def conv_pri_dig_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor,
 
 def multi_head_self_attention(x: Tensor, mask: np.ndarray | None, num_heads: int,
                               wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
-    """Scaled dot-product self-attention over unmasked key positions."""
+    """Scaled dot-product self-attention over unmasked key positions.
+
+    All heads run as one ``self_attention`` record over [h, n, d_h] views
+    of the projections; its backward keeps only the probabilities.
+    """
     n, d = x.shape
     if d % num_heads:
         raise ConfigError(f"width {d} is not divisible by {num_heads} heads")
     head_dim = d // num_heads
+    scale = 1.0 / math.sqrt(head_dim)   # a Python float keeps float32 inputs float32
     q = matmul(x, wq)
     k = matmul(x, wk)
     v = matmul(x, wv)
-    key_mask = None if mask is None else np.broadcast_to(
-        np.asarray(mask, dtype=bool)[None, :], (n, n))
-    heads = []
-    for h in range(num_heads):
-        start = h * head_dim
-        qh = slice_axis(q, 1, start, head_dim)
-        kh = slice_axis(k, 1, start, head_dim)
-        vh = slice_axis(v, 1, start, head_dim)
-        scores = mul_const(matmul(qh, transpose(kh)),
-                           np.asarray(1.0 / np.sqrt(head_dim)))
-        attention = masked_softmax(scores, mask=key_mask, axis=-1)
-        heads.append(matmul(attention, vh))
-    return matmul(concat(heads, axis=1), wo)
+
+    def heads(a: np.ndarray) -> np.ndarray:
+        return a.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    # Softmax in place in one [h, n, n] buffer: large temporaries cost
+    # page faults at passage lengths.
+    probs = np.matmul(qh, kh.transpose(0, 2, 1))
+    probs *= scale
+    if mask is not None:
+        keys = np.asarray(mask, dtype=bool)
+        if not keys.any():
+            raise ShapeError("self_attention: the key set is fully masked")
+        probs[:, :, ~keys] = -np.inf
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = np.empty((n, d), dtype=probs.dtype)
+    np.matmul(probs, vh, out=heads(out))
+
+    def bw(g):
+        gh = heads(g)
+        dq, dk, dv = (np.empty((n, d), dtype=g.dtype) for _ in range(3))
+        np.matmul(probs.transpose(0, 2, 1), gh, out=heads(dv))
+        # dS = A * (dA - sum(dA * A)), built in the dA buffer.
+        ds = np.matmul(gh, vh.transpose(0, 2, 1))
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        np.matmul(ds, kh, out=heads(dq))
+        np.matmul(ds.transpose(0, 2, 1), qh, out=heads(dk))
+        dq *= scale
+        dk *= scale
+        return dq, dk, dv
+
+    attended = record_op("self_attention", out, (q, k, v), bw)
+    return matmul(attended, wo)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -3,6 +3,7 @@ model encoders, span head, loss, decoding, and the training loop."""
 
 from __future__ import annotations
 
+import gc
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -457,27 +458,38 @@ class Adam:
 
 def train_step(model: Model, batch: list[Example], optimizer: Adam,
                rng: np.random.Generator) -> float:
-    """One optimization step; returns the pre-update batch loss."""
+    """One optimization step; returns the pre-update batch loss.
+
+    Automatic garbage collection is suspended for the step: the live tape
+    holds hundreds of thousands of objects, none of them in a reference
+    cycle, so a full collection would scan them all and free nothing.
+    """
     if not batch:
         raise DataError("train_step needs a nonempty batch")
     store = model.store
     store.zero_grads()
-    with Tape() as tape:
-        nlls = []
-        for example in batch:
-            result = model.forward(example, training=True, rng=rng)
-            nlls.append(span_nll(result.p_begin, result.p_end,
-                                 example.answer_begin, example.answer_end,
-                                 result.p_mask))
-        loss = batch_loss(nlls, store, model.config.l2_decay)
-    if not np.isfinite(loss.data):
-        culprit = tape.first_nonfinite() or "loss"
-        raise NumericsError(
-            f"non-finite loss at optimizer step {optimizer.step_count + 1}; "
-            f"first non-finite tensor: {culprit}")
-    backward(tape, loss, store)
-    optimizer.step()
-    return float(loss.data)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            nlls = []
+            for example in batch:
+                result = model.forward(example, training=True, rng=rng)
+                nlls.append(span_nll(result.p_begin, result.p_end,
+                                     example.answer_begin, example.answer_end,
+                                     result.p_mask))
+            loss = batch_loss(nlls, store, model.config.l2_decay)
+        if not np.isfinite(loss.data):
+            culprit = tape.first_nonfinite() or "loss"
+            raise NumericsError(
+                f"non-finite loss at optimizer step {optimizer.step_count + 1}; "
+                f"first non-finite tensor: {culprit}")
+        backward(tape, loss, store)
+        optimizer.step()
+        return float(loss.data)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def evaluate(model: Model, examples: list[Example]) -> dict[str, float]:

@@ -143,15 +143,19 @@ class Tape:
     def gradients(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Backpropagate from ``loss``; returns id(tensor) -> gradient.
 
-        The map covers every tensor reachable backwards from the loss,
-        leaves included.  Contributions from repeated use of one tensor
-        (weight tying) sum into a single entry.
+        The map covers the leaves reachable backwards from the loss:
+        tensors no record on this tape produced (parameters, inputs,
+        frozen tables).  A recorded output's gradient is dropped as soon
+        as its record has been swept, since every consumer was swept
+        before it.  Contributions from repeated use of one tensor (weight
+        tying) sum into a single entry.  The records stay on the tape, so
+        a second sweep returns the same map.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for name, out, parents, backward in reversed(self._records):
-            g = grads.get(id(out))
+            g = grads.pop(id(out), None)
             if g is None:
                 continue
             parent_grads = backward(g)
@@ -194,9 +198,11 @@ def record_op(name: str, out_data: np.ndarray, parents: Sequence[Tensor],
 def backward(tape: Tape, loss: Tensor, params=None) -> dict[int, np.ndarray]:
     """Backpropagate ``loss`` over ``tape``; optionally fill a ParamStore.
 
-    When ``params`` is given, every trainable entry's gradient slot
-    receives (accumulates) its contribution.  Aliased names share one
-    slot, so tied weights end up with the sum over all use sites.
+    Returns the leaf gradients of ``Tape.gradients``; recorded outputs
+    have none.  When ``params`` is given, every trainable entry's
+    gradient slot receives (accumulates) its contribution.  Aliased names
+    share one slot, so tied weights end up with the sum over all use
+    sites.
     """
     grads = tape.gradients(loss)
     if params is not None:

@@ -22,7 +22,20 @@ from abanet.encoder import (
 )
 from abanet.errors import ConfigError, ShapeError
 from abanet.params import ParamStore, fd_gradient, grad_check
-from abanet.tensor import Tape, Tensor, layer_norm, mul, reduce_sum, set_default_dtype
+from abanet.tensor import (
+    Tape,
+    Tensor,
+    concat,
+    layer_norm,
+    masked_softmax,
+    matmul,
+    mul,
+    mul_const,
+    reduce_sum,
+    set_default_dtype,
+    slice_axis,
+    transpose,
+)
 
 MINI_BLOCK = EncoderBlockConfig(num_conv_layers=1, kernel=3, num_blocks=1)
 MINI_CAPS = CapsuleConfig(2, 4, 2, 4, 1)
@@ -55,6 +68,19 @@ class TestPositionalEncoding:
     def test_odd_width_rejected(self):
         with pytest.raises(ConfigError, match="even"):
             positional_encoding(4, 5)
+
+    def test_cached_table_is_read_only(self):
+        table = positional_encoding(6, 8)
+        assert table.shape == (6, 8)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        np.testing.assert_array_equal(positional_encoding(6, 8), table)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 140])
+    def test_rows_do_not_depend_on_length(self, n):
+        longest = positional_encoding(300, 16)
+        np.testing.assert_array_equal(positional_encoding(n, 16), longest[:n])
 
 
 class TestSquash:
@@ -319,6 +345,7 @@ class TestFloat32:
             primary = Tensor(rng.normal(size=(3, 2, 4)))
             transform = Tensor(rng.normal(size=(2, 2, 4, 4)) * 0.5)
             caps = CapsuleConfig(2, 4, 2, 4, 3)
+            attn = [Tensor(rng.normal(size=(8, 8))) for _ in range(4)]
             cases = {
                 "layer_norm": (lambda: layer_norm(x, gain, bias), (x, gain, bias)),
                 "squash": (lambda: squash(primary), (primary,)),
@@ -327,6 +354,9 @@ class TestFloat32:
                 "conv_pri_dig_layer": (
                     lambda: conv_pri_dig_layer(x, dw, pw, transform, caps),
                     (x, dw, pw, transform)),
+                "self_attention": (
+                    lambda: multi_head_self_attention(x, np.arange(3) < 2, 2, *attn),
+                    (x, *attn)),
             }
             for name, (op, inputs) in cases.items():
                 with Tape() as tape:
@@ -362,9 +392,62 @@ class TestFloat32:
             set_default_dtype(np.float64)
 
 
+def composite_self_attention(x, mask, num_heads, wq, wk, wv, wo):
+    """The per-head tape composite that the fused record replaced."""
+    n, d = x.shape
+    head_dim = d // num_heads
+    q, k, v = matmul(x, wq), matmul(x, wk), matmul(x, wv)
+    key_mask = None if mask is None else np.broadcast_to(
+        np.asarray(mask, dtype=bool)[None, :], (n, n))
+    heads = []
+    for h in range(num_heads):
+        start = h * head_dim
+        qh = slice_axis(q, 1, start, head_dim)
+        kh = slice_axis(k, 1, start, head_dim)
+        vh = slice_axis(v, 1, start, head_dim)
+        scores = mul_const(matmul(qh, transpose(kh)),
+                           np.asarray(1.0 / np.sqrt(head_dim)))
+        attention = masked_softmax(scores, mask=key_mask, axis=-1)
+        heads.append(matmul(attention, vh))
+    return matmul(concat(heads, axis=1), wo)
+
+
 class TestMultiHeadSelfAttention:
     def _proj(self, rng, d):
         return tuple(Tensor(rng.normal(size=(d, d)) * 0.5) for _ in range(4))
+
+    @pytest.mark.parametrize("n", [1, 7, 140, 200])
+    @pytest.mark.parametrize("num_heads,d", [(8, 128), (2, 16)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_composite_reference(self, n, num_heads, d, masked):
+        rng = np.random.default_rng(1000 + n + d + masked)
+        x = Tensor(rng.normal(size=(n, d)))
+        weights = tuple(Tensor(rng.normal(size=(d, d)) / np.sqrt(d))
+                        for _ in range(4))
+        # The mask hides the last quarter of the keys.
+        mask = np.arange(n) < n - n // 4 if masked else None
+        g = rng.normal(size=(n, d))
+        results = []
+        for attend in (multi_head_self_attention, composite_self_attention):
+            with Tape() as tape:
+                out = attend(x, mask, num_heads, *weights)
+                loss = reduce_sum(mul(out, Tensor(g)))
+            grads = tape.gradients(loss)
+            results.append([out.data] + [grads[id(t)] for t in (x, *weights)])
+            if attend is multi_head_self_attention:
+                names = [name for name, _, _, _ in tape._records]
+                assert names.count("self_attention") == 1
+                assert names.count("matmul") == 4
+        for name, got, want in zip(("out", "x", "wq", "wk", "wv", "wo"), *results):
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    def test_fully_masked_keys_rejected(self):
+        rng = np.random.default_rng(3)
+        wq, wk, wv, wo = self._proj(rng, 4)
+        with pytest.raises(ShapeError, match="fully masked"):
+            multi_head_self_attention(Tensor(rng.normal(size=(3, 4))),
+                                      np.zeros(3, dtype=bool), 2, wq, wk, wv, wo)
 
     def test_single_position_is_value_projection(self):
         rng = np.random.default_rng(1)

@@ -1,6 +1,9 @@
 """Span head (masked distributions, gold-span likelihood, decoding),
 float32 purity of a whole model step, the provider cache, full-model
-gradients and the Adam update."""
+gradients, the Adam update, the freeing backward sweep, the training
+step's garbage-collection state, determinism and learning."""
+
+import gc
 
 import numpy as np
 import pytest
@@ -8,8 +11,17 @@ import pytest
 from abanet import model as model_module
 from abanet.config import mini_profile
 from abanet.data import build_vocabs, gen_synthetic
-from abanet.errors import DataError
-from abanet.model import Adam, Model, decode_span, span_logits, span_nll
+from abanet.errors import DataError, NumericsError
+from abanet.model import (
+    Adam,
+    Model,
+    batch_loss,
+    decode_span,
+    fit,
+    span_logits,
+    span_nll,
+    train_step,
+)
 from abanet.params import ParamStore, relative_error
 from abanet.tensor import Tape, Tensor, set_default_dtype
 
@@ -273,3 +285,111 @@ def test_adam_two_steps_with_warmup_match_hand_computation():
     p2 = p1 - 0.1 * (m2 / 0.19) / (np.sqrt(v2 / 0.001999) + 1e-8)
     np.testing.assert_allclose(p.data, p2, rtol=1e-12)
     assert adam.step_count == 2
+
+
+def keep_all_gradients(tape, loss):
+    """The sweep before gradient freeing: every gradient stays in the map."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for _, out, parents, backward in reversed(tape._records):
+        g = grads.get(id(out))
+        if g is None:
+            continue
+        for parent, pg in zip(parents, backward(g)):
+            if pg is None:
+                continue
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+    return grads
+
+
+def test_freeing_sweep_keeps_leaf_gradients():
+    """One mini training batch: the freeing sweep returns exactly the leaf
+    gradients of a keep-everything sweep, and nothing else, twice."""
+    model, examples = mini_model()
+    rng = np.random.default_rng(0)
+    with Tape() as tape:
+        nlls = []
+        for example in examples[:2]:
+            result = model.forward(example, training=True, rng=rng)
+            nlls.append(span_nll(result.p_begin, result.p_end,
+                                 example.answer_begin, example.answer_end))
+        loss = batch_loss(nlls, model.store, model.config.l2_decay)
+    recorded = {id(out) for _, out, _, _ in tape._records}
+    reference = keep_all_gradients(tape, loss)
+    leaves = {key: g for key, g in reference.items() if key not in recorded}
+    trainable = [id(t) for _, t in model.store.trainable()]
+    assert len(trainable) > 50
+    assert set(trainable) <= set(leaves)
+    for sweep in range(2):
+        grads = tape.gradients(loss)
+        assert not recorded & set(grads), sweep
+        assert set(grads) == set(leaves), sweep
+        for key, g in leaves.items():
+            np.testing.assert_array_equal(grads[key], g)
+
+
+class TestTrainStepGarbageCollection:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_state_restored(self, enabled, fails):
+        """Also after a NumericsError, and when collection started disabled."""
+        model, examples = mini_model()
+        if fails:
+            model.store.get("span.w1").data = np.full((2 * model.config.d, 1), np.nan)
+        optimizer = Adam(model.store, 1e-3)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if fails:
+                with pytest.raises(NumericsError, match="non-finite loss"):
+                    train_step(model, examples[:2], optimizer,
+                               np.random.default_rng(0))
+            else:
+                train_step(model, examples[:2], optimizer, np.random.default_rng(0))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_step_leaves_no_cyclic_garbage(self):
+        model, examples = mini_model()
+        optimizer = Adam(model.store, 1e-3)
+        rng = np.random.default_rng(0)
+        train_step(model, examples[:2], optimizer, rng)   # first-call caches
+        gc.collect()
+        train_step(model, examples[2:], optimizer, rng)
+        assert gc.collect() == 0
+
+
+class TestDeterminism:
+    def test_training_is_bit_identical(self):
+        runs = []
+        for _ in range(2):
+            model, examples = mini_model(seed=3)
+            optimizer = Adam(model.store, 1e-3)
+            rng = np.random.default_rng(3)
+            losses = [train_step(model, examples[:2], optimizer, rng),
+                      train_step(model, examples[2:], optimizer, rng)]
+            runs.append((losses, model.store.state_dict()))
+        (losses_a, state_a), (losses_b, state_b) = runs
+        assert losses_a == losses_b
+        assert state_a.keys() == state_b.keys()
+        for name in state_a:
+            np.testing.assert_array_equal(state_a[name], state_b[name], name)
+
+    def test_predict_is_bit_identical(self):
+        model, examples = mini_model(seed=3)
+        first, second = (model.predict(examples[0]) for _ in range(2))
+        np.testing.assert_array_equal(first.p_begin, second.p_begin)
+        np.testing.assert_array_equal(first.p_end, second.p_end)
+
+
+def test_fit_learns_marker_span():
+    """Twelve epochs at the mini profile: the loss falls and EM rises."""
+    examples = gen_synthetic("marker-span", 20, 0)
+    model = Model(mini_profile(), *build_vocabs(examples), seed=0)
+    history = fit(model, examples, epochs=12, seed=0)
+    assert [entry["epoch"] for entry in history] == list(range(1, 13))
+    first, last = history[0], history[-1]
+    assert first["em"] == 0.0
+    assert last["loss"] < 0.8 * first["loss"], (first, last)
+    assert last["em"] >= 0.3, last

@@ -1,5 +1,7 @@
 """Tensor core: arithmetic, composite ops, tape backward, gradient checks."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -301,7 +303,8 @@ class TestElementwiseGradients:
 
     @pytest.mark.parametrize("name,fn", CASES, ids=[c[0] for c in CASES])
     def test_primitive(self, name, fn):
-        rng = np.random.default_rng(hash(name) % 2**32)
+        # str hashes change per process; crc32 gives every run the same inputs.
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         x = Tensor(rng.normal(size=(3, 4)))
         w = rng.normal(size=(3, 4))
 
