@@ -43,14 +43,6 @@ class HistoryOfSemantic:
                 f"expected {len(COMPONENT_NAMES)} components, "
                 f"got {len(self.components)}")
 
-    @property
-    def length(self) -> int:
-        return self.components[0].shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.components[0].shape[1]
-
 
 def assemble_hos(raw: dict[str, Tensor], projections: dict[str, Tensor]) -> HistoryOfSemantic:
     """Project each named representation to the shared width and stack them.
@@ -160,14 +152,14 @@ def p2q_attention(similarity: Tensor, hos_q: Tensor,
     return matmul(rows, hos_q), rows
 
 
-def q2p_attention(similarity: Tensor, hos_p: Tensor,
-                  p_mask: np.ndarray | None = None,
-                  q_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Passage summary per passage token: S = row_sm(H) . col_sm(H)^T . HOS_P."""
-    n, m = similarity.shape
+def q2p_attention(similarity: Tensor, hos_p: Tensor, rows: Tensor,
+                  p_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Passage summary per passage token: S = rows . col_sm(H)^T . HOS_P.
+
+    ``rows`` is the row softmax of H that ``p2q_attention`` returns.
+    """
+    n = similarity.shape[0]
     p_mask = _check_mask(p_mask, n, "passage")
-    q_mask = _check_mask(q_mask, m, "question")
-    rows = masked_softmax(similarity, mask=q_mask[None, :], axis=-1)
     cols = masked_softmax(similarity, mask=p_mask[:, None], axis=0)
     return matmul(matmul(rows, transpose(cols)), hos_p), cols
 
@@ -203,7 +195,7 @@ def bidirectional_attention(hos_p: Tensor, hos_q: Tensor, w: Tensor,
     similarity = trilinear_similarity(hos_p, hos_q, w, training=training,
                                       rng=rng, dropout_rate=dropout_rate)
     m_summary, rows = p2q_attention(similarity, hos_q, q_mask)
-    s_summary, cols = q2p_attention(similarity, hos_p, p_mask, q_mask)
+    s_summary, cols = q2p_attention(similarity, hos_p, rows, p_mask)
     fused = fuse_output(hos_p, m_summary, s_summary)
     return AttentionOutputs(similarity=similarity, rows=rows, cols=cols,
                             p2q=m_summary, q2p=s_summary, fused=fused)

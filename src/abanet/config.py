@@ -1,9 +1,7 @@
-"""Architecture and run configuration: profiles, key=value files, digests."""
+"""Architecture configuration: the model hyperparameters and the named profiles."""
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -137,24 +135,9 @@ class ModelConfig:
             raise ConfigError("max_span_len must be >= 1")
         if self.d % 2:
             raise ConfigError("width d must be even for positional encoding")
-
-
-@dataclass
-class RunConfig:
-    """ModelConfig plus everything a CLI run needs."""
-
-    model: ModelConfig = field(default_factory=ModelConfig)
-    profile: str = "paper"
-    data: str | None = None
-    embeddings: str | None = None
-    checkpoint: str | None = None
-    out_dir: str = "."
-    seed: int = 0
-    epochs: int = 10
-    steps: int | None = None
-    task: str = "copy-locate"
-    synthetic_size: int = 50
-    dump_attention: bool = False
+        if self.provider_width % 2:
+            raise ConfigError(
+                "provider_width must be even for its two heads and positional encoding")
 
 
 def paper_profile() -> ModelConfig:
@@ -191,123 +174,3 @@ def mini_profile() -> ModelConfig:
 
 PROFILES = {"paper": paper_profile, "mini": mini_profile}
 
-
-# ---------------------------------------------------------------------------
-# Flat key=value plumbing
-# ---------------------------------------------------------------------------
-
-def _flatten_fields(cls, prefix: str = "") -> dict[str, type]:
-    """Map dotted key -> declared field type, recursing into dataclasses."""
-    out: dict[str, type] = {}
-    for f in dataclasses.fields(cls):
-        if dataclasses.is_dataclass(f.type) or f.type in (
-                "EncoderBlockConfig", "CapsuleConfig"):
-            sub = {"EncoderBlockConfig": EncoderBlockConfig,
-                   "CapsuleConfig": CapsuleConfig}.get(f.type, f.type)
-            out.update(_flatten_fields(sub, prefix + f.name + "."))
-        else:
-            out[prefix + f.name] = f.type
-    return out
-
-
-_MODEL_KEYS = _flatten_fields(ModelConfig)
-_RUN_KEYS = {
-    "data": "str | None", "embeddings": "str | None",
-    "checkpoint": "str | None", "out_dir": "str", "seed": "int",
-    "epochs": "int", "steps": "int | None", "task": "str",
-    "synthetic_size": "int", "dump_attention": "bool", "profile": "str",
-}
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _coerce(key: str, value: str, type_name: str):
-    base = type_name.replace(" ", "")
-    optional = base.endswith("|None")
-    if optional:
-        base = base[:-len("|None")]
-        if value.lower() in ("", "none"):
-            return None
-    try:
-        if base == "int":
-            return int(value)
-        if base == "float":
-            return float(value)
-        if base == "bool":
-            low = value.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(value)
-        return value
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {base}")
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key=value`` file; '#' starts a comment."""
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
-
-
-def build_run_config(file_values: dict[str, str] | None = None,
-                     overrides: dict[str, str] | None = None) -> RunConfig:
-    """Layer profile defaults, then config-file values, then CLI flags."""
-    merged: dict[str, str] = {}
-    merged.update(file_values or {})
-    merged.update(overrides or {})
-
-    profile = merged.pop("profile", "paper")
-    if profile not in PROFILES:
-        raise ConfigError(
-            f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
-    run = RunConfig(model=PROFILES[profile](), profile=profile)
-
-    for key, value in merged.items():
-        if key in _RUN_KEYS:
-            setattr(run, key, _coerce(key, value, _RUN_KEYS[key]))
-        elif key in _MODEL_KEYS:
-            obj = run.model
-            *path, leaf = key.split(".")
-            for part in path:
-                obj = getattr(obj, part)
-            type_name = _MODEL_KEYS[key]
-            type_name = type_name if isinstance(type_name, str) else type_name.__name__
-            setattr(obj, leaf, _coerce(key, value, type_name))
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    run.model.validate()
-    return run
-
-
-def flatten_model_config(model: ModelConfig) -> dict[str, object]:
-    out: dict[str, object] = {}
-    for key in _MODEL_KEYS:
-        obj = model
-        for part in key.split("."):
-            obj = getattr(obj, part)
-        out[key] = obj
-    return out
-
-
-def digest_config(model: ModelConfig, extra: dict[str, object] | None = None) -> str:
-    """Stable digest of the architecture plus data-dependent sizes.
-
-    Stored in checkpoints so that loading under a different architecture
-    fails loudly instead of silently reinterpreting the buffer.
-    """
-    items = dict(flatten_model_config(model))
-    items.update(extra or {})
-    text = "\n".join(f"{k}={items[k]!r}" for k in sorted(items))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

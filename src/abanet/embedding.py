@@ -92,10 +92,6 @@ class EmbeddingTable:
     def vocab_size(self) -> int:
         return self.table.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
-
 
 def load_embedding_file(path: str, vocab: Vocabulary, dim: int) -> np.ndarray:
     """Read `token v1 ... v_e` lines into a [V x dim] array.

@@ -15,7 +15,3 @@ class DataError(ValueError):
 
 class NumericsError(RuntimeError):
     """A numerical invariant failed at runtime (non-finite values, failed checks)."""
-
-
-class CheckpointError(ValueError):
-    """A checkpoint file is unreadable or does not match the active configuration."""

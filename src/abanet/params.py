@@ -1,4 +1,4 @@
-"""Named parameter storage with weight sharing, plus finite-difference checking."""
+"""Named parameter storage, plus finite-difference checking."""
 
 from __future__ import annotations
 
@@ -41,28 +41,17 @@ class _Entry:
 class ParamStore:
     """Map from names to (tensor, gradient slot, trainable flag).
 
-    Aliased names resolve to one storage slot, so every use site of a
-    shared weight reads the same tensor and gradient contributions from
-    all sites sum into the same slot.
+    A weight shared between use sites is one name fetched at each site;
+    the gradient contributions of all sites sum into its one slot.
     """
 
     def __init__(self):
         self._entries: dict[str, _Entry] = {}
-        self._aliases: dict[str, str] = {}
-
-    def canonical(self, name: str) -> str:
-        seen = set()
-        while name in self._aliases:
-            if name in seen:
-                raise ConfigError(f"alias cycle through {name!r}")
-            seen.add(name)
-            name = self._aliases[name]
-        return name
 
     def create(self, name: str, shape, init=None, *,
                rng: np.random.Generator | None = None,
                trainable: bool = True) -> Tensor:
-        if name in self._entries or name in self._aliases:
+        if name in self._entries:
             raise ConfigError(f"parameter {name!r} already registered")
         if init is None:
             init = xavier_uniform
@@ -72,32 +61,16 @@ class ParamStore:
         return tensor
 
     def register(self, name: str, tensor: Tensor, *, trainable: bool = True) -> Tensor:
-        if name in self._entries or name in self._aliases:
+        if name in self._entries:
             raise ConfigError(f"parameter {name!r} already registered")
         self._entries[name] = _Entry(tensor, trainable)
         return tensor
 
-    def alias(self, name: str, target: str) -> Tensor:
-        """Register ``name`` as another handle on ``target``'s slot."""
-        canonical = self.canonical(target)
-        if canonical not in self._entries:
-            raise ConfigError(f"alias target {target!r} is not registered")
-        if name in self._entries or name in self._aliases:
-            raise ConfigError(f"parameter {name!r} already registered")
-        self._aliases[name] = canonical
-        return self._entries[canonical].tensor
-
     def get(self, name: str) -> Tensor:
-        return self._entries[self.canonical(name)].tensor
+        return self._entries[name].tensor
 
     def grad(self, name: str) -> np.ndarray | None:
-        return self._entries[self.canonical(name)].tensor.grad
-
-    def is_trainable(self, name: str) -> bool:
-        return self._entries[self.canonical(name)].trainable
-
-    def names(self) -> list[str]:
-        return list(self._entries)
+        return self._entries[name].tensor.grad
 
     def trainable(self) -> Iterator[tuple[str, Tensor]]:
         for name, entry in self._entries.items():
@@ -159,12 +132,6 @@ class GradCheckReport:
     @property
     def max_rel_error(self) -> float:
         return max(self.per_param.values()) if self.per_param else 0.0
-
-    @property
-    def worst_param(self) -> str:
-        if not self.per_param:
-            return ""
-        return max(self.per_param, key=self.per_param.get)
 
     @property
     def passed(self) -> bool:

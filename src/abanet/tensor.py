@@ -60,12 +60,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
@@ -200,9 +194,8 @@ def backward(tape: Tape, loss: Tensor, params=None) -> dict[int, np.ndarray]:
 
     Returns the leaf gradients of ``Tape.gradients``; recorded outputs
     have none.  When ``params`` is given, every trainable entry's
-    gradient slot receives (accumulates) its contribution.  Aliased names
-    share one slot, so tied weights end up with the sum over all use
-    sites.
+    gradient slot receives (accumulates) its contribution, so a weight
+    used at several sites ends up with the sum over all of them.
     """
     grads = tape.gradients(loss)
     if params is not None:

@@ -19,7 +19,7 @@ from abanet.attention import (
 )
 from abanet.errors import ConfigError, ShapeError
 from abanet.params import ParamStore, fd_gradient, grad_check
-from abanet.tensor import Tape, Tensor, mul, reduce_sum
+from abanet.tensor import Tape, Tensor, masked_softmax, mul, reduce_sum
 
 PAPER_WIDTHS = {"word": 328, "char": 64, "embed": 128, "contextual": 128,
                 "block": 128, "bilstm": 256}
@@ -277,14 +277,15 @@ class TestDirectionalAttention:
     def test_single_pair_returns_passage_vector(self):
         rng = np.random.default_rng(15)
         hos_p = Tensor(rng.normal(size=(1, 4)))
-        s_summary, _ = q2p_attention(Tensor(rng.normal(size=(1, 1))), hos_p)
+        similarity = Tensor(rng.normal(size=(1, 1)))
+        s_summary, _ = q2p_attention(similarity, hos_p, masked_softmax(similarity))
         np.testing.assert_allclose(s_summary.data, hos_p.data, atol=1e-12)
 
     def test_row_col_product_is_stochastic(self):
         rng = np.random.default_rng(16)
         similarity = Tensor(rng.normal(size=(5, 3)))
         hos_p = Tensor(np.ones((5, 1)))
-        s_summary, _ = q2p_attention(similarity, hos_p)
+        s_summary, _ = q2p_attention(similarity, hos_p, masked_softmax(similarity))
         np.testing.assert_allclose(s_summary.data, 1.0, atol=1e-9)
 
     def test_q2p_extended_precision_2x2(self):
@@ -307,7 +308,9 @@ class TestDirectionalAttention:
                      for f in range(2)] for i in range(2)]
         expected = np.array([[float(x) for x in row] for row in expected])
 
-        s_summary, _ = q2p_attention(Tensor(h), Tensor(hos_p))
+        similarity = Tensor(h)
+        s_summary, _ = q2p_attention(similarity, Tensor(hos_p),
+                                     masked_softmax(similarity))
         np.testing.assert_allclose(s_summary.data, expected, atol=1e-12)
 
     def test_empty_question_rejected(self):
@@ -316,9 +319,10 @@ class TestDirectionalAttention:
                           np.zeros(3, dtype=bool))
 
     def test_empty_passage_rejected(self):
+        similarity = Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeError, match="empty passage"):
-            q2p_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))),
-                          np.zeros(2, dtype=bool))
+            q2p_attention(similarity, Tensor(np.zeros((2, 2))),
+                          masked_softmax(similarity), np.zeros(2, dtype=bool))
 
 
 class TestFuseOutput:
@@ -368,6 +372,16 @@ class TestEndToEndGradient:
 
         report = grad_check(f, store, epsilon=1e-3, tolerance=1e-3)
         assert report.passed, report.lines()
+
+    def test_row_softmax_is_recorded_once(self):
+        """q2p reuses p2q's row softmax: one row and one column softmax."""
+        rng = np.random.default_rng(25)
+        with Tape() as tape:
+            bidirectional_attention(
+                Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(3, 6))),
+                Tensor(rng.normal(size=18)))
+        names = [name for name, _, _, _ in tape._records]
+        assert names.count("masked_softmax") == 2
 
     def test_normalization_under_random_masks(self):
         rng = np.random.default_rng(24)

@@ -12,7 +12,6 @@ from abanet.encoder import (
     build_encoder_stack,
     conv_pri_dig_layer,
     dynamic_routing,
-    feed_forward,
     multi_head_self_attention,
     positional_encoding,
     residual_sublayer,

@@ -213,6 +213,21 @@ class TestProviderCache:
         assert self.model._provider_cache_bytes == 0
 
 
+def test_frozen_provider_stays_off_the_training_tape():
+    """A cache miss in training mode records nothing that reads a frozen
+    parameter; the provider's layers enter the tape as constants."""
+    model, examples = mini_model()
+    assert not model._provider_cache
+    frozen = {id(t) for _, t in model.store.items()}
+    frozen -= {id(t) for _, t in model.store.trainable()}
+    with Tape() as tape:
+        model.forward(examples[0], training=True, rng=np.random.default_rng(0))
+    assert model._provider_cache
+    leaks = [name for name, _, parents, _ in tape._records
+             if any(id(p) in frozen for p in parents)]
+    assert not leaks, leaks[:5]
+
+
 @pytest.mark.parametrize("selected", [(0, 1, 2), (3, 4, 5)])
 def test_full_model_gradient_matches_finite_differences(selected):
     """Eval-mode span loss on one copy-locate example at the mini profile:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abanet.errors import ConfigError, ShapeError
-from abanet.params import ParamStore, GradCheckReport, fd_gradient, grad_check
+from abanet.params import ParamStore, fd_gradient, grad_check
 from abanet.tensor import (
     Tape,
     Tensor,
@@ -256,10 +256,9 @@ class TestBackward:
 
         tied = ParamStore()
         w = tied.register("w", Tensor(w_data))
-        tied.alias("w_again", "w")
         with Tape() as tape:
             h = tanh(matmul(Tensor(x_data), tied.get("w")))
-            out = matmul(h, tied.get("w_again"))
+            out = matmul(h, tied.get("w"))
             loss = reduce_sum(mul(out, out))
         backward(tape, loss, tied)
 
@@ -397,13 +396,6 @@ class TestDropout:
 
 
 class TestParamStore:
-    def test_alias_resolves_to_single_slot(self):
-        store = ParamStore()
-        w = store.create("enc.w", (2, 2), rng=np.random.default_rng(0))
-        shared = store.alias("dec.w", "enc.w")
-        assert shared is w
-        assert store.get("dec.w") is store.get("enc.w")
-
     def test_duplicate_name_rejected(self):
         store = ParamStore()
         store.create("w", (1,), rng=np.random.default_rng(0))
