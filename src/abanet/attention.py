@@ -3,8 +3,9 @@ bidirectional passage-question attention, and the fused output.
 
 Six per-token representations (word+feature, char, embedding output,
 contextual mixture, encoder-block output, BiLSTM states) are projected to
-a common width, mixed by a trainable matrix, reduced to the three
-highest-weighted levels, and cross-attended in both directions.
+a common width and held as one [G, n, d] tensor, mixed by one matmul with
+a trainable G x G matrix, reduced to the three highest-weighted levels,
+and cross-attended in both directions.
 """
 
 from __future__ import annotations
@@ -22,30 +23,18 @@ from .tensor import (
     masked_softmax,
     matmul,
     mul,
+    record_op,
     reshape,
     slice_axis,
-    stack_flat,
+    stack,
     transpose,
 )
 
 COMPONENT_NAMES = ("word", "char", "embed", "contextual", "block", "bilstm")
 
 
-@dataclass
-class HistoryOfSemantic:
-    """The six granularity levels of one sequence, all projected to [n x d]."""
-
-    components: list[Tensor]
-
-    def __post_init__(self):
-        if len(self.components) != len(COMPONENT_NAMES):
-            raise ShapeError(
-                f"expected {len(COMPONENT_NAMES)} components, "
-                f"got {len(self.components)}")
-
-
-def assemble_hos(raw: dict[str, Tensor], projections: dict[str, Tensor]) -> HistoryOfSemantic:
-    """Project each named representation to the shared width and stack them.
+def assemble_hos(raw: dict[str, Tensor], projections: dict[str, Tensor]) -> Tensor:
+    """Project each named representation to the shared width; stack to [G, n, d].
 
     Projections are bias-free, so a zero representation stays zero after
     reconciliation.
@@ -64,7 +53,7 @@ def assemble_hos(raw: dict[str, Tensor], projections: dict[str, Tensor]) -> Hist
                 f"projection for {name!r} expects width {projection.shape[0]}, "
                 f"component has {raw[name].shape[1]}")
         components.append(matmul(raw[name], projection))
-    return HistoryOfSemantic(components)
+    return stack(components)
 
 
 def lambda_init_matrix(mode: str, levels: int) -> np.ndarray:
@@ -78,35 +67,43 @@ def lambda_init_matrix(mode: str, levels: int) -> np.ndarray:
     raise ConfigError(f"unknown lambda init mode {mode!r}")
 
 
-def adaptive_scale(hos: HistoryOfSemantic, mixing: Tensor) -> list[Tensor]:
+def adaptive_scale(hos: Tensor, mixing: Tensor) -> Tensor:
     """Mix granularity levels: output level g = sum_j mixing[g, j] * level j."""
-    components = hos.components
-    levels = len(components)
+    levels = hos.shape[0]
     if mixing.shape != (levels, levels):
         raise ShapeError(
             f"mixing matrix {mixing.shape} does not match {levels} levels")
-    n, d = components[0].shape
-    mixed = matmul(mixing, stack_flat(components))
-    return [reshape(slice_axis(mixed, 0, g, 1), (n, d)) for g in range(levels)]
+    mixed = matmul(mixing, reshape(hos, (levels, -1)))
+    return reshape(mixed, hos.shape)
 
 
-def select_top3(components: list[Tensor], alpha: Tensor) -> tuple[Tensor, tuple[int, ...]]:
-    """Keep the three highest-softmax-weighted levels, scaled by their weights.
+def select_top3(hos: Tensor, alpha: Tensor) -> tuple[Tensor, tuple[int, ...]]:
+    """Keep the three highest-softmax-weighted levels of a [G, n, d] stack,
+    scaled by their weights and concatenated in ascending index order: [n, 3d].
 
-    Ties break toward the lower index; the survivors are concatenated in
-    ascending index order.  Gradients reach alpha only through the
-    selected weights (hard selection, straight-through on the rest).
+    Ties break toward the lower index.  Gradients reach alpha only through
+    the selected weights; the unselected levels get exactly zero.
     """
-    levels = len(components)
+    levels = hos.shape[0]
     if levels < 3:
         raise ConfigError(f"need at least 3 levels to select from, got {levels}")
     if alpha.shape != (levels,):
         raise ShapeError(f"alpha shape {alpha.shape} does not match {levels} levels")
     weights = masked_softmax(alpha)
-    ranked = np.argsort(-weights.data, kind="stable")
+    w = weights.data
+    ranked = np.argsort(-w, kind="stable")
     chosen = tuple(sorted(int(i) for i in ranked[:3]))
-    parts = [mul(slice_axis(weights, 0, g, 1), components[g]) for g in chosen]
-    return concat(parts, axis=1), chosen
+    out = np.concatenate([w[level] * hos.data[level] for level in chosen], axis=1)
+
+    def bw(g):
+        dhos = np.zeros_like(hos.data)
+        dweights = np.zeros_like(w)
+        for level, part in zip(chosen, np.split(g, 3, axis=1)):
+            dhos[level] = w[level] * part
+            dweights[level] = (part * hos.data[level]).sum(axis=0).sum()
+        return dhos, dweights
+
+    return record_op("select_top3", out, (hos, weights), bw), chosen
 
 
 def trilinear_similarity(hos_p: Tensor, hos_q: Tensor, w: Tensor, *,

@@ -98,6 +98,9 @@ class ModelConfig:
 
     def validate(self) -> None:
         caps = self.capsules
+        for name in ("num_heads", "provider_layers", "lstm_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.num_heads:
             raise ConfigError(
                 f"width d={self.d} not divisible by num_heads={self.num_heads}")

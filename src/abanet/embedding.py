@@ -26,7 +26,6 @@ from .tensor import (
     reduce_max,
     reshape,
     sigmoid,
-    slice_axis,
     tanh,
 )
 
@@ -307,14 +306,13 @@ def contextual_mix(provider: ContextualProvider, token_ids: np.ndarray,
         raise ShapeError(
             f"provider returned {len(layers)} layers, expected {provider.num_layers}")
     expected = (expanded.shape[0], provider.width)
-    n = averaging.shape[0]
-    mixed: Tensor | None = None
     for index, layer in enumerate(layers):
         if layer.shape != expected:
             raise ShapeError(
                 f"provider layer {index} has shape {layer.shape}, expected {expected}")
-        pooled = Tensor(averaging @ np.asarray(layer))  # constant: provider is frozen
-        term = mul(slice_axis(theta, 0, index, 1), pooled)
-        mixed = term if mixed is None else add(mixed, term)
-    assert mixed is not None
-    return mixed
+    n, count = averaging.shape[0], len(layers)
+    # A constant [L, n*w]: the provider is frozen.
+    pooled = Tensor(np.stack([averaging @ np.asarray(layer) for layer in layers])
+                    .reshape(count, n * provider.width))
+    mixed = matmul(reshape(theta, (1, count)), pooled)
+    return reshape(mixed, (n, provider.width))

@@ -45,8 +45,8 @@ from .tensor import (
     log,
     masked_softmax,
     matmul,
-    mul,
     no_grad,
+    record_op,
     reduce_sum,
     reshape,
     slice_axis,
@@ -303,14 +303,11 @@ class Model:
         hos_p = assemble_hos(raw_p, projections)
         hos_q = assemble_hos(raw_q, projections)
         if cfg.use_adaptive_scale:
-            scaled_p = adaptive_scale(hos_p, store.get("lambda.p"))
-            scaled_q = adaptive_scale(hos_q, store.get("lambda.q"))
-        else:
-            scaled_p = hos_p.components
-            scaled_q = hos_q.components
+            hos_p = adaptive_scale(hos_p, store.get("lambda.p"))
+            hos_q = adaptive_scale(hos_q, store.get("lambda.q"))
         alpha = store.get("alpha")
-        selected_p, levels = select_top3(scaled_p, alpha)
-        selected_q, _ = select_top3(scaled_q, alpha)
+        selected_p, levels = select_top3(hos_p, alpha)
+        selected_q, _ = select_top3(hos_q, alpha)
 
         attention = bidirectional_attention(
             selected_p, selected_q, store.get("attn.w"), p_mask, q_mask,
@@ -367,13 +364,14 @@ def span_nll(p_begin: Tensor, p_end: Tensor, begin_gold: int, end_gold: int,
 
 
 def l2_penalty(store: ParamStore, decay: float) -> Tensor | None:
-    if decay <= 0.0:
+    """decay * sum of squared trainable weights, as one tape record."""
+    weights = [tensor for _, tensor in store.trainable()]
+    if decay <= 0.0 or not weights:
         return None
-    total: Tensor | None = None
-    for _, tensor in store.trainable():
-        term = reduce_sum(mul(tensor, tensor))
-        total = term if total is None else total + term
-    return None if total is None else decay * total
+    total = sum((w.data * w.data).sum() for w in weights)
+    out = np.asarray(weights[0].data.dtype.type(decay) * total)
+    return record_op("l2_penalty", out, weights, lambda g: tuple(
+        2.0 * decay * g * w.data for w in weights))
 
 
 def batch_loss(nlls: list[Tensor], store: ParamStore | None = None,

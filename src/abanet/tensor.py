@@ -292,6 +292,12 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     return record_op("concat", out, parts, bw)
 
 
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Stack equally shaped tensors along a new leading axis: [G, ...]."""
+    return record_op("stack", np.stack([p.data for p in parts]), parts,
+                     lambda g: tuple(g))
+
+
 def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
@@ -479,9 +485,3 @@ def depthwise_separable_conv1d(x: Tensor, depthwise: Tensor, pointwise: Tensor) 
             f"depthwise_separable_conv1d: pointwise {pointwise.shape} does not "
             f"match depthwise channels {depthwise.shape}")
     return matmul(depthwise_conv1d(x, depthwise), pointwise)
-
-
-def stack_flat(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equally shaped matrices as flattened rows: G x (n*d)."""
-    rows = [reshape(p, (1, p.size)) for p in parts]
-    return concat(rows, axis=0)

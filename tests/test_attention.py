@@ -6,7 +6,6 @@ from mpmath import mp, mpf
 
 from abanet.attention import (
     COMPONENT_NAMES,
-    HistoryOfSemantic,
     adaptive_scale,
     assemble_hos,
     bidirectional_attention,
@@ -19,7 +18,18 @@ from abanet.attention import (
 )
 from abanet.errors import ConfigError, ShapeError
 from abanet.params import ParamStore, fd_gradient, grad_check
-from abanet.tensor import Tape, Tensor, masked_softmax, mul, reduce_sum
+from abanet.tensor import (
+    Tape,
+    Tensor,
+    concat,
+    masked_softmax,
+    matmul,
+    mul,
+    reduce_sum,
+    reshape,
+    slice_axis,
+    stack,
+)
 
 PAPER_WIDTHS = {"word": 328, "char": 64, "embed": 128, "contextual": 128,
                 "block": 128, "bilstm": 256}
@@ -35,8 +45,31 @@ def make_raw_and_projections(rng, n, d, widths=None):
 
 
 def make_hos(rng, n, d):
-    return HistoryOfSemantic(
-        [Tensor(rng.normal(size=(n, d))) for _ in COMPONENT_NAMES])
+    return Tensor(rng.normal(size=(len(COMPONENT_NAMES), n, d)))
+
+
+def list_adaptive_scale(components, mixing):
+    """The per-level list mix that the one [G, n*d] matmul replaced."""
+    n, d = components[0].shape
+    rows = concat([reshape(c, (1, c.size)) for c in components], axis=0)
+    mixed = matmul(mixing, rows)
+    return [reshape(slice_axis(mixed, 0, g, 1), (n, d))
+            for g in range(len(components))]
+
+
+def list_select_top3(components, alpha):
+    """The slice/mul/concat chain that the one select_top3 record replaced."""
+    weights = masked_softmax(alpha)
+    ranked = np.argsort(-weights.data, kind="stable")
+    chosen = tuple(sorted(int(i) for i in ranked[:3]))
+    parts = [mul(slice_axis(weights, 0, g, 1), components[g]) for g in chosen]
+    return concat(parts, axis=1), chosen
+
+
+def assert_relatively_close(actual, expected, tol=1e-12):
+    """Elementwise within tol, relative to the largest magnitude of expected."""
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(actual, expected, rtol=tol, atol=tol * scale)
 
 
 def tape_grads(build, tensors):
@@ -51,7 +84,7 @@ class TestAssembleHos:
         rng = np.random.default_rng(0)
         raw, projections = make_raw_and_projections(rng, n=5, d=128)
         hos = assemble_hos(raw, projections)
-        assert [c.shape for c in hos.components] == [(5, 128)] * 6
+        assert hos.shape == (6, 5, 128)
 
     def test_missing_component_named(self):
         rng = np.random.default_rng(0)
@@ -76,7 +109,7 @@ class TestAssembleHos:
         raw, projections = make_raw_and_projections(rng, n=3, d=8, widths=widths)
         raw["bilstm"] = Tensor(np.zeros((3, 8)))
         hos = assemble_hos(raw, projections)
-        np.testing.assert_array_equal(hos.components[5].data, np.zeros((3, 8)))
+        np.testing.assert_array_equal(hos.data[5], np.zeros((3, 8)))
 
 
 class TestAdaptiveScale:
@@ -84,27 +117,26 @@ class TestAdaptiveScale:
         rng = np.random.default_rng(1)
         hos = make_hos(rng, n=4, d=8)
         mixed = adaptive_scale(hos, Tensor(lambda_init_matrix("identity", 6)))
-        for original, scaled in zip(hos.components, mixed):
-            np.testing.assert_array_equal(scaled.data, original.data)
+        np.testing.assert_array_equal(mixed.data, hos.data)
 
     def test_paper_literal_collapses_to_first_component(self):
         rng = np.random.default_rng(2)
         hos = make_hos(rng, n=4, d=8)
         mixed = adaptive_scale(hos, Tensor(lambda_init_matrix("paper", 6)))
-        for scaled in mixed:
-            np.testing.assert_array_equal(scaled.data, hos.components[0].data)
+        for scaled in mixed.data:
+            np.testing.assert_array_equal(scaled, hos.data[0])
 
     def test_hand_mix_two_levels(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
-        hos = HistoryOfSemantic([Tensor(a), Tensor(b)] * 3)
+        hos = Tensor(np.stack([a, b] * 3))
         matrix = np.zeros((6, 6))
         matrix[0, 0], matrix[0, 1] = 2.0, -0.5
         matrix[1, 0], matrix[1, 1] = 0.25, 1.5
         mixed = adaptive_scale(hos, Tensor(matrix))
-        np.testing.assert_allclose(mixed[0].data, 2.0 * a - 0.5 * b, atol=1e-12)
-        np.testing.assert_allclose(mixed[1].data, 0.25 * a + 1.5 * b, atol=1e-12)
+        np.testing.assert_allclose(mixed.data[0], 2.0 * a - 0.5 * b, atol=1e-12)
+        np.testing.assert_allclose(mixed.data[1], 0.25 * a + 1.5 * b, atol=1e-12)
 
     def test_wrong_matrix_shape(self):
         rng = np.random.default_rng(0)
@@ -120,16 +152,12 @@ class TestAdaptiveScale:
         hos = make_hos(rng, n=3, d=4)
         mixing = Tensor(rng.normal(size=(6, 6)))
         w = rng.normal(size=(3, 4))
+        probe = Tensor(np.stack([w * (level + 1) for level in range(6)]))
 
         def build():
-            mixed = adaptive_scale(hos, mixing)
-            total = None
-            for level, part in enumerate(mixed):
-                term = reduce_sum(mul(part, Tensor(w * (level + 1))))
-                total = term if total is None else total + term
-            return total
+            return reduce_sum(mul(adaptive_scale(hos, mixing), probe))
 
-        for t in [mixing] + hos.components:
+        for t in (mixing, hos):
             (g,) = tape_grads(build, [t])
             f = fd_gradient(build, t, 1e-5)
             np.testing.assert_allclose(g, f, atol=1e-6)
@@ -138,19 +166,19 @@ class TestAdaptiveScale:
 class TestSelectTop3:
     def test_dominant_logits_selected(self):
         rng = np.random.default_rng(5)
-        components = [Tensor(rng.normal(size=(2, 4))) for _ in range(6)]
+        components = Tensor(rng.normal(size=(6, 2, 4)))
         alpha = Tensor(np.array([10.0, 10.0, 10.0, -10.0, -10.0, -10.0]))
         _, chosen = select_top3(components, alpha)
         assert chosen == (0, 1, 2)
 
     def test_uniform_alpha_tie_breaks_low_indices(self):
         rng = np.random.default_rng(5)
-        components = [Tensor(rng.normal(size=(2, 4))) for _ in range(6)]
+        components = Tensor(rng.normal(size=(6, 2, 4)))
         _, chosen = select_top3(components, Tensor(np.zeros(6)))
         assert chosen == (0, 1, 2)
 
     def test_concat_order_is_ascending_index(self):
-        components = [Tensor(np.full((1, 2), float(i))) for i in range(6)]
+        components = Tensor(np.stack([np.full((1, 2), float(i)) for i in range(6)]))
         alpha = Tensor(np.array([0.0, 5.0, 0.0, 7.0, 0.0, 6.0]))
         selected, chosen = select_top3(components, alpha)
         assert chosen == (1, 3, 5)
@@ -162,32 +190,31 @@ class TestSelectTop3:
 
     def test_paper_scale_width(self):
         rng = np.random.default_rng(6)
-        components = [Tensor(rng.normal(size=(3, 128))) for _ in range(6)]
+        components = Tensor(rng.normal(size=(6, 3, 128)))
         selected, _ = select_top3(components, Tensor(np.zeros(6)))
         assert selected.shape == (3, 384)
 
     def test_too_few_levels(self):
         with pytest.raises(ConfigError, match="at least 3"):
-            select_top3([Tensor(np.zeros((1, 2)))] * 2, Tensor(np.zeros(2)))
+            select_top3(Tensor(np.zeros((2, 1, 2))), Tensor(np.zeros(2)))
 
     def test_unselected_components_get_zero_gradient(self):
         rng = np.random.default_rng(7)
-        components = [Tensor(rng.normal(size=(2, 3))) for _ in range(6)]
+        components = Tensor(rng.normal(size=(6, 2, 3)))
         alpha = Tensor(np.array([3.0, 2.0, 1.0, -1.0, -2.0, -3.0]))
 
         def build():
             selected, _ = select_top3(components, alpha)
             return reduce_sum(mul(selected, selected))
 
-        grads = tape_grads(build, components)
+        (grad,) = tape_grads(build, [components])
         for level in (0, 1, 2):
-            assert grads[level] is not None
-        for level in (3, 4, 5):
-            assert grads[level] is None
+            assert np.abs(grad[level]).min() > 0.0
+        np.testing.assert_array_equal(grad[3:], 0.0)
 
     def test_alpha_gradient(self):
         rng = np.random.default_rng(8)
-        components = [Tensor(rng.normal(size=(2, 3))) for _ in range(6)]
+        components = Tensor(rng.normal(size=(6, 2, 3)))
         alpha = Tensor(np.array([3.0, 2.5, 2.0, -1.0, -2.0, -3.0]))
         w = rng.normal(size=(2, 9))
 
@@ -198,6 +225,60 @@ class TestSelectTop3:
         (g,) = tape_grads(build, [alpha])
         f = fd_gradient(build, alpha, 1e-6)
         np.testing.assert_allclose(g, f, atol=1e-6)
+
+
+class TestStackedLevels:
+    """The [G, n, d] path against the per-level list path it replaced."""
+
+    @pytest.mark.parametrize("mix", [True, False])
+    @pytest.mark.parametrize("d", [8, 128])
+    @pytest.mark.parametrize("n", [1, 7, 140])
+    def test_matches_list_path(self, n, d, mix):
+        rng = np.random.default_rng(n * 1000 + d)
+        levels = [Tensor(rng.normal(size=(n, d))) for _ in COMPONENT_NAMES]
+        mixing = Tensor(rng.normal(size=(6, 6)))
+        alpha = Tensor(rng.normal(size=6))
+        probe = Tensor(rng.normal(size=(n, 3 * d)))
+
+        def stacked():
+            hos = stack(levels)
+            return select_top3(adaptive_scale(hos, mixing) if mix else hos, alpha)
+
+        def listed():
+            parts = list_adaptive_scale(levels, mixing) if mix else levels
+            return list_select_top3(parts, alpha)
+
+        results = []
+        for build in (stacked, listed):
+            with Tape() as tape:
+                selected, chosen = build()
+                loss = reduce_sum(mul(selected, probe))
+            grads = tape.gradients(loss)
+            level_grads = np.stack([grads.get(id(t), np.zeros((n, d)))
+                                    for t in levels])
+            results.append((selected.data, chosen, level_grads,
+                            grads.get(id(mixing)), grads[id(alpha)]))
+        new, old = results
+        assert new[1] == old[1]
+        for actual, expected in zip(new[2:], old[2:]):
+            if expected is None:
+                assert actual is None
+            else:
+                assert_relatively_close(actual, expected)
+        assert_relatively_close(new[0], old[0])
+
+    def test_record_counts(self):
+        rng = np.random.default_rng(26)
+        widths = {name: 8 for name in COMPONENT_NAMES}
+        raw, projections = make_raw_and_projections(rng, n=4, d=8, widths=widths)
+        counts = []
+        for op in (lambda: assemble_hos(raw, projections),
+                   lambda: adaptive_scale(make_hos(rng, 4, 8), Tensor(np.eye(6))),
+                   lambda: select_top3(make_hos(rng, 4, 8), Tensor(np.zeros(6)))):
+            with Tape() as tape:
+                op()
+            counts.append(len(tape))
+        assert counts == [7, 3, 2]
 
 
 class TestTrilinearSimilarity:

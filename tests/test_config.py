@@ -36,6 +36,9 @@ def test_profiles_are_valid(name):
     ({"d": 9, "num_heads": 3, "capsules": CapsuleConfig(3, 3, 3, 3, 1)},
      "width d must be even"),
     ({"provider_width": 7}, "provider_width must be even"),
+    ({"num_heads": 0}, "num_heads must be >= 1"),
+    ({"provider_layers": 0}, "provider_layers must be >= 1"),
+    ({"lstm_layers": 0}, "lstm_layers must be >= 1"),
 ])
 def test_each_constraint_is_rejected(changes, message):
     config = dataclasses.replace(mini_profile(), **changes)

@@ -403,7 +403,42 @@ def constant_provider(layers):
                               run=run)
 
 
+def loop_contextual_mix(provider, token_ids, theta, subtoken_counts=None):
+    """The per-layer slice/mul/add loop that the one [L, n*w] matmul replaced."""
+    expanded, averaging = expand_subtokens(token_ids, subtoken_counts)
+    mixed = None
+    for index, layer in enumerate(provider.run(expanded)):
+        term = mul(slice_axis(theta, 0, index, 1), Tensor(averaging @ layer))
+        mixed = term if mixed is None else add(mixed, term)
+    return mixed
+
+
 class TestContextualMix:
+    @pytest.mark.parametrize("width", [8, 128])
+    @pytest.mark.parametrize("n", [1, 7, 140])
+    def test_matches_layer_loop(self, n, width):
+        """Output and theta gradient against the loop, to 1e-12 relative;
+        the matmul form records three ops."""
+        rng = np.random.default_rng(n * 1000 + width)
+        counts = rng.integers(1, 4, size=n)
+        provider = constant_provider(
+            [rng.normal(size=(counts.sum(), width)) for _ in range(4)])
+        theta = Tensor(rng.normal(size=4))
+        probe = Tensor(rng.normal(size=(n, width)))
+        results = []
+        for mix in (contextual_mix, loop_contextual_mix):
+            with Tape() as tape:
+                out = mix(provider, np.arange(n), theta, counts)
+                records = len(tape)
+                loss = reduce_sum(mul(out, probe))
+            results.append((out.data, tape.gradients(loss)[id(theta)], records))
+        (out, grad, records), (ref_out, ref_grad, _) = results
+        for actual, expected in ((out, ref_out), (grad, ref_grad)):
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                                       atol=1e-12 * scale)
+        assert records == 3
+
     def test_one_hot_theta_selects_layer(self):
         rng = np.random.default_rng(4)
         layers = [rng.normal(size=(3, 5)) for _ in range(4)]

@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 import abanet.encoder as encoder
+from abanet.attention import select_top3
 from abanet.config import CapsuleConfig, EncoderBlockConfig
 from abanet.encoder import (
     build_encoder_stack,
@@ -20,6 +21,7 @@ from abanet.encoder import (
     survival_probability,
 )
 from abanet.errors import ConfigError, ShapeError
+from abanet.model import l2_penalty
 from abanet.params import ParamStore, fd_gradient, grad_check
 from abanet.tensor import (
     Tape,
@@ -33,6 +35,7 @@ from abanet.tensor import (
     reduce_sum,
     set_default_dtype,
     slice_axis,
+    stack,
     transpose,
 )
 
@@ -345,6 +348,10 @@ class TestFloat32:
             transform = Tensor(rng.normal(size=(2, 2, 4, 4)) * 0.5)
             caps = CapsuleConfig(2, 4, 2, 4, 3)
             attn = [Tensor(rng.normal(size=(8, 8))) for _ in range(4)]
+            hos, alpha = Tensor(rng.normal(size=(6, 3, 8))), Tensor(rng.normal(size=6))
+            decayed = ParamStore()
+            weights = [decayed.register(f"w{i}", Tensor(rng.normal(size=shape)))
+                       for i, shape in enumerate(((3, 8), (8,)))]
             cases = {
                 "layer_norm": (lambda: layer_norm(x, gain, bias), (x, gain, bias)),
                 "squash": (lambda: squash(primary), (primary,)),
@@ -356,6 +363,9 @@ class TestFloat32:
                 "self_attention": (
                     lambda: multi_head_self_attention(x, np.arange(3) < 2, 2, *attn),
                     (x, *attn)),
+                "stack": (lambda: stack([x, dw]), (x, dw)),
+                "select_top3": (lambda: select_top3(hos, alpha)[0], (hos, alpha)),
+                "l2_penalty": (lambda: l2_penalty(decayed, 3e-7), weights),
             }
             for name, (op, inputs) in cases.items():
                 with Tape() as tape:

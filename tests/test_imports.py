@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package and its tests is used, and every
+top-level function and class of the package is referenced somewhere."""
 
 import ast
 import pathlib
@@ -6,8 +7,9 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "abanet").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "abanet").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +41,42 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import os\nimport numpy as np\nfrom json import dumps, loads\nnp.zeros(loads)\n"
     assert unused_imports(source) == ["dumps (line 3)", "os (line 1)"]
+
+
+def unreferenced_definitions(sources: dict[str, str], checked: set[str]) -> list[str]:
+    """Top-level functions and classes of the ``checked`` sources that no
+    ``ast.Name`` or attribute in any source references outside their own
+    definition.  ``sources`` maps a label to source text.
+    """
+    defined, referenced = [], set()
+    for label, source in sources.items():
+        for statement in ast.parse(source).body:
+            own = statement.name if isinstance(statement, DEFINITIONS) else None
+            if own is not None and label in checked:
+                defined.append((label, own))
+            names = {node.id for node in ast.walk(statement)
+                     if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(statement)
+                      if isinstance(node, ast.Attribute)}
+            referenced |= names - {own}
+    return [f"{label}: {name}" for label, name in defined if name not in referenced]
+
+
+def test_every_package_definition_is_referenced():
+    paths = [*SOURCES, *(ROOT / "perfbench").glob("*.py")]
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in paths}
+    checked = {path.relative_to(ROOT).as_posix() for path in PACKAGE}
+    unreferenced = unreferenced_definitions(sources, checked)
+    assert not unreferenced, unreferenced
+
+
+def test_detects_an_unreferenced_definition():
+    package = ("def used():\n    pass\n\n"
+               "def recursive(n):\n    return recursive(n - 1)\n\n"
+               "class Orphan:\n    pass\n\n"
+               "def via_attribute():\n    pass\n")
+    caller = "import pkg\nused()\npkg.via_attribute()\n"
+    sources = {"pkg.py": package, "caller.py": caller}
+    assert unreferenced_definitions(sources, {"pkg.py"}) == [
+        "pkg.py: recursive", "pkg.py: Orphan"]

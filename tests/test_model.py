@@ -1,8 +1,10 @@
 """Span head (masked distributions, gold-span likelihood, decoding),
 float32 purity of a whole model step, the provider cache, full-model
 gradients, the Adam update, the freeing backward sweep, the training
-step's garbage-collection state, determinism and learning."""
+step's garbage-collection state, determinism and learning, the one-record
+weight decay and the model without level mixing."""
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -18,12 +20,13 @@ from abanet.model import (
     batch_loss,
     decode_span,
     fit,
+    l2_penalty,
     span_logits,
     span_nll,
     train_step,
 )
 from abanet.params import ParamStore, relative_error
-from abanet.tensor import Tape, Tensor, set_default_dtype
+from abanet.tensor import Tape, Tensor, mul, reduce_sum, set_default_dtype
 
 
 def loop_decode_span(p_begin, p_end, max_len, unanswerable_mode=False):
@@ -408,3 +411,62 @@ def test_fit_learns_marker_span():
     assert first["em"] == 0.0
     assert last["loss"] < 0.8 * first["loss"], (first, last)
     assert last["em"] >= 0.3, last
+
+
+def chain_l2_penalty(store, decay):
+    """The per-parameter mul/sum/add chain that the one-record penalty replaced."""
+    total = None
+    for _, tensor in store.trainable():
+        term = reduce_sum(mul(tensor, tensor))
+        total = term if total is None else total + term
+    return decay * total
+
+
+def test_l2_penalty_is_one_record_matching_the_chain():
+    """Value and every trainable gradient match the chain; frozen provider
+    weights stay out; no decay means no term."""
+    model, _ = mini_model()
+    store = model.store
+    results = []
+    for penalty in (l2_penalty, chain_l2_penalty):
+        with Tape() as tape:
+            value = penalty(store, 3e-4)
+        results.append((value.data, tape.gradients(value), len(tape)))
+    (value, grads, records), (ref_value, ref_grads, _) = results
+    assert records == 1
+    np.testing.assert_allclose(value, ref_value, rtol=1e-12)
+    trainable = {id(t) for _, t in store.trainable()}
+    assert set(grads) == trainable
+    for key in trainable:
+        np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12, atol=0.0)
+    assert l2_penalty(store, 0.0) is None
+
+
+class TestWithoutAdaptiveScale:
+    def test_identity_lambda_predicts_bit_identically(self):
+        """Mixing by an identity matrix is exact, so switching it off changes
+        no output bit at the mini profile."""
+        examples = gen_synthetic("copy-locate", 4, 0)
+        vocabs = build_vocabs(examples)
+        predictions = []
+        for flag in (True, False):
+            config = dataclasses.replace(mini_profile(), use_adaptive_scale=flag)
+            assert config.lambda_init == "identity"
+            predictions.append(Model(config, *vocabs, seed=0).predict(examples[0]))
+        on, off = predictions
+        np.testing.assert_array_equal(on.p_begin, off.p_begin)
+        np.testing.assert_array_equal(on.p_end, off.p_end)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_lambda_gets_a_gradient_only_when_mixing(self, flag):
+        examples = gen_synthetic("copy-locate", 4, 0)
+        config = dataclasses.replace(mini_profile(), use_adaptive_scale=flag,
+                                     l2_decay=0.0)
+        model = Model(config, *build_vocabs(examples), seed=0)
+        optimizer = Adam(model.store, 1e-3)
+        graded = {}
+        optimizer.step = lambda: graded.update(
+            (name, t.grad is not None) for name, t in model.store.trainable())
+        train_step(model, examples[:2], optimizer, np.random.default_rng(0))
+        assert graded["lambda.p"] is graded["lambda.q"] is flag
+        assert graded["alpha"]
