@@ -123,8 +123,12 @@ def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
 
     def bw(g):
         # du_hat laid out [i, n, j*q]: both gradients are then batched over i.
-        du_hat = (couplings.transpose(2, 0, 1)[..., None]
-                  * squash_grad(g)[None]).reshape(pc, n, dc * dd)
+        # The product is written straight into a C-contiguous [i, n, j, q]
+        # buffer, so the flattening reshape is a view, not a copy.
+        ds = squash_grad(g)
+        buf = np.empty((pc, n, dc, dd), dtype=np.result_type(couplings, ds))
+        np.multiply(couplings.transpose(2, 0, 1)[..., None], ds[None], out=buf)
+        du_hat = buf.reshape(pc, n, dc * dd)
         t_rows = transform.data.transpose(0, 1, 3, 2).reshape(pc, dc * dd, pd)
         dprimary = np.matmul(du_hat, t_rows).transpose(1, 0, 2)
         dtransform = np.matmul(primary.data.transpose(1, 2, 0), du_hat)

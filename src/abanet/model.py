@@ -4,6 +4,7 @@ model encoders, span head, loss, decoding, and the training loop."""
 from __future__ import annotations
 
 import gc
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -41,12 +42,14 @@ from .tensor import (
     Tensor,
     backward,
     concat,
+    default_dtype,
     dropout,
     log,
     masked_softmax,
     matmul,
     no_grad,
     record_op,
+    recording,
     reduce_sum,
     reshape,
     slice_axis,
@@ -60,6 +63,11 @@ _ALPHA_INIT = np.linspace(0.25, 0.0, len(COMPONENT_NAMES))
 # An entry takes 4 KB per sub-token at the paper profile, so this holds
 # about ten 200-word passages of two sub-tokens per word.
 PROVIDER_CACHE_BYTES = 16 * 2**20
+
+# Byte budget of the passage cache; least recently used entries go first.
+# An entry takes 3 KB per passage token at the paper profile in float64,
+# so this holds about six 200-token passages.
+PASSAGE_CACHE_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -96,6 +104,10 @@ class Model:
         self.char_vocab = char_vocab
         self._provider_cache: OrderedDict[bytes, list[np.ndarray]] = OrderedDict()
         self._provider_cache_bytes = 0
+        self._passage_cache: OrderedDict[tuple, tuple[np.ndarray, tuple[int, ...]]] \
+            = OrderedDict()
+        self._passage_cache_bytes = 0
+        self._param_refs: list[weakref.ref] = []
         self.store = ParamStore()
         self._register(np.random.default_rng(seed), word_vectors)
         self.provider = ContextualProvider(
@@ -228,6 +240,34 @@ class Model:
     def invalidate_caches(self) -> None:
         self._provider_cache.clear()
         self._provider_cache_bytes = 0
+        self._passage_cache.clear()
+        self._passage_cache_bytes = 0
+
+    # -- passage cache ---------------------------------------------------------
+
+    def _check_params(self) -> None:
+        """Empty the passage cache if any parameter array was rebound.
+
+        Weak references pin no replaced array; a dead or different
+        reference means the parameter changed since the last check.
+        """
+        arrays = [tensor.data for _, tensor in self.store.items()]
+        refs = self._param_refs
+        if len(refs) == len(arrays) and all(
+                ref() is array for ref, array in zip(refs, arrays)):
+            return
+        self._passage_cache.clear()
+        self._passage_cache_bytes = 0
+        self._param_refs = [weakref.ref(array) for array in arrays]
+
+    def _cache_passage(self, key: tuple, selected: np.ndarray,
+                       levels: tuple[int, ...]) -> None:
+        selected.setflags(write=False)
+        self._passage_cache[key] = (selected, levels)
+        self._passage_cache_bytes += selected.nbytes
+        while self._passage_cache_bytes > PASSAGE_CACHE_BYTES:
+            _, (evicted, _) = self._passage_cache.popitem(last=False)
+            self._passage_cache_bytes -= evicted.nbytes
 
     # -- forward -------------------------------------------------------------
 
@@ -278,8 +318,28 @@ class Model:
                 "contextual": contextual, "block": block_out,
                 "bilstm": recurrent}
 
+    def _select_levels(self, raw: dict[str, Tensor],
+                       lam: str) -> tuple[Tensor, tuple[int, ...]]:
+        """One sequence's HOS stack, mixed by ``lam`` if enabled, then top-3."""
+        store = self.store
+        projections = {name: store.get(f"hos.{name}") for name in COMPONENT_NAMES}
+        hos = assemble_hos(raw, projections)
+        if self.config.use_adaptive_scale:
+            hos = adaptive_scale(hos, store.get(lam))
+        return select_top3(hos, store.get("alpha"))
+
     def forward(self, example: Example, *, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
+        """Span distributions for one example.
+
+        The passage side up to attention (the six granularity levels, λ
+        mixing and top-3 selection) does not depend on the question.  In
+        an eval-mode forward with no tape recording, its selected [n, 3d]
+        levels and their indices are cached, keyed by the passage's word,
+        char, pos, ner, rule and sub-token ids and the default dtype.  The
+        cache is emptied when any parameter array has been rebound since
+        the last such forward.
+        """
         cfg = self.config
         store = self.store
         if training and rng is None:
@@ -294,20 +354,27 @@ class Model:
                    np.asarray(example.rule))
         q_zero = np.zeros(m, dtype=np.int64)
 
-        raw_p = self._sequence_repr(p_ids, p_chars, *p_feats, example.subtokens,
-                                    p_mask, training, rng)
+        cached = key = None
+        if not training and not recording():
+            self._check_params()
+            subtokens = (None if example.subtokens is None
+                         else np.asarray(example.subtokens).tobytes())
+            key = (p_ids.tobytes(), p_chars.tobytes(),
+                   *(f.tobytes() for f in p_feats), subtokens, default_dtype())
+            cached = self._passage_cache.get(key)
+        if cached is not None:
+            self._passage_cache.move_to_end(key)
+            selected, levels = cached
+            selected_p = Tensor(selected, dtype=selected.dtype)
+        else:
+            raw_p = self._sequence_repr(p_ids, p_chars, *p_feats, example.subtokens,
+                                        p_mask, training, rng)
+            selected_p, levels = self._select_levels(raw_p, "lambda.p")
+            if key is not None:
+                self._cache_passage(key, selected_p.data, levels)
         raw_q = self._sequence_repr(q_ids, q_chars, q_zero, q_zero, q_zero,
                                     None, q_mask, training, rng)
-
-        projections = {name: store.get(f"hos.{name}") for name in COMPONENT_NAMES}
-        hos_p = assemble_hos(raw_p, projections)
-        hos_q = assemble_hos(raw_q, projections)
-        if cfg.use_adaptive_scale:
-            hos_p = adaptive_scale(hos_p, store.get("lambda.p"))
-            hos_q = adaptive_scale(hos_q, store.get("lambda.q"))
-        alpha = store.get("alpha")
-        selected_p, levels = select_top3(hos_p, alpha)
-        selected_q, _ = select_top3(hos_q, alpha)
+        selected_q, _ = self._select_levels(raw_q, "lambda.q")
 
         attention = bidirectional_attention(
             selected_p, selected_q, store.get("attn.w"), p_mask, q_mask,

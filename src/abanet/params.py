@@ -106,6 +106,10 @@ class ParamStore:
         return {name: entry.tensor.data for name, entry in self._entries.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Rebind every parameter to a copy of its array in ``state``.
+
+        The copy keeps later in-place edits of ``state`` out of the model.
+        """
         missing = set(self._entries) - set(state)
         extra = set(state) - set(self._entries)
         if missing or extra:
@@ -113,7 +117,7 @@ class ParamStore:
                 f"parameter name mismatch; missing={sorted(missing)}, "
                 f"unexpected={sorted(extra)}")
         for name, entry in self._entries.items():
-            arr = np.asarray(state[name], dtype=entry.tensor.data.dtype)
+            arr = np.array(state[name], dtype=entry.tensor.data.dtype)
             if arr.shape != entry.tensor.shape:
                 raise ShapeError(
                     f"{name}: stored shape {arr.shape} != expected {entry.tensor.shape}")

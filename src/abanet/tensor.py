@@ -38,8 +38,11 @@ class Tensor:
     """Dense N-d float array plus a gradient slot.
 
     The ``data`` buffer is treated as immutable by every operation; only
-    the owner of a parameter (the optimizer, or a finite-difference
-    probe) rebinds it between forward passes.
+    the owner of a parameter (the optimizer, ``load_state_dict``, or a
+    finite-difference probe) changes it, and only by rebinding ``data`` to
+    a new array between forward passes, never by writing into the old
+    one.  The model's passage cache relies on this: it detects a changed
+    parameter by the identity of its array.
     """
 
     __slots__ = ("data", "grad")
@@ -160,6 +163,11 @@ class Tape:
                 acc = grads.get(pid)
                 grads[pid] = pg if acc is None else acc + pg
         return grads
+
+
+def recording() -> bool:
+    """Whether a tape is active, so that operations are being recorded."""
+    return _ACTIVE_TAPE is not None
 
 
 class no_grad:
@@ -293,9 +301,13 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equally shaped tensors along a new leading axis: [G, ...]."""
+    """Stack equally shaped tensors along a new leading axis: [G, ...].
+
+    An all-zero row of the gradient goes back as None, so the sweep skips
+    the branch that produced that part.
+    """
     return record_op("stack", np.stack([p.data for p in parts]), parts,
-                     lambda g: tuple(g))
+                     lambda g: tuple(row if row.any() else None for row in g))
 
 
 def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:

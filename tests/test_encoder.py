@@ -187,6 +187,23 @@ def einsum_routing_reference(primary, transform, iterations, g):
             np.einsum("nip,nijq->ijpq", primary, du_hat))
 
 
+def reshape_copy_routing_backward(primary, transform, couplings, ds):
+    """The routing backward before d u_hat was written into its own buffer:
+    a broadcast product, then a reshape that copies it.
+
+    ``couplings`` are the last iteration's, laid out [n, i, j]; ``ds`` is
+    the squash gradient of the output gradient, [n, j, q].
+    """
+    pc, dc, pd, dd = transform.shape
+    n = primary.shape[0]
+    du_hat = (couplings.transpose(1, 0, 2)[..., None]
+              * ds[None]).reshape(pc, n, dc * dd)
+    t_rows = transform.transpose(0, 1, 3, 2).reshape(pc, dc * dd, pd)
+    dprimary = np.matmul(du_hat, t_rows).transpose(1, 0, 2)
+    dtransform = np.matmul(primary.transpose(1, 2, 0), du_hat)
+    return dprimary, dtransform.reshape(pc, pd, dc, dd).transpose(0, 2, 1, 3)
+
+
 class TestDynamicRouting:
     def test_single_iteration_couplings_uniform(self):
         rng = np.random.default_rng(3)
@@ -289,6 +306,34 @@ class TestDynamicRouting:
         for name, got, want in pairs:
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+    @pytest.mark.parametrize("n", [1, 7, 140])
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_backward_matches_reshape_copy_bit_for_bit(self, n, iterations,
+                                                        monkeypatch):
+        rng = np.random.default_rng(200 + n + iterations)
+        primary = Tensor(rng.normal(size=(n, 16, 8)))
+        transform = Tensor(rng.normal(size=(16, 16, 8, 8)) * 0.2)
+        g = rng.normal(size=(n, 16, 8))
+        squash_grads = []
+        squash = encoder._squash
+
+        def recorded_squash(s):
+            v, grad = squash(s)
+            squash_grads.append(grad)
+            return v, grad
+
+        monkeypatch.setattr(encoder, "_squash", recorded_squash)
+        log = []
+        with Tape() as tape:
+            out = dynamic_routing(primary, transform, iterations, coupling_log=log)
+            loss = reduce_sum(mul(out, Tensor(g)))
+        grads = tape.gradients(loss)
+        want = reshape_copy_routing_backward(primary.data, transform.data, log[-1],
+                                             squash_grads[-1](g))
+        for got, expected in zip((grads[id(primary)], grads[id(transform)]), want):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestConvPriDigLayer:

@@ -1,11 +1,13 @@
 """Span head (masked distributions, gold-span likelihood, decoding),
-float32 purity of a whole model step, the provider cache, full-model
-gradients, the Adam update, the freeing backward sweep, the training
-step's garbage-collection state, determinism and learning, the one-record
-weight decay and the model without level mixing."""
+float32 purity of a whole model step, the provider and passage caches,
+the rebind-only parameter contract, full-model gradients, the Adam update,
+the freeing backward sweep, the training step's garbage-collection state,
+determinism and learning, the one-record weight decay and the model
+without level mixing."""
 
 import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -214,6 +216,211 @@ class TestProviderCache:
         self.model.invalidate_caches()
         assert not self.model._provider_cache
         assert self.model._provider_cache_bytes == 0
+
+
+def count_sequence_reprs(model, monkeypatch):
+    """Count the model's ``_sequence_repr`` calls: two per uncached forward,
+    one (the question) per passage-cache hit."""
+    calls = []
+    original = model._sequence_repr
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_sequence_repr", counted)
+    return calls
+
+
+def assert_same_prediction(got, want):
+    np.testing.assert_array_equal(got.p_begin, want.p_begin)
+    np.testing.assert_array_equal(got.p_end, want.p_end)
+    assert (got.begin, got.end, got.score) == (want.begin, want.end, want.score)
+
+
+class TestPassageCache:
+    def test_repeated_passage_is_a_hit_matching_a_cold_model(self, monkeypatch):
+        """A second question on a cached passage skips the passage's
+        sequence representation and predicts the bits a cold model does."""
+        model, examples = mini_model()
+        first = examples[0]
+        other = dataclasses.replace(first, question=examples[1].passage[:3])
+        calls = count_sequence_reprs(model, monkeypatch)
+        model.predict(first)
+        assert calls == [10, 1] and len(model._passage_cache) == 1
+        hits = [model.predict(first), model.predict(other)]
+        assert calls == [10, 1, 1, 3] and len(model._passage_cache) == 1
+        for example, hit in zip((first, other), hits):
+            assert_same_prediction(hit, mini_model()[0].predict(example))
+
+    def test_key_covers_every_passage_input(self):
+        """Passages differing only in characters behind one unknown-word id,
+        or in one feature or sub-token count, are separate entries."""
+        model, examples = mini_model()
+        base = examples[0]
+        n = len(base.passage)
+        bumped = [1] + [0] * (n - 1)
+        variants = [
+            base,
+            dataclasses.replace(base, passage=["31w"] + base.passage[1:]),
+            dataclasses.replace(base, passage=["52w"] + base.passage[1:]),
+            dataclasses.replace(base, pos=list(np.add(base.pos, bumped))),
+            dataclasses.replace(base, ner=list(np.add(base.ner, bumped))),
+            dataclasses.replace(base, rule=list(np.add(base.rule, bumped))),
+            dataclasses.replace(base, subtokens=[2] + [1] * (n - 1)),
+        ]
+        ids = [model.word_vocab.ids(v.passage) for v in variants[1:3]]
+        np.testing.assert_array_equal(*ids)
+        predictions = [model.predict(v) for v in variants]
+        assert len(model._passage_cache) == len(variants)
+        for variant, prediction in zip(variants, predictions):
+            assert_same_prediction(prediction, mini_model()[0].predict(variant))
+
+    def test_train_step_between_predicts_matches_a_reloaded_model(self):
+        model, examples = mini_model()
+        before = model.predict(examples[0])
+        train_step(model, examples[:2], Adam(model.store, 1e-2),
+                   np.random.default_rng(0))
+        after = model.predict(examples[0])
+        assert not np.array_equal(after.p_begin, before.p_begin)
+        fresh = Model(mini_profile(), model.word_vocab, model.char_vocab, seed=1)
+        fresh.store.load_state_dict(
+            {name: array.copy() for name, array in model.store.state_dict().items()})
+        assert_same_prediction(after, fresh.predict(examples[0]))
+
+    def test_rebinding_a_parameter_invalidates(self, monkeypatch):
+        model, examples = mini_model()
+        calls = count_sequence_reprs(model, monkeypatch)
+        model.predict(examples[0])
+        projection = model.store.get("hos.word")
+        projection.data = 1.5 * projection.data
+        changed = model.predict(examples[0])
+        assert calls == [10, 1, 10, 1] and len(model._passage_cache) == 1
+        cold, _ = mini_model()
+        cold.store.get("hos.word").data = projection.data
+        assert_same_prediction(changed, cold.predict(examples[0]))
+
+    def test_training_and_taped_forwards_bypass(self, monkeypatch):
+        """Neither a training forward nor an eval forward under a tape reads
+        or fills the cache; the taped one still gives every passage-side
+        parameter its gradient after the passage was cached."""
+        model, examples = mini_model()
+        example = examples[0]
+        model.predict(example)
+        cached = dict(model._passage_cache)
+        calls = count_sequence_reprs(model, monkeypatch)
+        for other in (example, examples[1]):
+            model.forward(other, training=True, rng=np.random.default_rng(0))
+            with Tape():
+                model.forward(other, training=True, rng=np.random.default_rng(0))
+            with Tape():
+                model.forward(other)
+        assert calls == [10, 1] * 3 + [7, 1] * 3
+        assert model._passage_cache.keys() == cached.keys()
+        assert all(model._passage_cache[k] is v for k, v in cached.items())
+
+        with Tape() as tape:
+            result = model.forward(example)
+            loss = span_nll(result.p_begin, result.p_end,
+                            example.answer_begin, example.answer_end)
+        grads = tape.gradients(loss)
+        for name in ("lambda.p", "char.filters", "embed.proj", "highway.l0.wt",
+                     "hos.word", "hos.char", "hos.embed"):
+            g = grads.get(id(model.store.get(name)))
+            assert g is not None and np.abs(g).max() > 0.0, name
+
+    def test_least_recently_used_goes_first(self, monkeypatch):
+        model, examples = mini_model()
+        base = examples[0]
+        passages = {k: dataclasses.replace(base, passage=base.passage[k:]
+                                           + base.passage[:k]) for k in (1, 2, 3)}
+        model.predict(passages[1])
+        (entry, _), = model._passage_cache.values()
+        model.invalidate_caches()
+        monkeypatch.setattr(model_module, "PASSAGE_CACHE_BYTES", 2 * entry.nbytes)
+
+        def cached():
+            ids = {model.word_vocab.ids(e.passage).tobytes(): k
+                   for k, e in passages.items()}
+            return [ids[key[0]] for key in model._passage_cache]
+
+        for k in (1, 2, 3):
+            model.predict(passages[k])
+        assert cached() == [2, 3]
+        assert model._passage_cache_bytes == 2 * entry.nbytes
+        for k in (1, 2, 1, 3):
+            model.predict(passages[k])
+        assert cached() == [1, 3]
+
+    def test_invalidate_empties_both_caches(self):
+        model, examples = mini_model()
+        for example in examples:
+            model.predict(example)
+        assert model._provider_cache and len(model._passage_cache) == 4
+        model.invalidate_caches()
+        assert not model._provider_cache and not model._passage_cache
+        assert model._provider_cache_bytes == model._passage_cache_bytes == 0
+
+
+class TestRebindOnly:
+    """The passage cache detects a changed parameter by the identity of its
+    array, so every owner must rebind ``data`` rather than write into it."""
+
+    @staticmethod
+    def snapshot(store):
+        return {name: (t.data, t.data.copy()) for name, t in store.items()}
+
+    @staticmethod
+    def assert_rebound(store, before):
+        changed = 0
+        for name, tensor in store.items():
+            old, values = before[name]
+            np.testing.assert_array_equal(old, values, name)   # untouched
+            if not np.array_equal(tensor.data, values):
+                assert tensor.data is not old, name
+                changed += 1
+        return changed
+
+    def test_adam_step_rebinds(self):
+        model, examples = mini_model()
+        before = self.snapshot(model.store)
+        train_step(model, examples[:2], Adam(model.store, 1e-2),
+                   np.random.default_rng(0))
+        assert self.assert_rebound(model.store, before) > 50
+
+    def test_load_state_dict_rebinds(self):
+        model, _ = mini_model()
+        before = self.snapshot(model.store)
+        model.store.load_state_dict(
+            {name: array + 1.0 for name, array in model.store.state_dict().items()})
+        assert self.assert_rebound(model.store, before) == len(before)
+
+    def test_load_state_dict_copies(self):
+        """Editing the loaded dict in place afterwards reaches neither the
+        parameters nor a cached passage."""
+        model, examples = mini_model()
+        state = {name: array + 1.0 for name, array in model.store.state_dict().items()}
+        model.store.load_state_dict(state)
+        loaded = model.predict(examples[0])
+        expected = {name: array.copy() for name, array in state.items()}
+        for array in state.values():
+            array += 1.0
+        assert_same_prediction(model.predict(examples[0]), loaded)
+        for name, tensor in model.store.items():
+            np.testing.assert_array_equal(tensor.data, expected[name], name)
+
+    def test_replaced_array_is_not_pinned(self):
+        model, examples = mini_model()
+        model.predict(examples[0])
+        tensor = model.store.get("embed.proj")
+        old = weakref.ref(tensor.data)
+        tensor.data = tensor.data + 1.0
+        gc.collect()
+        assert old() is None
+        changed = model.predict(examples[0])
+        cold, _ = mini_model()
+        cold.store.get("embed.proj").data = tensor.data
+        assert_same_prediction(changed, cold.predict(examples[0]))
 
 
 def test_frozen_provider_stays_off_the_training_tape():
@@ -470,3 +677,24 @@ class TestWithoutAdaptiveScale:
         train_step(model, examples[:2], optimizer, np.random.default_rng(0))
         assert graded["lambda.p"] is graded["lambda.q"] is flag
         assert graded["alpha"]
+
+    def test_unselected_branches_get_no_gradient(self):
+        """With mixing off, the levels outside the top 3 (contextual, block,
+        bilstm) get all-zero rows, and the sweep skips their branches."""
+        examples = gen_synthetic("copy-locate", 4, 0)
+        config = dataclasses.replace(mini_profile(), use_adaptive_scale=False,
+                                     l2_decay=0.0)
+        model = Model(config, *build_vocabs(examples), seed=0)
+        assert model.forward(examples[0]).selected_levels == (0, 1, 2)
+        optimizer = Adam(model.store, 1e-3)
+        graded = {}
+        optimizer.step = lambda: graded.update(
+            (name, t.grad is not None) for name, t in model.store.trainable())
+        train_step(model, examples[:2], optimizer, np.random.default_rng(0))
+        skipped = [name for name in graded if name == "theta"
+                   or name.startswith(("embenc.", "bilstm."))
+                   or name in ("hos.contextual", "hos.block", "hos.bilstm")]
+        assert len(skipped) > 20
+        assert not any(graded[name] for name in skipped)
+        assert all(graded[name] for name in graded if name not in skipped
+                   and not name.startswith("lambda."))

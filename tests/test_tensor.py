@@ -22,12 +22,15 @@ from abanet.tensor import (
     masked_softmax,
     matmul,
     mul,
+    no_grad,
+    recording,
     reduce_max,
     reduce_sum,
     relu,
     reshape,
     sigmoid,
     slice_axis,
+    stack,
     sub,
     tanh,
     transpose,
@@ -273,6 +276,30 @@ class TestBackward:
 
         np.testing.assert_allclose(
             tied.grad("w"), untied.grad("w1") + untied.grad("w2"), atol=1e-12)
+
+    def test_recording_follows_the_active_tape(self):
+        assert not recording()
+        with Tape():
+            assert recording()
+            with no_grad():
+                assert not recording()
+            assert recording()
+        assert not recording()
+
+    def test_stack_skips_all_zero_rows(self):
+        """An all-zero row of the stacked gradient reaches no parent, so the
+        branch behind it is not swept."""
+        rng = np.random.default_rng(8)
+        a, b, c = (Tensor(rng.normal(size=(2, 3))) for _ in range(3))
+        weights = np.zeros((3, 2, 3))
+        weights[0] = rng.normal(size=(2, 3))
+        weights[2, 1, 0] = -0.0   # a negative zero is still zero
+        with Tape() as tape:
+            upstream = tanh(b)
+            loss = reduce_sum(mul(stack([a, upstream, c]), Tensor(weights)))
+        grads = tape.gradients(loss)
+        np.testing.assert_array_equal(grads[id(a)], weights[0])
+        assert id(b) not in grads and id(c) not in grads
 
     def test_gradient_accumulates_across_backwards(self):
         store = ParamStore()
