@@ -5,12 +5,14 @@ Six per-token representations (word+feature, char, embedding output,
 contextual mixture, encoder-block output, BiLSTM states) are projected to
 a common width and held as one [G, n, d] tensor, mixed by one matmul with
 a trainable G x G matrix, reduced to the three highest-weighted levels,
-and cross-attended in both directions.
+and cross-attended in both directions.  For a pack of examples, passage
+segment s attends only to question segment s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .tensor import (
     mul,
     record_op,
     reshape,
+    segment_bounds,
     slice_axis,
     stack,
     transpose,
@@ -129,35 +132,57 @@ def trilinear_similarity(hos_p: Tensor, hos_q: Tensor, w: Tensor, *,
     return similarity
 
 
-def _check_mask(mask: np.ndarray | None, length: int, what: str) -> np.ndarray:
-    if mask is None:
-        return np.ones(length, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (length,):
-        raise ShapeError(f"{what} mask shape {mask.shape} != ({length},)")
-    if not mask.any():
-        raise ShapeError(f"empty {what}: every position is masked")
+def block_mask(p_lengths: Sequence[int] | None, q_lengths: Sequence[int] | None,
+               n: int, m: int) -> np.ndarray | None:
+    """[n, m] mask pairing passage segment s with question segment s only.
+
+    None when both sides are one segment, so nothing is masked.
+    """
+    p_bounds = segment_bounds(p_lengths, n)
+    q_bounds = segment_bounds(q_lengths, m)
+    if len(p_bounds) != len(q_bounds):
+        raise ShapeError(
+            f"{len(p_bounds)} passage segments but {len(q_bounds)} question segments")
+    if len(p_bounds) == 1:
+        return None
+    mask = np.zeros((n, m), dtype=bool)
+    for (p_start, p_stop), (q_start, q_stop) in zip(p_bounds, q_bounds):
+        mask[p_start:p_stop, q_start:q_stop] = True
     return mask
 
 
+def _check_mask(mask: np.ndarray | None, shape: tuple[int, int]) -> None:
+    if mask is None:
+        return
+    if mask.shape != shape:
+        raise ShapeError(f"attention mask shape {mask.shape} != {shape}")
+    if not mask.any(axis=1).all():
+        raise ShapeError("empty question: a passage token attends to nothing")
+    if not mask.any(axis=0).all():
+        raise ShapeError("empty passage: a question token attends to nothing")
+
+
 def p2q_attention(similarity: Tensor, hos_q: Tensor,
-                  q_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Question summary per passage token: M = row_softmax(H) . HOS_Q."""
-    n, m = similarity.shape
-    q_mask = _check_mask(q_mask, m, "question")
-    rows = masked_softmax(similarity, mask=q_mask[None, :], axis=-1)
+                  mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Question summary per passage token: M = row_softmax(H) . HOS_Q.
+
+    ``mask`` is an [n, m] boolean (True = attends) such as ``block_mask``.
+    """
+    _check_mask(mask, similarity.shape)
+    rows = masked_softmax(similarity, mask=mask, axis=-1)
     return matmul(rows, hos_q), rows
 
 
 def q2p_attention(similarity: Tensor, hos_p: Tensor, rows: Tensor,
-                  p_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                  mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Passage summary per passage token: S = rows . col_sm(H)^T . HOS_P.
 
-    ``rows`` is the row softmax of H that ``p2q_attention`` returns.
+    ``rows`` is the row softmax of H that ``p2q_attention`` returns.  With
+    a block mask both softmaxes are zero off the blocks, so rows . cols^T
+    is block-diagonal and no segment reads another's passage.
     """
-    n = similarity.shape[0]
-    p_mask = _check_mask(p_mask, n, "passage")
-    cols = masked_softmax(similarity, mask=p_mask[:, None], axis=0)
+    _check_mask(mask, similarity.shape)
+    cols = masked_softmax(similarity, mask=mask, axis=0)
     return matmul(matmul(rows, transpose(cols)), hos_p), cols
 
 
@@ -184,15 +209,21 @@ class AttentionOutputs:
 
 
 def bidirectional_attention(hos_p: Tensor, hos_q: Tensor, w: Tensor,
-                            p_mask: np.ndarray | None = None,
-                            q_mask: np.ndarray | None = None, *,
+                            p_lengths: Sequence[int] | None = None,
+                            q_lengths: Sequence[int] | None = None, *,
                             training: bool = False,
                             rng: np.random.Generator | None = None,
                             dropout_rate: float = 0.0) -> AttentionOutputs:
+    """Both attention directions between a packed passage and question.
+
+    ``p_lengths`` and ``q_lengths`` give the segments of each pack (None:
+    one segment); passage segment s pairs with question segment s.
+    """
+    mask = block_mask(p_lengths, q_lengths, hos_p.shape[0], hos_q.shape[0])
     similarity = trilinear_similarity(hos_p, hos_q, w, training=training,
                                       rng=rng, dropout_rate=dropout_rate)
-    m_summary, rows = p2q_attention(similarity, hos_q, q_mask)
-    s_summary, cols = q2p_attention(similarity, hos_p, rows, p_mask)
+    m_summary, rows = p2q_attention(similarity, hos_q, mask)
+    s_summary, cols = q2p_attention(similarity, hos_p, rows, mask)
     fused = fuse_output(hos_p, m_summary, s_summary)
     return AttentionOutputs(similarity=similarity, rows=rows, cols=cols,
                             p2q=m_summary, q2p=s_summary, fused=fused)

@@ -25,6 +25,7 @@ from .tensor import (
     record_op,
     reduce_max,
     reshape,
+    segment_bounds,
     sigmoid,
     tanh,
 )
@@ -178,11 +179,13 @@ def highway(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) 
 
 
 def lstm_run(x: Tensor, w: Tensor, u: Tensor, b: Tensor, *,
-             reverse: bool = False) -> Tensor:
+             reverse: bool = False, lengths: Sequence[int] | None = None) -> Tensor:
     """One LSTM direction over [n x d]; returns hidden states [n x h].
 
     Gate layout along the 4h axis is input, forget, cell, output; the
-    forget section of ``b`` is conventionally initialized to 1.
+    forget section of ``b`` is conventionally initialized to 1.  With
+    ``lengths`` the rows are a pack of sequences, and the state starts
+    from zero at each sequence's first step in processing order.
 
     The whole direction is one tape record.  The recurrence runs in numpy
     and keeps every step's gate activations and cell state; the backward
@@ -191,44 +194,59 @@ def lstm_run(x: Tensor, w: Tensor, u: Tensor, b: Tensor, *,
     reverse direction runs the same recurrence over a flipped view.
     """
     n, h = x.shape[0], u.shape[0]
+    bounds = segment_bounds(lengths, n)
     xs = x.data[::-1] if reverse else x.data       # processing order
+    fresh = np.zeros(n, dtype=bool)                  # steps whose state starts at 0
+    fresh[[n - stop if reverse else start for start, stop in bounds if stop > start]] = True
+    fresh_steps = fresh.tolist()                     # cheap per-step tests
     z_in = xs @ w.data + b.data                      # [n, 4h], input part of z
     gates = np.empty_like(z_in)                      # i, f, g, o after activation
-    states = np.zeros((n + 1, h), dtype=z_in.dtype)  # states[t] = h_{t-1}
-    cells = np.zeros((n + 1, h), dtype=z_in.dtype)   # cells[t] = c_{t-1}
+    states = np.zeros((n + 1, h), dtype=z_in.dtype)  # states[t + 1] = h_t
+    cells = np.zeros((n + 1, h), dtype=z_in.dtype)   # cells[t + 1] = c_t
     tanh_cells = np.empty((n, h), dtype=z_in.dtype)
+    zero = np.zeros(h, dtype=z_in.dtype)
     for t in range(n):
-        z = z_in[t] + states[t] @ u.data
+        if fresh_steps[t]:
+            h_prev = c_prev = zero
+        else:
+            h_prev, c_prev = states[t], cells[t]
+        z = z_in[t] + h_prev @ u.data
         a = gates[t]
         a[:] = _sigmoid(z)
         a[2 * h:3 * h] = np.tanh(z[2 * h:3 * h])
-        cells[t + 1] = a[h:2 * h] * cells[t] + a[:h] * a[2 * h:3 * h]
+        cells[t + 1] = a[h:2 * h] * c_prev + a[:h] * a[2 * h:3 * h]
         tanh_cells[t] = np.tanh(cells[t + 1])
         states[t + 1] = a[3 * h:] * tanh_cells[t]
     hidden = states[1:]
 
     def bw(g_out):
         dh_out = g_out[::-1] if reverse else g_out
+        # Each step's previous state, zero where a sequence starts.
+        h_prev, c_prev = states[:-1].copy(), cells[:-1].copy()
+        h_prev[fresh] = 0.0
+        c_prev[fresh] = 0.0
         i, f, g, o = (gates[:, k * h:(k + 1) * h] for k in range(4))
         slope = gates * (1.0 - gates)                # sigmoid' for i, f, o
         slope[:, 2 * h:3 * h] = 1.0 - g * g          # tanh' for g
         dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
         dz = np.empty_like(gates)
-        dh_next = np.zeros(h, dtype=gates.dtype)
-        dc_next = np.zeros(h, dtype=gates.dtype)
+        dh_next = dc_next = zero
         for t in range(n - 1, -1, -1):
             dh = dh_out[t] + dh_next
             dc = dc_next + dh * dc_from_h[t]
             step = dz[t]
             step[:h] = dc * g[t]
-            step[h:2 * h] = dc * cells[t]
+            step[h:2 * h] = dc * c_prev[t]
             step[2 * h:3 * h] = dc * i[t]
             step[3 * h:] = dh * tanh_cells[t]
             step *= slope[t]
-            dc_next = dc * f[t]
-            dh_next = u.data @ step
+            if fresh_steps[t]:
+                dh_next = dc_next = zero
+            else:
+                dc_next = dc * f[t]
+                dh_next = u.data @ step
         dx = dz @ w.data.T
-        return (dx[::-1] if reverse else dx, xs.T @ dz, states[:-1].T @ dz,
+        return (dx[::-1] if reverse else dx, xs.T @ dz, h_prev.T @ dz,
                 dz.sum(axis=0))
 
     return record_op("lstm", hidden[::-1] if reverse else hidden,
@@ -238,14 +256,16 @@ def lstm_run(x: Tensor, w: Tensor, u: Tensor, b: Tensor, *,
 LstmWeights = tuple[Tensor, Tensor, Tensor]
 
 
-def bilstm_encode(x: Tensor, layers: Sequence[tuple[LstmWeights, LstmWeights]]) -> Tensor:
-    """Stacked bidirectional LSTM; output [n x 2h], halves fwd then bwd."""
+def bilstm_encode(x: Tensor, layers: Sequence[tuple[LstmWeights, LstmWeights]],
+                  lengths: Sequence[int] | None = None) -> Tensor:
+    """Stacked bidirectional LSTM over a pack; output [n x 2h], halves fwd
+    then bwd.  Neither direction carries state across a segment boundary."""
     if x.shape[0] == 0:
         raise DataError("bilstm_encode: empty sequence")
     out = x
     for fwd, bwd in layers:
-        forward = lstm_run(out, *fwd)
-        backward_states = lstm_run(out, *bwd, reverse=True)
+        forward = lstm_run(out, *fwd, lengths=lengths)
+        backward_states = lstm_run(out, *bwd, reverse=True, lengths=lengths)
         out = concat([forward, backward_states], axis=1)
     return out
 
@@ -294,25 +314,39 @@ def expand_subtokens(token_ids: np.ndarray,
 
 def contextual_mix(provider: ContextualProvider, token_ids: np.ndarray,
                    theta: Tensor,
-                   subtoken_counts: Sequence[int] | None = None) -> Tensor:
+                   subtoken_counts: Sequence[int] | None = None,
+                   lengths: Sequence[int] | None = None) -> Tensor:
     """Trainable per-layer mixture of frozen provider states.
 
-    Sub-token hidden states are averaged back to one row per word before
-    the layers are combined with weights theta (one scalar per layer).
+    The provider runs once per segment of the pack (``lengths``, None for
+    one segment).  Each segment's sub-token hidden states are averaged back
+    to one row per word, and then all layers are combined over the whole
+    pack with weights theta (one scalar per layer).  ``subtoken_counts``
+    cover the whole pack.
     """
-    expanded, averaging = expand_subtokens(token_ids, subtoken_counts)
-    layers = provider.run(expanded)
-    if len(layers) != provider.num_layers:
-        raise ShapeError(
-            f"provider returned {len(layers)} layers, expected {provider.num_layers}")
-    expected = (expanded.shape[0], provider.width)
-    for index, layer in enumerate(layers):
-        if layer.shape != expected:
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    n = token_ids.shape[0]
+    if subtoken_counts is not None and len(subtoken_counts) != n:
+        raise DataError(
+            f"subtoken counts must be {n} positive integers, got {subtoken_counts!r}")
+    count = provider.num_layers
+    pooled = []
+    for start, stop in segment_bounds(lengths, n):
+        expanded, averaging = expand_subtokens(
+            token_ids[start:stop],
+            None if subtoken_counts is None else subtoken_counts[start:stop])
+        layers = provider.run(expanded)
+        if len(layers) != count:
             raise ShapeError(
-                f"provider layer {index} has shape {layer.shape}, expected {expected}")
-    n, count = averaging.shape[0], len(layers)
+                f"provider returned {len(layers)} layers, expected {count}")
+        expected = (expanded.shape[0], provider.width)
+        for index, layer in enumerate(layers):
+            if layer.shape != expected:
+                raise ShapeError(
+                    f"provider layer {index} has shape {layer.shape}, "
+                    f"expected {expected}")
+        pooled.append(np.stack([averaging @ np.asarray(layer) for layer in layers]))
     # A constant [L, n*w]: the provider is frozen.
-    pooled = Tensor(np.stack([averaging @ np.asarray(layer) for layer in layers])
-                    .reshape(count, n * provider.width))
+    pooled = Tensor(np.concatenate(pooled, axis=1).reshape(count, n * provider.width))
     mixed = matmul(reshape(theta, (1, count)), pooled)
     return reshape(mixed, (n, provider.width))

@@ -3,13 +3,18 @@
 Every sublayer runs as f(layernorm(x)) + x with stochastic depth; the
 survival probability decays linearly with the global sublayer index
 across the whole stack.
+
+A stack runs on a pack: sequences joined into one [n, d] input, with
+their lengths.  Only the positional signal, the depthwise convolution and
+self-attention look across tokens, and each of them stays within its
+segment; every other op works per token.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,21 +33,30 @@ from .tensor import (
     record_op,
     relu,
     reshape,
+    segment_bounds,
 )
 
 # Cached positional tables: one per width and power-of-two length.
 POSITIONAL_CACHE_SIZE = 32
 
 
-def positional_encoding(n: int, d: int) -> np.ndarray:
+def positional_encoding(n: int, d: int,
+                        lengths: Sequence[int] | None = None) -> np.ndarray:
     """Sinusoidal position table [n x d]; sin on even columns, cos on odd.
 
     A row does not depend on n, so this is a read-only view of the first
     n rows of a shared table whose length is n rounded up to a power of two.
+    With ``lengths`` positions restart at each segment of the pack: row r
+    is the table row of r's position within its segment.
     """
     if d % 2:
         raise ConfigError(f"positional encoding needs an even width, got {d}")
-    return _sinusoid_table(1 << max(n - 1, 0).bit_length(), d)[:n]
+    bounds = segment_bounds(lengths, n)
+    if len(bounds) == 1:
+        return _sinusoid_table(1 << max(n - 1, 0).bit_length(), d)[:n]
+    longest = max(stop - start for start, stop in bounds)
+    positions = np.concatenate([np.arange(stop - start) for start, stop in bounds])
+    return _sinusoid_table(1 << (longest - 1).bit_length(), d)[positions]
 
 
 @lru_cache(maxsize=POSITIONAL_CACHE_SIZE)
@@ -139,29 +153,36 @@ def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
 
 
 def conv_pri_dig_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor,
-                       transform: Tensor, caps: CapsuleConfig) -> Tensor:
-    """Separable convolution, primary capsules, routing, flattened digits."""
+                       transform: Tensor, caps: CapsuleConfig,
+                       lengths: Sequence[int] | None = None) -> Tensor:
+    """Separable convolution (per segment), primary capsules, routing,
+    flattened digits."""
     n, width = x.shape
     if caps.primary_count * caps.primary_dim != width:
         raise ShapeError(
             f"width {width} does not tile into {caps.primary_count} capsules "
             f"of dim {caps.primary_dim}")
-    convolved = depthwise_separable_conv1d(x, depthwise, pointwise)
+    convolved = depthwise_separable_conv1d(x, depthwise, pointwise, lengths)
     primary = squash(reshape(convolved, (n, caps.primary_count, caps.primary_dim)))
     digits = dynamic_routing(primary, transform, caps.routing_iterations)
     return reshape(digits, (n, caps.digit_count * caps.digit_dim))
 
 
-def multi_head_self_attention(x: Tensor, mask: np.ndarray | None, num_heads: int,
-                              wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
-    """Scaled dot-product self-attention over unmasked key positions.
+def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
+                              num_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
+                              wo: Tensor) -> Tensor:
+    """Scaled dot-product self-attention within each segment of a pack.
 
-    All heads run as one ``self_attention`` record over [h, n, d_h] views
-    of the projections; its backward keeps only the probabilities.
+    ``lengths`` splits the n rows into segments (None: one segment), and
+    no token attends across a boundary.  All heads and segments run as one
+    ``self_attention`` record over [h, n, d_h] views of the projections:
+    each segment is a dense [h, n_s, n_s] block, and the backward keeps
+    only those blocks' probabilities.
     """
     n, d = x.shape
     if d % num_heads:
         raise ConfigError(f"width {d} is not divisible by {num_heads} heads")
+    bounds = segment_bounds(lengths, n)
     head_dim = d // num_heads
     scale = 1.0 / math.sqrt(head_dim)   # a Python float keeps float32 inputs float32
     q = matmul(x, wq)
@@ -172,31 +193,34 @@ def multi_head_self_attention(x: Tensor, mask: np.ndarray | None, num_heads: int
         return a.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    # Softmax in place in one [h, n, n] buffer: large temporaries cost
-    # page faults at passage lengths.
-    probs = np.matmul(qh, kh.transpose(0, 2, 1))
-    probs *= scale
-    if mask is not None:
-        keys = np.asarray(mask, dtype=bool)
-        if not keys.any():
-            raise ShapeError("self_attention: the key set is fully masked")
-        probs[:, :, ~keys] = -np.inf
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    out = np.empty((n, d), dtype=probs.dtype)
-    np.matmul(probs, vh, out=heads(out))
+    out = np.empty((n, d), dtype=q.data.dtype)
+    out_h = heads(out)
+    blocks = []
+    for start, stop in bounds:
+        seg = slice(start, stop)
+        # Softmax in place in one [h, n_s, n_s] buffer: large temporaries
+        # cost page faults at passage lengths.
+        probs = np.matmul(qh[:, seg], kh[:, seg].transpose(0, 2, 1))
+        probs *= scale
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        np.matmul(probs, vh[:, seg], out=out_h[:, seg])
+        blocks.append(probs)
 
     def bw(g):
         gh = heads(g)
         dq, dk, dv = (np.empty((n, d), dtype=g.dtype) for _ in range(3))
-        np.matmul(probs.transpose(0, 2, 1), gh, out=heads(dv))
-        # dS = A * (dA - sum(dA * A)), built in the dA buffer.
-        ds = np.matmul(gh, vh.transpose(0, 2, 1))
-        ds -= (ds * probs).sum(axis=-1, keepdims=True)
-        ds *= probs
-        np.matmul(ds, kh, out=heads(dq))
-        np.matmul(ds.transpose(0, 2, 1), qh, out=heads(dk))
+        dq_h, dk_h, dv_h = heads(dq), heads(dk), heads(dv)
+        for (start, stop), probs in zip(bounds, blocks):
+            seg = slice(start, stop)
+            np.matmul(probs.transpose(0, 2, 1), gh[:, seg], out=dv_h[:, seg])
+            # dS = A * (dA - sum(dA * A)), built in the dA buffer.
+            ds = np.matmul(gh[:, seg], vh[:, seg].transpose(0, 2, 1))
+            ds -= (ds * probs).sum(axis=-1, keepdims=True)
+            ds *= probs
+            np.matmul(ds, kh[:, seg], out=dq_h[:, seg])
+            np.matmul(ds.transpose(0, 2, 1), qh[:, seg], out=dk_h[:, seg])
         dq *= scale
         dk *= scale
         return dq, dk, dv
@@ -284,7 +308,8 @@ def build_encoder_stack(store: ParamStore, prefix: str, *, d: int, num_heads: in
         _register_layer_norm(store, f"{base}.ffn.ln", d, trainable=trainable)
 
 
-def encoder_block_forward(x: Tensor, mask: np.ndarray | None, store: ParamStore,
+def encoder_block_forward(x: Tensor, lengths: Sequence[int] | None,
+                          store: ParamStore,
                           base: str, *, num_heads: int, block: EncoderBlockConfig,
                           caps: CapsuleConfig, survival_end: float,
                           dropout_rate: float, training: bool,
@@ -292,7 +317,7 @@ def encoder_block_forward(x: Tensor, mask: np.ndarray | None, store: ParamStore,
                           layer_offset: int, total_layers: int) -> Tensor:
     """One block: positional signal, conv+capsule sublayers, attention, FFN."""
     n, d = x.shape
-    out = add_const(x, positional_encoding(n, d))
+    out = add_const(x, positional_encoding(n, d, lengths))
     layer = layer_offset
     for c in range(block.num_conv_layers):
         conv = f"{base}.conv{c}"
@@ -301,7 +326,7 @@ def encoder_block_forward(x: Tensor, mask: np.ndarray | None, store: ParamStore,
             out,
             lambda h, _c=conv: conv_pri_dig_layer(
                 h, store.get(f"{_c}.dw"), store.get(f"{_c}.pw"),
-                store.get(f"{_c}.caps"), caps),
+                store.get(f"{_c}.caps"), caps, lengths),
             layer_index=layer, total_layers=total_layers,
             survival_end=survival_end, gain=store.get(f"{conv}.ln.gain"),
             bias=store.get(f"{conv}.ln.bias"), training=training, rng=rng,
@@ -310,7 +335,7 @@ def encoder_block_forward(x: Tensor, mask: np.ndarray | None, store: ParamStore,
     out = residual_sublayer(
         out,
         lambda h: multi_head_self_attention(
-            h, mask, num_heads, store.get(f"{base}.attn.wq"),
+            h, lengths, num_heads, store.get(f"{base}.attn.wq"),
             store.get(f"{base}.attn.wk"), store.get(f"{base}.attn.wv"),
             store.get(f"{base}.attn.wo")),
         layer_index=layer, total_layers=total_layers, survival_end=survival_end,
@@ -330,13 +355,14 @@ def encoder_block_forward(x: Tensor, mask: np.ndarray | None, store: ParamStore,
     return out
 
 
-def run_encoder_stack(x: Tensor, mask: np.ndarray | None, store: ParamStore,
+def run_encoder_stack(x: Tensor, lengths: Sequence[int] | None, store: ParamStore,
                       prefix: str, *, num_heads: int, block: EncoderBlockConfig,
                       caps: CapsuleConfig, survival_end: float = 0.9,
                       dropout_rate: float = 0.0, training: bool = False,
                       rng: np.random.Generator | None = None,
                       collect_blocks: bool = False):
-    """Apply the whole stack; sublayer indices count across all blocks.
+    """Apply the whole stack to a pack; sublayer indices count across all
+    blocks.  ``lengths`` are the pack's segment lengths (None: one segment).
 
     With ``collect_blocks`` the per-block outputs come back as a list
     (the contextual provider reads those as its layers).
@@ -347,7 +373,7 @@ def run_encoder_stack(x: Tensor, mask: np.ndarray | None, store: ParamStore,
     collected = []
     for b in range(block.num_blocks):
         out = encoder_block_forward(
-            out, mask, store, f"{prefix}.block{b}", num_heads=num_heads,
+            out, lengths, store, f"{prefix}.block{b}", num_heads=num_heads,
             block=block, caps=caps, survival_end=survival_end,
             dropout_rate=dropout_rate, training=training, rng=rng,
             layer_offset=b * sublayers_per_block, total_layers=total_layers)

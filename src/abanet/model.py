@@ -1,5 +1,12 @@
 """Full model: shared embedding tiers, adaptive attention, weight-shared
-model encoders, span head, loss, decoding, and the training loop."""
+model encoders, span head, loss, decoding, and the training loop.
+
+The model runs on packs: a list of examples whose passages are joined
+into one [N, d] sequence and whose questions into another.  Per-token ops
+run once over the whole pack; the few that mix tokens stay within each
+example's segment.  A training batch is one pack, so a step is one
+forward and one backward.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,7 @@ import gc
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,15 +52,14 @@ from .tensor import (
     concat,
     default_dtype,
     dropout,
-    log,
-    masked_softmax,
     matmul,
     no_grad,
     record_op,
     recording,
     reduce_sum,
     reshape,
-    slice_axis,
+    segment_bounds,
+    segment_softmax,
 )
 
 # Deterministic ramp over granularity levels: same top-3 as the tie-break
@@ -74,10 +81,10 @@ PASSAGE_CACHE_BYTES = 4 * 2**20
 class ForwardResult:
     encoded: list[Tensor]          # B1, B2, B3 from the shared model encoder
     attention: AttentionOutputs
-    p_begin: Tensor
+    p_begin: Tensor                # [N], a distribution per passage segment
     p_end: Tensor
-    p_mask: np.ndarray
-    q_mask: np.ndarray
+    p_lengths: tuple[int, ...]     # passage segment lengths, one per example
+    q_lengths: tuple[int, ...]
     selected_levels: tuple[int, ...]
 
 
@@ -271,15 +278,16 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
-    def _encode_tokens(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def _encode_tokens(self, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         ids = self.word_vocab.ids(tokens)
         chars = char_id_matrix(tokens, self.char_vocab, self.config.max_word_len)
         return ids, chars
 
     def _sequence_repr(self, ids: np.ndarray, chars: np.ndarray,
                        pos: np.ndarray, ner: np.ndarray, rule: np.ndarray,
-                       subtokens, mask: np.ndarray, training: bool,
+                       subtokens, lengths: tuple[int, ...], training: bool,
                        rng: np.random.Generator | None) -> dict[str, Tensor]:
+        """The six granularity levels of one side of a pack."""
         cfg = self.config
         store = self.store
         word = embed_words(ids, EmbeddingTable(store.get("word.table"),
@@ -299,9 +307,9 @@ class Model:
                         for part in ("wt", "bt", "wg", "bg")) for i in range(2)]
         embedded = highway(projected, layers)
         contextual = contextual_mix(self.provider, ids, store.get("theta"),
-                                    subtokens)
+                                    subtokens, lengths)
         block_out = run_encoder_stack(
-            embedded, mask, store, "embenc", num_heads=cfg.num_heads,
+            embedded, lengths, store, "embenc", num_heads=cfg.num_heads,
             block=cfg.embedding_encoder, caps=cfg.capsules,
             survival_end=cfg.survival_end, dropout_rate=cfg.dropout_layer,
             training=training, rng=rng)
@@ -313,14 +321,14 @@ class Model:
                 directions.append((store.get(f"{base}.w"), store.get(f"{base}.u"),
                                    store.get(f"{base}.b")))
             lstm_layers.append(tuple(directions))
-        recurrent = bilstm_encode(embedded, lstm_layers)
+        recurrent = bilstm_encode(embedded, lstm_layers, lengths)
         return {"word": word_level, "char": char_level, "embed": embedded,
                 "contextual": contextual, "block": block_out,
                 "bilstm": recurrent}
 
     def _select_levels(self, raw: dict[str, Tensor],
                        lam: str) -> tuple[Tensor, tuple[int, ...]]:
-        """One sequence's HOS stack, mixed by ``lam`` if enabled, then top-3."""
+        """One side's HOS stack, mixed by ``lam`` if enabled, then top-3."""
         store = self.store
         projections = {name: store.get(f"hos.{name}") for name in COMPONENT_NAMES}
         hos = assemble_hos(raw, projections)
@@ -328,106 +336,154 @@ class Model:
             hos = adaptive_scale(hos, store.get(lam))
         return select_top3(hos, store.get("alpha"))
 
-    def forward(self, example: Example, *, training: bool = False,
+    def forward(self, examples: Sequence[Example], *, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
-        """Span distributions for one example.
+        """Span distributions for a pack: a nonempty list of examples.
+
+        The passages are joined into one sequence and the questions into
+        another, with one segment per example.  Every per-token op runs
+        once over each side; self-attention, convolution, the BiLSTM,
+        positional encoding, bidirectional attention and the span softmax
+        stay within a segment.  ``p_begin`` and ``p_end`` hold one
+        distribution per passage segment, in pack order.  In training mode
+        stochastic depth draws once per sublayer per pack, and dropout
+        masks cover the packed shape.
 
         The passage side up to attention (the six granularity levels, λ
         mixing and top-3 selection) does not depend on the question.  In
-        an eval-mode forward with no tape recording, its selected [n, 3d]
-        levels and their indices are cached, keyed by the passage's word,
-        char, pos, ner, rule and sub-token ids and the default dtype.  The
-        cache is emptied when any parameter array has been rebound since
-        the last such forward.
+        an eval-mode forward of a pack of one with no tape recording, its
+        selected [n, 3d] levels and their indices are cached, keyed by the
+        passage's word, char, pos, ner, rule and sub-token ids and the
+        default dtype.  The cache is emptied when any parameter array has
+        been rebound since the last such forward.
         """
         cfg = self.config
         store = self.store
+        if not examples:
+            raise DataError("forward needs a nonempty pack of examples")
         if training and rng is None:
             raise ConfigError("training-mode forward needs an rng")
 
-        p_ids, p_chars = self._encode_tokens(example.passage)
-        q_ids, q_chars = self._encode_tokens(example.question)
-        n, m = len(p_ids), len(q_ids)
-        p_mask = np.ones(n, dtype=bool)
-        q_mask = np.ones(m, dtype=bool)
-        p_feats = (np.asarray(example.pos), np.asarray(example.ner),
-                   np.asarray(example.rule))
-        q_zero = np.zeros(m, dtype=np.int64)
+        p_lengths = tuple(len(e.passage) for e in examples)
+        q_lengths = tuple(len(e.question) for e in examples)
+        p_ids, p_chars = self._encode_tokens(
+            [token for e in examples for token in e.passage])
+        q_ids, q_chars = self._encode_tokens(
+            [token for e in examples for token in e.question])
+        p_feats = tuple(np.concatenate([np.asarray(getattr(e, name), dtype=np.int64)
+                                        for e in examples])
+                        for name in ("pos", "ner", "rule"))
+        q_zero = np.zeros(len(q_ids), dtype=np.int64)
+        subtokens = None
+        if any(e.subtokens is not None for e in examples):
+            subtokens = np.concatenate([
+                np.ones(len(e.passage), dtype=np.int64) if e.subtokens is None
+                else np.asarray(e.subtokens, dtype=np.int64) for e in examples])
 
         cached = key = None
-        if not training and not recording():
+        if len(examples) == 1 and not training and not recording():
             self._check_params()
-            subtokens = (None if example.subtokens is None
-                         else np.asarray(example.subtokens).tobytes())
             key = (p_ids.tobytes(), p_chars.tobytes(),
-                   *(f.tobytes() for f in p_feats), subtokens, default_dtype())
+                   *(f.tobytes() for f in p_feats),
+                   None if subtokens is None else subtokens.tobytes(),
+                   default_dtype())
             cached = self._passage_cache.get(key)
         if cached is not None:
             self._passage_cache.move_to_end(key)
             selected, levels = cached
             selected_p = Tensor(selected, dtype=selected.dtype)
         else:
-            raw_p = self._sequence_repr(p_ids, p_chars, *p_feats, example.subtokens,
-                                        p_mask, training, rng)
+            raw_p = self._sequence_repr(p_ids, p_chars, *p_feats, subtokens,
+                                        p_lengths, training, rng)
             selected_p, levels = self._select_levels(raw_p, "lambda.p")
             if key is not None:
                 self._cache_passage(key, selected_p.data, levels)
         raw_q = self._sequence_repr(q_ids, q_chars, q_zero, q_zero, q_zero,
-                                    None, q_mask, training, rng)
+                                    None, q_lengths, training, rng)
         selected_q, _ = self._select_levels(raw_q, "lambda.q")
 
         attention = bidirectional_attention(
-            selected_p, selected_q, store.get("attn.w"), p_mask, q_mask,
+            selected_p, selected_q, store.get("attn.w"), p_lengths, q_lengths,
             training=training, rng=rng, dropout_rate=cfg.dropout_layer)
         encoded = [matmul(attention.fused, store.get("attn.out_proj"))]
         for _ in range(3):
             encoded.append(run_encoder_stack(
-                encoded[-1], p_mask, store, "modenc", num_heads=cfg.num_heads,
+                encoded[-1], p_lengths, store, "modenc", num_heads=cfg.num_heads,
                 block=cfg.model_encoder, caps=cfg.capsules,
                 survival_end=cfg.survival_end, dropout_rate=cfg.dropout_layer,
                 training=training, rng=rng))
         b1, b2, b3 = encoded[1], encoded[2], encoded[3]
         p_begin, p_end = span_logits(b1, b2, b3, store.get("span.w1"),
-                                     store.get("span.w2"), p_mask)
+                                     store.get("span.w2"), p_lengths)
         return ForwardResult(encoded=[b1, b2, b3], attention=attention,
-                             p_begin=p_begin, p_end=p_end, p_mask=p_mask,
-                             q_mask=q_mask, selected_levels=levels)
+                             p_begin=p_begin, p_end=p_end, p_lengths=p_lengths,
+                             q_lengths=q_lengths, selected_levels=levels)
 
     # -- inference ------------------------------------------------------------
 
+    def decode(self, examples: Sequence[Example],
+               result: ForwardResult) -> list[SpanPrediction]:
+        """The best span of every passage segment of a forward's pack."""
+        predictions = []
+        bounds = segment_bounds(result.p_lengths, result.p_begin.shape[0])
+        for example, (start, stop) in zip(examples, bounds, strict=True):
+            p_begin = result.p_begin.data[start:stop]
+            p_end = result.p_end.data[start:stop]
+            begin, end, score, answerable = decode_span(
+                p_begin, p_end, self.config.max_span_len,
+                unanswerable_mode=self.config.unanswerable)
+            text = "" if not answerable else " ".join(example.passage[begin:end + 1])
+            predictions.append(SpanPrediction(
+                p_begin=p_begin, p_end=p_end, begin=begin, end=end,
+                score=score, answerable=answerable, text=text))
+        return predictions
+
     def predict(self, example: Example) -> SpanPrediction:
-        result = self.forward(example, training=False)
-        begin, end, score, answerable = decode_span(
-            result.p_begin.data, result.p_end.data, self.config.max_span_len,
-            unanswerable_mode=self.config.unanswerable)
-        text = "" if not answerable else " ".join(example.passage[begin:end + 1])
-        return SpanPrediction(p_begin=result.p_begin.data,
-                              p_end=result.p_end.data, begin=begin, end=end,
-                              score=score, answerable=answerable, text=text)
+        """The best span of one example: a forward of the pack [example]."""
+        return self.decode([example], self.forward([example]))[0]
 
 
 def span_logits(b1: Tensor, b2: Tensor, b3: Tensor, w1: Tensor, w2: Tensor,
-                mask: np.ndarray | None) -> tuple[Tensor, Tensor]:
-    """Begin scores from [B1;B2], end scores from [B2;B3], both masked-softmaxed."""
+                lengths: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
+    """Begin scores from [B1;B2], end scores from [B2;B3], each softmaxed
+    within every passage segment of the pack."""
     n = b1.shape[0]
     begin = reshape(matmul(concat([b1, b2], axis=1), w1), (n,))
     end = reshape(matmul(concat([b2, b3], axis=1), w2), (n,))
-    return (masked_softmax(begin, mask=mask, axis=-1),
-            masked_softmax(end, mask=mask, axis=-1))
+    return segment_softmax(begin, lengths), segment_softmax(end, lengths)
 
 
-def span_nll(p_begin: Tensor, p_end: Tensor, begin_gold: int, end_gold: int,
-             mask: np.ndarray | None = None) -> Tensor:
-    """Negative log likelihood of one gold span."""
-    n = p_begin.shape[0]
-    if not (0 <= begin_gold < n and 0 <= end_gold < n):
-        raise DataError(f"gold span ({begin_gold}, {end_gold}) outside [0, {n})")
-    if mask is not None and not (mask[begin_gold] and mask[end_gold]):
+def span_nll(p_begin: Tensor, p_end: Tensor, begin_gold, end_gold,
+             lengths: Sequence[int] | None = None) -> Tensor:
+    """Negative log likelihood of each segment's gold span: a [B] vector.
+
+    ``begin_gold`` and ``end_gold`` hold one position per segment, each
+    counted from its segment's start (an int for a single segment).
+    """
+    bounds = segment_bounds(lengths, p_begin.shape[0])
+    begins, ends = (np.atleast_1d(np.asarray(gold, dtype=np.int64))
+                    for gold in (begin_gold, end_gold))
+    if not begins.shape == ends.shape == (len(bounds),):
         raise DataError(
-            f"gold span ({begin_gold}, {end_gold}) points at masked positions")
-    picked = concat([slice_axis(p_begin, 0, begin_gold, 1),
-                     slice_axis(p_end, 0, end_gold, 1)], axis=0)
-    return -reduce_sum(log(picked))
+            f"{begins.size} begin and {ends.size} end golds for {len(bounds)} segments")
+    starts, stops = np.array(bounds).T
+    outside = (np.minimum(begins, ends) < 0) | (np.maximum(begins, ends) >= stops - starts)
+    if outside.any():
+        s = int(np.argmax(outside))
+        raise DataError(f"gold span ({begins[s]}, {ends[s]}) outside "
+                        f"[0, {stops[s] - starts[s]}) of segment {s}")
+    at_begin, at_end = starts + begins, starts + ends
+    picked_begin, picked_end = p_begin.data[at_begin], p_end.data[at_end]
+    out = -(np.log(picked_begin) + np.log(picked_end))
+
+    def bw(g):
+        d_begin = np.zeros_like(p_begin.data)
+        d_end = np.zeros_like(p_end.data)
+        d_begin[at_begin] = -g / picked_begin
+        d_end[at_end] = -g / picked_end
+        return d_begin, d_end
+
+    return record_op("span_nll", out, (p_begin, p_end), bw)
 
 
 def l2_penalty(store: ParamStore, decay: float) -> Tensor | None:
@@ -441,15 +497,12 @@ def l2_penalty(store: ParamStore, decay: float) -> Tensor | None:
         2.0 * decay * g * w.data for w in weights))
 
 
-def batch_loss(nlls: list[Tensor], store: ParamStore | None = None,
+def batch_loss(nlls: Tensor, store: ParamStore | None = None,
                decay: float = 0.0) -> Tensor:
-    """Mean over example losses plus the L2 weight-decay term."""
-    if not nlls:
-        raise DataError("batch_loss needs at least one example")
-    total = nlls[0]
-    for nll in nlls[1:]:
-        total = total + nll
-    loss = total * (1.0 / len(nlls))
+    """Mean over the [B] example losses plus the L2 weight-decay term."""
+    if nlls.ndim != 1 or nlls.shape[0] == 0:
+        raise DataError(f"batch_loss needs a nonempty [B] vector, got {nlls.shape}")
+    loss = reduce_sum(nlls) * (1.0 / nlls.shape[0])
     if store is not None:
         penalty = l2_penalty(store, decay)
         if penalty is not None:
@@ -517,9 +570,10 @@ class Adam:
 
 def train_step(model: Model, batch: list[Example], optimizer: Adam,
                rng: np.random.Generator) -> float:
-    """One optimization step; returns the pre-update batch loss.
+    """One optimization step on a batch; returns the pre-update batch loss.
 
-    Automatic garbage collection is suspended for the step: the live tape
+    The batch runs as one pack: one forward, one loss (the mean over its
+    examples plus weight decay) and one backward.  Automatic garbage collection is suspended for the step: the live tape
     holds hundreds of thousands of objects, none of them in a reference
     cycle, so a full collection would scan them all and free nothing.
     """
@@ -531,12 +585,10 @@ def train_step(model: Model, batch: list[Example], optimizer: Adam,
     gc.disable()
     try:
         with Tape() as tape:
-            nlls = []
-            for example in batch:
-                result = model.forward(example, training=True, rng=rng)
-                nlls.append(span_nll(result.p_begin, result.p_end,
-                                     example.answer_begin, example.answer_end,
-                                     result.p_mask))
+            result = model.forward(batch, training=True, rng=rng)
+            nlls = span_nll(result.p_begin, result.p_end,
+                            [e.answer_begin for e in batch],
+                            [e.answer_end for e in batch], result.p_lengths)
             loss = batch_loss(nlls, store, model.config.l2_decay)
         if not np.isfinite(loss.data):
             culprit = tape.first_nonfinite() or "loss"
@@ -552,11 +604,19 @@ def train_step(model: Model, batch: list[Example], optimizer: Adam,
 
 
 def evaluate(model: Model, examples: list[Example]) -> dict[str, float]:
-    """Macro EM/F1 of greedy span decoding against gold answers."""
+    """Macro EM/F1 of greedy span decoding against gold answers.
+
+    The examples run in eval-mode packs of ``config.batch_size``, and each
+    passage segment is decoded on its own.
+    """
     if not examples:
         raise DataError("cannot evaluate an empty dataset")
-    pairs = [(model.predict(example).text, example.answer_text)
-             for example in examples]
+    pairs = []
+    size = model.config.batch_size
+    for start in range(0, len(examples), size):
+        pack = examples[start:start + size]
+        predictions = model.decode(pack, model.forward(pack))
+        pairs += [(p.text, e.answer_text) for p, e in zip(predictions, pack)]
     return evaluate_pairs(pairs)
 
 

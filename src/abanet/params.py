@@ -103,7 +103,18 @@ class ParamStore:
                 entry.tensor.grad = entry.tensor.grad + g
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: entry.tensor.data for name, entry in self._entries.items()}
+        """Read-only views of every parameter array, by name.
+
+        A parameter changes only by rebinding its array (see ``Tensor``),
+        so writing into a view raises ValueError instead of changing the
+        model behind the passage cache's back.
+        """
+        state = {}
+        for name, entry in self._entries.items():
+            view = entry.tensor.data.view()
+            view.setflags(write=False)
+            state[name] = view
+        return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Rebind every parameter to a copy of its array in ``state``.

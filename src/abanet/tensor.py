@@ -13,6 +13,7 @@ to run in float32.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -414,6 +415,43 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # Composite / specialised operations
 # ---------------------------------------------------------------------------
 
+def segment_bounds(lengths: Sequence[int] | None, n: int) -> list[tuple[int, int]]:
+    """(start, stop) rows of each segment of an n-row pack.
+
+    A pack is consecutive sequences joined along the first axis; ``lengths``
+    gives their lengths in order, and None means one segment of all n rows.
+    Every segment must be nonempty and the lengths must add up to n.
+    """
+    if lengths is None:
+        return [(0, n)]
+    lengths = [int(length) for length in lengths]
+    if not lengths or min(lengths) < 1 or sum(lengths) != n:
+        raise ShapeError(
+            f"segment lengths {lengths} do not split {n} rows into nonempty segments")
+    ends = list(accumulate(lengths))
+    return list(zip([0] + ends[:-1], ends))
+
+
+def segment_softmax(x: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """Softmax of a vector within each segment of a pack; each sums to 1."""
+    data = x.data
+    bounds = segment_bounds(lengths, data.shape[0])
+    out = np.empty_like(data)
+    for start, stop in bounds:
+        z = data[start:stop] - data[start:stop].max()
+        e = np.exp(z)
+        out[start:stop] = e / e.sum()
+
+    def bw(g):
+        dx = np.empty_like(g)
+        for start, stop in bounds:
+            p, gs = out[start:stop], g[start:stop]
+            dx[start:stop] = p * (gs - (gs * p).sum())
+        return (dx,)
+
+    return record_op("segment_softmax", out, (x,), bw)
+
+
 def masked_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` over positions where ``mask`` is True.
 
@@ -460,10 +498,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return record_op("layer_norm", out, (x, gain, bias), bw)
 
 
-def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
+def depthwise_conv1d(x: Tensor, kernel: Tensor,
+                     lengths: Sequence[int] | None = None) -> Tensor:
     """Per-channel 1-D convolution with same-length zero padding.
 
     ``x`` is [n, d], ``kernel`` is [k, d] with k odd; output is [n, d].
+    With ``lengths`` every segment of the pack is convolved on its own:
+    the padded buffer holds the segments with k // 2 zero rows before,
+    between and after them, so no tap reaches across a boundary.  For one
+    segment this is the plain same-padded layout.
     """
     k, d = kernel.shape
     if k % 2 == 0:
@@ -473,27 +516,46 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
             f"depthwise_conv1d: input {x.shape} does not match kernel {kernel.shape}")
     n = x.shape[0]
     pad = k // 2
-    xp = np.zeros((n + k - 1, d), dtype=x.data.dtype)
-    xp[pad:pad + n] = x.data
-    out = np.zeros((n, d), dtype=x.data.dtype)
+    # Segment s starts at row start + pad * (s + 1) of the padded buffer
+    # and at row start + pad * s of the m output rows, which cover the
+    # segments and the gaps between them.
+    placed = [(start + pad * s, start, stop)
+              for s, (start, stop) in enumerate(segment_bounds(lengths, n))]
+    m = n + pad * (len(placed) - 1)
+
+    def gather(rows: np.ndarray, first: int) -> np.ndarray:
+        if len(placed) == 1:
+            return rows[first:first + n]
+        return np.concatenate([rows[first + at:first + at + stop - start]
+                               for at, start, stop in placed])
+
+    xp = np.zeros((m + k - 1, d), dtype=x.data.dtype)
+    for at, start, stop in placed:
+        xp[pad + at:pad + at + stop - start] = x.data[start:stop]
+    full = np.zeros((m, d), dtype=x.data.dtype)
     for tau in range(k):
-        out += xp[tau:tau + n] * kernel.data[tau]
+        full += xp[tau:tau + m] * kernel.data[tau]
+    out = gather(full, 0)
 
     def bw(g):
         dk = np.empty_like(kernel.data)
+        gfull = np.zeros((m, d), dtype=g.dtype)
+        for at, start, stop in placed:
+            gfull[at:at + stop - start] = g[start:stop]
         gp = np.zeros_like(xp)
         for tau in range(k):
-            dk[tau] = (xp[tau:tau + n] * g).sum(axis=0)
-            gp[tau:tau + n] += g * kernel.data[tau]
-        return (gp[pad:pad + n], dk)
+            dk[tau] = (xp[tau:tau + m] * gfull).sum(axis=0)
+            gp[tau:tau + m] += gfull * kernel.data[tau]
+        return (gather(gp, pad), dk)
 
     return record_op("depthwise_conv1d", out, (x, kernel), bw)
 
 
-def depthwise_separable_conv1d(x: Tensor, depthwise: Tensor, pointwise: Tensor) -> Tensor:
-    """Depthwise same-padded convolution followed by a 1x1 channel mix."""
+def depthwise_separable_conv1d(x: Tensor, depthwise: Tensor, pointwise: Tensor,
+                               lengths: Sequence[int] | None = None) -> Tensor:
+    """Depthwise same-padded convolution (per segment) followed by a 1x1 channel mix."""
     if pointwise.shape[0] != depthwise.shape[1]:
         raise ShapeError(
             f"depthwise_separable_conv1d: pointwise {pointwise.shape} does not "
             f"match depthwise channels {depthwise.shape}")
-    return matmul(depthwise_conv1d(x, depthwise), pointwise)
+    return matmul(depthwise_conv1d(x, depthwise, lengths), pointwise)

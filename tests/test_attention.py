@@ -9,6 +9,7 @@ from abanet.attention import (
     adaptive_scale,
     assemble_hos,
     bidirectional_attention,
+    block_mask,
     fuse_output,
     lambda_init_matrix,
     p2q_attention,
@@ -338,12 +339,16 @@ class TestDirectionalAttention:
             np.testing.assert_allclose(m_summary.data[i], hos_q.data[0], atol=1e-12)
 
     def test_masked_question_columns_get_zero_attention(self):
+        """A pack of two: each passage segment attends to its own question."""
         rng = np.random.default_rng(13)
         similarity = Tensor(rng.normal(size=(3, 4)))
         hos_q = Tensor(rng.normal(size=(4, 2)))
-        mask = np.array([True, False, True, False])
+        mask = block_mask((2, 1), (1, 3), 3, 4)
+        np.testing.assert_array_equal(mask, [[True, False, False, False],
+                                             [True, False, False, False],
+                                             [False, True, True, True]])
         _, rows = p2q_attention(similarity, hos_q, mask)
-        assert (rows.data[:, ~mask] == 0.0).all()
+        assert (rows.data[~mask] == 0.0).all()
         np.testing.assert_allclose(rows.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_p2q_hand_computation_2x2(self):
@@ -397,13 +402,14 @@ class TestDirectionalAttention:
     def test_empty_question_rejected(self):
         with pytest.raises(ShapeError, match="empty question"):
             p2q_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))),
-                          np.zeros(3, dtype=bool))
+                          np.zeros((2, 3), dtype=bool))
 
     def test_empty_passage_rejected(self):
         similarity = Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeError, match="empty passage"):
             q2p_attention(similarity, Tensor(np.zeros((2, 2))),
-                          masked_softmax(similarity), np.zeros(2, dtype=bool))
+                          masked_softmax(similarity),
+                          np.array([[True, True, False], [True, True, False]]))
 
 
 class TestFuseOutput:
@@ -465,17 +471,21 @@ class TestEndToEndGradient:
         assert names.count("masked_softmax") == 2
 
     def test_normalization_under_random_masks(self):
+        """Random packs: both softmaxes normalise within their block and are
+        zero off it, so passage segments never mix."""
         rng = np.random.default_rng(24)
         for _ in range(50):
-            n, m = rng.integers(2, 7, size=2)
-            p_mask = rng.random(n) < 0.7
-            q_mask = rng.random(m) < 0.7
-            p_mask[rng.integers(n)] = True
-            q_mask[rng.integers(m)] = True
+            segments = int(rng.integers(1, 4))
+            p_lengths = rng.integers(1, 5, size=segments)
+            q_lengths = rng.integers(1, 4, size=segments)
+            n, m = int(p_lengths.sum()), int(q_lengths.sum())
             out = bidirectional_attention(
                 Tensor(rng.normal(size=(n, 4))), Tensor(rng.normal(size=(m, 4))),
-                Tensor(rng.normal(size=12)), p_mask, q_mask)
+                Tensor(rng.normal(size=12)), p_lengths, q_lengths)
             np.testing.assert_allclose(out.rows.data.sum(axis=1), 1.0, atol=1e-6)
             np.testing.assert_allclose(out.cols.data.sum(axis=0), 1.0, atol=1e-6)
-            assert (out.rows.data[:, ~q_mask] == 0).all()
-            assert (out.cols.data[~p_mask, :] == 0).all()
+            p_seg = np.repeat(np.arange(segments), p_lengths)
+            q_seg = np.repeat(np.arange(segments), q_lengths)
+            off = p_seg[:, None] != q_seg[None, :]
+            assert (out.rows.data[off] == 0).all()
+            assert (out.cols.data[off] == 0).all()

@@ -406,7 +406,7 @@ class TestFloat32:
                     lambda: conv_pri_dig_layer(x, dw, pw, transform, caps),
                     (x, dw, pw, transform)),
                 "self_attention": (
-                    lambda: multi_head_self_attention(x, np.arange(3) < 2, 2, *attn),
+                    lambda: multi_head_self_attention(x, (2, 1), 2, *attn),
                     (x, *attn)),
                 "stack": (lambda: stack([x, dw]), (x, dw)),
                 "select_top3": (lambda: select_top3(hos, alpha)[0], (hos, alpha)),
@@ -446,13 +446,16 @@ class TestFloat32:
             set_default_dtype(np.float64)
 
 
-def composite_self_attention(x, mask, num_heads, wq, wk, wv, wo):
-    """The per-head tape composite that the fused record replaced."""
+def composite_self_attention(x, lengths, num_heads, wq, wk, wv, wo):
+    """The per-head tape composite that the fused record replaced, over a
+    pack through a block-diagonal [n, n] mask."""
     n, d = x.shape
     head_dim = d // num_heads
     q, k, v = matmul(x, wq), matmul(x, wk), matmul(x, wv)
-    key_mask = None if mask is None else np.broadcast_to(
-        np.asarray(mask, dtype=bool)[None, :], (n, n))
+    key_mask = None
+    if lengths is not None:
+        segment = np.repeat(np.arange(len(lengths)), lengths)
+        key_mask = segment[:, None] == segment[None, :]
     heads = []
     for h in range(num_heads):
         start = h * head_dim
@@ -472,19 +475,21 @@ class TestMultiHeadSelfAttention:
 
     @pytest.mark.parametrize("n", [1, 7, 140, 200])
     @pytest.mark.parametrize("num_heads,d", [(8, 128), (2, 16)])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_matches_composite_reference(self, n, num_heads, d, masked):
-        rng = np.random.default_rng(1000 + n + d + masked)
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_matches_composite_reference(self, n, num_heads, d, packed):
+        rng = np.random.default_rng(1000 + n + d + packed)
         x = Tensor(rng.normal(size=(n, d)))
         weights = tuple(Tensor(rng.normal(size=(d, d)) / np.sqrt(d))
                         for _ in range(4))
-        # The mask hides the last quarter of the keys.
-        mask = np.arange(n) < n - n // 4 if masked else None
+        # A packed input ends in a segment of a quarter of the rows.
+        lengths = None
+        if packed:
+            lengths = [length for length in (n - n // 4, n // 4) if length]
         g = rng.normal(size=(n, d))
         results = []
         for attend in (multi_head_self_attention, composite_self_attention):
             with Tape() as tape:
-                out = attend(x, mask, num_heads, *weights)
+                out = attend(x, lengths, num_heads, *weights)
                 loss = reduce_sum(mul(out, Tensor(g)))
             grads = tape.gradients(loss)
             results.append([out.data] + [grads[id(t)] for t in (x, *weights)])
@@ -497,11 +502,13 @@ class TestMultiHeadSelfAttention:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
     def test_fully_masked_keys_rejected(self):
+        """A segment with no keys, or lengths that miss rows, is refused."""
         rng = np.random.default_rng(3)
         wq, wk, wv, wo = self._proj(rng, 4)
-        with pytest.raises(ShapeError, match="fully masked"):
-            multi_head_self_attention(Tensor(rng.normal(size=(3, 4))),
-                                      np.zeros(3, dtype=bool), 2, wq, wk, wv, wo)
+        for lengths in ((3, 0), (2,), (2, 2)):
+            with pytest.raises(ShapeError, match="nonempty segments"):
+                multi_head_self_attention(Tensor(rng.normal(size=(3, 4))),
+                                          lengths, 2, wq, wk, wv, wo)
 
     def test_single_position_is_value_projection(self):
         rng = np.random.default_rng(1)
@@ -512,17 +519,19 @@ class TestMultiHeadSelfAttention:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_masked_keys_do_not_leak(self):
-        """Perturbing a masked position changes only its own output row."""
+        """Perturbing a token changes only the rows of its own segment."""
         rng = np.random.default_rng(6)
         wq, wk, wv, wo = self._proj(rng, 4)
         x = rng.normal(size=(5, 4))
-        mask = np.array([True, True, False, True, True])
-        base = multi_head_self_attention(Tensor(x), mask, 2, wq, wk, wv, wo).data
+        lengths = (2, 1, 2)
+        base = multi_head_self_attention(Tensor(x), lengths, 2, wq, wk, wv, wo).data
         bumped = x.copy()
         bumped[2] += 100.0
-        moved = multi_head_self_attention(Tensor(bumped), mask, 2, wq, wk, wv, wo).data
+        moved = multi_head_self_attention(Tensor(bumped), lengths, 2,
+                                          wq, wk, wv, wo).data
         keep = np.array([0, 1, 3, 4])
-        np.testing.assert_allclose(moved[keep], base[keep], atol=1e-9)
+        np.testing.assert_array_equal(moved[keep], base[keep])
+        assert not np.allclose(moved[2], base[2])
 
     def test_hand_computation_one_head(self):
         rng = np.random.default_rng(9)
@@ -547,11 +556,10 @@ class TestMultiHeadSelfAttention:
         rng = np.random.default_rng(17)
         wq, wk, wv, wo = self._proj(rng, 4)
         x = Tensor(rng.normal(size=(3, 4)))
-        mask = np.array([True, True, False])
         w = rng.normal(size=(3, 4))
 
         def build():
-            out = multi_head_self_attention(x, mask, 2, wq, wk, wv, wo)
+            out = multi_head_self_attention(x, (2, 1), 2, wq, wk, wv, wo)
             return reduce_sum(mul(out, Tensor(w)))
 
         for t in (x, wq, wk, wv, wo):

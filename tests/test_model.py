@@ -1,4 +1,4 @@
-"""Span head (masked distributions, gold-span likelihood, decoding),
+"""Span head (per-segment distributions, gold-span likelihood, decoding),
 float32 purity of a whole model step, the provider and passage caches,
 the rebind-only parameter contract, full-model gradients, the Adam update,
 the freeing backward sweep, the training step's garbage-collection state,
@@ -125,12 +125,18 @@ class TestSpanLogits:
         np.testing.assert_allclose(p_end.data, np.exp(end) / np.exp(end).sum(),
                                    rtol=1e-12)
 
-    def test_masked_positions_get_zero(self):
+    def test_each_segment_is_its_own_distribution(self):
+        """A pack's scores are softmaxed within each passage segment."""
         b1, b2, b3, w1, w2 = span_inputs(np.random.default_rng(3), 6)
-        mask = np.array([True, True, False, True, False, True])
-        for p in span_logits(b1, b2, b3, w1, w2, mask):
-            np.testing.assert_array_equal(p.data[~mask], 0.0)
-            np.testing.assert_allclose(p.data[mask].sum(), 1.0, atol=1e-12)
+        lengths = (2, 3, 1)
+        packed = span_logits(b1, b2, b3, w1, w2, lengths)
+        start = 0
+        for length in lengths:
+            part = [Tensor(b.data[start:start + length]) for b in (b1, b2, b3)]
+            for got, want in zip(packed, span_logits(*part, w1, w2)):
+                np.testing.assert_array_equal(got.data[start:start + length],
+                                              want.data)
+            start += length
 
 
 class TestSpanNll:
@@ -138,7 +144,15 @@ class TestSpanNll:
         p_begin = Tensor(np.array([0.1, 0.6, 0.3]))
         p_end = Tensor(np.array([0.2, 0.3, 0.5]))
         nll = span_nll(p_begin, p_end, 1, 2)
+        assert nll.shape == (1,)
         np.testing.assert_allclose(nll.data, -np.log(0.6) - np.log(0.5), rtol=1e-14)
+
+    def test_packed_golds_count_from_their_segment(self):
+        p_begin = Tensor(np.array([0.1, 0.9, 1.0, 0.3, 0.7]))
+        p_end = Tensor(np.array([0.4, 0.6, 1.0, 0.2, 0.8]))
+        nll = span_nll(p_begin, p_end, [1, 0, 0], [0, 0, 1], (2, 1, 2))
+        np.testing.assert_allclose(
+            nll.data, -np.log([0.9 * 0.4, 1.0 * 1.0, 0.3 * 0.8]), rtol=1e-14)
 
     @pytest.mark.parametrize("gold", [(-1, 0), (0, 3), (3, 3)])
     def test_out_of_range_gold_rejected(self, gold):
@@ -146,12 +160,11 @@ class TestSpanNll:
         with pytest.raises(DataError, match="outside"):
             span_nll(p, p, *gold)
 
-    @pytest.mark.parametrize("gold", [(1, 2), (0, 1)])
-    def test_masked_gold_rejected(self, gold):
-        p = Tensor(np.array([0.5, 0.0, 0.5]))
-        mask = np.array([True, False, True])
-        with pytest.raises(DataError, match="masked"):
-            span_nll(p, p, *gold, mask=mask)
+    @pytest.mark.parametrize("gold", [([2, 0], [0, 0]), ([0, 0], [1, 1])])
+    def test_gold_past_its_segment_rejected(self, gold):
+        p = Tensor(np.array([0.5, 0.5, 1.0]))
+        with pytest.raises(DataError, match="outside"):
+            span_nll(p, p, *gold, (2, 1))
 
 
 def test_float32_model_forward_and_backward_stay_float32():
@@ -161,7 +174,7 @@ def test_float32_model_forward_and_backward_stay_float32():
         model = Model(mini_profile(), *build_vocabs(examples), seed=0)
         example = examples[0]
         with Tape() as tape:
-            result = model.forward(example, training=True,
+            result = model.forward([example], training=True,
                                    rng=np.random.default_rng(0))
             loss = span_nll(result.p_begin, result.p_end,
                             example.answer_begin, example.answer_end)
@@ -310,17 +323,17 @@ class TestPassageCache:
         cached = dict(model._passage_cache)
         calls = count_sequence_reprs(model, monkeypatch)
         for other in (example, examples[1]):
-            model.forward(other, training=True, rng=np.random.default_rng(0))
+            model.forward([other], training=True, rng=np.random.default_rng(0))
             with Tape():
-                model.forward(other, training=True, rng=np.random.default_rng(0))
+                model.forward([other], training=True, rng=np.random.default_rng(0))
             with Tape():
-                model.forward(other)
+                model.forward([other])
         assert calls == [10, 1] * 3 + [7, 1] * 3
         assert model._passage_cache.keys() == cached.keys()
         assert all(model._passage_cache[k] is v for k, v in cached.items())
 
         with Tape() as tape:
-            result = model.forward(example)
+            result = model.forward([example])
             loss = span_nll(result.p_begin, result.p_end,
                             example.answer_begin, example.answer_end)
         grads = tape.gradients(loss)
@@ -409,6 +422,20 @@ class TestRebindOnly:
         for name, tensor in model.store.items():
             np.testing.assert_array_equal(tensor.data, expected[name], name)
 
+    def test_state_dict_is_read_only(self):
+        """Writing into a state_dict array raises instead of changing the
+        model behind the passage cache; a round trip through
+        ``load_state_dict`` still reproduces the model."""
+        model, examples = mini_model()
+        before = model.predict(examples[0])
+        state = model.store.state_dict()
+        with pytest.raises(ValueError):
+            state["hos.word"][...] += 1.0
+        assert_same_prediction(model.predict(examples[0]), before)
+        fresh = Model(mini_profile(), model.word_vocab, model.char_vocab, seed=1)
+        fresh.store.load_state_dict(state)
+        assert_same_prediction(fresh.predict(examples[0]), before)
+
     def test_replaced_array_is_not_pinned(self):
         model, examples = mini_model()
         model.predict(examples[0])
@@ -431,7 +458,7 @@ def test_frozen_provider_stays_off_the_training_tape():
     frozen = {id(t) for _, t in model.store.items()}
     frozen -= {id(t) for _, t in model.store.trainable()}
     with Tape() as tape:
-        model.forward(examples[0], training=True, rng=np.random.default_rng(0))
+        model.forward(examples[:1], training=True, rng=np.random.default_rng(0))
     assert model._provider_cache
     leaks = [name for name, _, parents, _ in tape._records
              if any(id(p) in frozen for p in parents)]
@@ -454,11 +481,11 @@ def test_full_model_gradient_matches_finite_differences(selected):
     alpha.data = np.where(np.isin(np.arange(alpha.size), selected), 0.5, 0.0)
 
     def loss():
-        result = model.forward(example, training=False)
-        return span_nll(result.p_begin, result.p_end,
-                        example.answer_begin, example.answer_end)
+        result = model.forward([example], training=False)
+        return batch_loss(span_nll(result.p_begin, result.p_end,
+                                   example.answer_begin, example.answer_end))
 
-    assert model.forward(example).selected_levels == selected
+    assert model.forward([example]).selected_levels == selected
     with Tape() as tape:
         value = loss()
     grads = tape.gradients(value)
@@ -532,12 +559,12 @@ def test_freeing_sweep_keeps_leaf_gradients():
     gradients of a keep-everything sweep, and nothing else, twice."""
     model, examples = mini_model()
     rng = np.random.default_rng(0)
+    batch = examples[:2]
     with Tape() as tape:
-        nlls = []
-        for example in examples[:2]:
-            result = model.forward(example, training=True, rng=rng)
-            nlls.append(span_nll(result.p_begin, result.p_end,
-                                 example.answer_begin, example.answer_end))
+        result = model.forward(batch, training=True, rng=rng)
+        nlls = span_nll(result.p_begin, result.p_end,
+                        [e.answer_begin for e in batch],
+                        [e.answer_end for e in batch], result.p_lengths)
         loss = batch_loss(nlls, model.store, model.config.l2_decay)
     recorded = {id(out) for _, out, _, _ in tape._records}
     reference = keep_all_gradients(tape, loss)
@@ -685,7 +712,7 @@ class TestWithoutAdaptiveScale:
         config = dataclasses.replace(mini_profile(), use_adaptive_scale=False,
                                      l2_decay=0.0)
         model = Model(config, *build_vocabs(examples), seed=0)
-        assert model.forward(examples[0]).selected_levels == (0, 1, 2)
+        assert model.forward(examples[:1]).selected_levels == (0, 1, 2)
         optimizer = Adam(model.store, 1e-3)
         graded = {}
         optimizer.step = lambda: graded.update(
