@@ -108,9 +108,20 @@ def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
     that final squash only.  The gradient is therefore exact only at
     ``iterations=1``; with more, the dependence of c on u_hat is dropped.
 
-    Internally u_hat is laid out [n, j, i, q] and logits and couplings
-    [n, j, i], so every contraction is one batched ``np.matmul``;
-    ``coupling_log`` still receives each iteration's couplings as [n, i, j].
+    Layouts: the transform is read as rows W[i, p, j*q]; u_hat is built
+    as one GEMM per primary capsule, [i, n, p] @ [i, p, j*q], and read
+    through a strided [n, j, i, q] view; logits and couplings are
+    [n, j, i], so every contraction is one batched ``np.matmul``.
+
+    Step 0 is closed-form: its couplings are exactly 1/J, so its
+    s = primary[n, i*p] @ W[i*p, j*q] / J is one GEMM.  u_hat is first
+    needed for the agreement after step 0, so ``iterations=1`` never
+    builds it.  The coupling softmax over j shifts every logit by their
+    one largest value when the logits span less than log(eps / tiny) of
+    the dtype, so each weight within eps of its row's largest stays a
+    normal number; wider logits are shifted by each (n, i) maximum over j.
+
+    ``coupling_log`` receives each iteration's couplings as [n, i, j].
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, got {iterations}")
@@ -120,20 +131,37 @@ def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
             f"dynamic_routing: primary {primary.shape} does not match "
             f"transform {transform.shape}")
     n = primary.shape[0]
-    u_hat = np.empty((n, dc, pc, dd),
-                     dtype=np.result_type(primary.data, transform.data))
-    # [i, 1, n, p] @ [i, j, p, q] written straight into the [n, j, i, q] buffer.
-    np.matmul(primary.data.transpose(1, 0, 2)[:, None], transform.data,
-              out=u_hat.transpose(2, 1, 0, 3))
-    logits = np.zeros(u_hat.shape[:3], dtype=u_hat.dtype)
-    for step in range(iterations):
-        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-        couplings = weights / weights.sum(axis=1, keepdims=True)
-        if coupling_log is not None:
-            coupling_log.append(couplings.transpose(0, 2, 1).copy())
-        v, squash_grad = _squash(np.matmul(couplings[:, :, None, :], u_hat)[:, :, 0])
-        if step + 1 < iterations:
-            logits = logits + np.matmul(u_hat, v[..., None])[..., 0]
+    dtype = np.result_type(primary.data, transform.data)
+    uniform = 1.0 / dc
+    rows = transform.data.transpose(0, 2, 1, 3).reshape(pc, pd, dc * dd)
+    s = np.matmul(primary.data.reshape(n, pc * pd), rows.reshape(pc * pd, dc * dd))
+    s *= uniform
+    couplings = np.broadcast_to(dtype.type(uniform), (n, dc, pc))
+    if coupling_log is not None:
+        coupling_log.append(couplings.transpose(0, 2, 1).copy())
+    v, squash_grad = _squash(s.reshape(n, dc, dd))
+    if iterations > 1:
+        u_hat = (np.matmul(primary.data.transpose(1, 0, 2), rows)
+                 .reshape(pc, n, dc, dd).transpose(1, 2, 0, 3))
+        logits = np.zeros((n, dc, pc), dtype=dtype)
+        agreement = np.empty((n, dc, pc, 1), dtype=dtype)
+        ones = np.ones((1, dc), dtype=dtype)
+        finfo = np.finfo(dtype)
+        shared_shift_span = math.log(finfo.eps / finfo.tiny)
+        for _ in range(1, iterations):
+            np.matmul(u_hat, v[..., None], out=agreement)
+            logits += agreement[..., 0]
+            top = logits.max()
+            if top - logits.min() < shared_shift_span:
+                couplings = logits - top
+            else:
+                couplings = logits - logits.max(axis=1, keepdims=True)
+            np.exp(couplings, out=couplings)
+            couplings /= np.matmul(ones, couplings)
+            if coupling_log is not None:
+                coupling_log.append(couplings.transpose(0, 2, 1).copy())
+            s = np.matmul(couplings[:, :, None, :], u_hat)[:, :, 0]
+            v, squash_grad = _squash(s)
 
     def bw(g):
         # du_hat laid out [i, n, j*q]: both gradients are then batched over i.

@@ -11,6 +11,7 @@ forward and one backward.
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -550,21 +551,41 @@ class Adam:
         self._v = {name: np.zeros_like(t.data) for name, t in store.trainable()}
 
     def step(self) -> None:
+        """Update every parameter with a gradient, then clear all gradients.
+
+        The moments are updated in place and both bias corrections fold
+        into two scalars:
+        rate * m_hat / (sqrt(v_hat) + eps)
+          = (rate * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2)),
+        with c1 = 1 - beta1^t and c2 = 1 - beta2^t.  Each parameter is
+        rebound to a new array, never written in place, so the model's
+        passage cache sees the change.
+        """
         self.step_count += 1
         rate = self.learning_rate
         if self.warmup_steps > 0:
             rate *= min(1.0, self.step_count / self.warmup_steps)
+        beta1, beta2 = self.beta1, self.beta2
+        root_c2 = math.sqrt(1.0 - beta2 ** self.step_count)
+        step_size = rate * root_c2 / (1.0 - beta1 ** self.step_count)
+        epsilon = self.epsilon * root_c2
         for name, tensor in self.store.trainable():
             grad = tensor.grad
             if grad is None:
                 continue
-            m = self._m[name] = (self.beta1 * self._m[name]
-                                 + (1.0 - self.beta1) * grad)
-            v = self._v[name] = (self.beta2 * self._v[name]
-                                 + (1.0 - self.beta2) * grad * grad)
-            m_hat = m / (1.0 - self.beta1 ** self.step_count)
-            v_hat = v / (1.0 - self.beta2 ** self.step_count)
-            tensor.data = tensor.data - rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m, v = self._m[name], self._v[name]
+            update = np.multiply(grad, 1.0 - beta2)
+            update *= grad
+            v *= beta2
+            v += update
+            np.multiply(grad, 1.0 - beta1, out=update)
+            m *= beta1
+            m += update
+            np.sqrt(v, out=update)
+            update += epsilon
+            np.divide(m, update, out=update)
+            update *= step_size
+            tensor.data = np.subtract(tensor.data, update, out=update)
         self.store.zero_grads()
 
 
@@ -573,9 +594,10 @@ def train_step(model: Model, batch: list[Example], optimizer: Adam,
     """One optimization step on a batch; returns the pre-update batch loss.
 
     The batch runs as one pack: one forward, one loss (the mean over its
-    examples plus weight decay) and one backward.  Automatic garbage collection is suspended for the step: the live tape
-    holds hundreds of thousands of objects, none of them in a reference
-    cycle, so a full collection would scan them all and free nothing.
+    examples plus weight decay) and one backward.  Automatic garbage
+    collection is suspended for the step: the live tape holds hundreds of
+    thousands of objects, none of them in a reference cycle, so a full
+    collection would scan them all and free nothing.
     """
     if not batch:
         raise DataError("train_step needs a nonempty batch")

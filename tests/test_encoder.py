@@ -8,8 +8,10 @@ from mpmath import mp, mpf
 
 import abanet.encoder as encoder
 from abanet.attention import select_top3
-from abanet.config import CapsuleConfig, EncoderBlockConfig
+from abanet.config import CapsuleConfig, EncoderBlockConfig, paper_profile
+from abanet.data import Example, build_vocabs
 from abanet.encoder import (
+    _squash,
     build_encoder_stack,
     conv_pri_dig_layer,
     dynamic_routing,
@@ -21,8 +23,8 @@ from abanet.encoder import (
     survival_probability,
 )
 from abanet.errors import ConfigError, ShapeError
-from abanet.model import l2_penalty
-from abanet.params import ParamStore, fd_gradient, grad_check
+from abanet.model import Model, l2_penalty
+from abanet.params import ParamStore, fd_gradient, grad_check, relative_error
 from abanet.tensor import (
     Tape,
     Tensor,
@@ -32,6 +34,7 @@ from abanet.tensor import (
     matmul,
     mul,
     mul_const,
+    record_op,
     reduce_sum,
     set_default_dtype,
     slice_axis,
@@ -204,6 +207,83 @@ def reshape_copy_routing_backward(primary, transform, couplings, ds):
     return dprimary, dtransform.reshape(pc, pd, dc, dd).transpose(0, 2, 1, 3)
 
 
+def full_u_hat_routing(primary: Tensor, transform: Tensor, iterations: int,
+                       coupling_log: list | None = None) -> Tensor:
+    """The routing forward before the closed-form step 0, kept verbatim:
+    u_hat built [n, j, i, q] by one batched matmul, every step (the first
+    included) a softmax shifted by each (n, i) maximum over the strided j
+    axis, and the agreement added into a new logits array.  Same signature,
+    tape record and backward as ``dynamic_routing``."""
+    if iterations < 1:
+        raise ConfigError(f"routing needs at least one iteration, got {iterations}")
+    pc, dc, pd, dd = transform.shape
+    if primary.ndim != 3 or primary.shape[1:] != (pc, pd):
+        raise ShapeError(
+            f"dynamic_routing: primary {primary.shape} does not match "
+            f"transform {transform.shape}")
+    n = primary.shape[0]
+    u_hat = np.empty((n, dc, pc, dd),
+                     dtype=np.result_type(primary.data, transform.data))
+    # [i, 1, n, p] @ [i, j, p, q] written straight into the [n, j, i, q] buffer.
+    np.matmul(primary.data.transpose(1, 0, 2)[:, None], transform.data,
+              out=u_hat.transpose(2, 1, 0, 3))
+    logits = np.zeros(u_hat.shape[:3], dtype=u_hat.dtype)
+    for step in range(iterations):
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        couplings = weights / weights.sum(axis=1, keepdims=True)
+        if coupling_log is not None:
+            coupling_log.append(couplings.transpose(0, 2, 1).copy())
+        v, squash_grad = _squash(np.matmul(couplings[:, :, None, :], u_hat)[:, :, 0])
+        if step + 1 < iterations:
+            logits = logits + np.matmul(u_hat, v[..., None])[..., 0]
+
+    def bw(g):
+        # du_hat laid out [i, n, j*q]: both gradients are then batched over i.
+        # The product is written straight into a C-contiguous [i, n, j, q]
+        # buffer, so the flattening reshape is a view, not a copy.
+        ds = squash_grad(g)
+        buf = np.empty((pc, n, dc, dd), dtype=np.result_type(couplings, ds))
+        np.multiply(couplings.transpose(2, 0, 1)[..., None], ds[None], out=buf)
+        du_hat = buf.reshape(pc, n, dc * dd)
+        t_rows = transform.data.transpose(0, 1, 3, 2).reshape(pc, dc * dd, pd)
+        dprimary = np.matmul(du_hat, t_rows).transpose(1, 0, 2)
+        dtransform = np.matmul(primary.data.transpose(1, 2, 0), du_hat)
+        return (dprimary,
+                dtransform.reshape(pc, pd, dc, dd).transpose(0, 2, 1, 3))
+
+    return record_op("dynamic_routing", v, (primary, transform), bw)
+
+
+def routing_run(routing, primary, transform, iterations, g):
+    """Output, coupling log and both gradients of sum(routing(...) * g)."""
+    log = []
+    with Tape() as tape:
+        out = routing(primary, transform, iterations, coupling_log=log)
+        loss = reduce_sum(mul(out, Tensor(g)))
+    grads = tape.gradients(loss)
+    return out.data, log, grads[id(primary)], grads[id(transform)]
+
+
+def assert_runs_match(got, want, rtol):
+    (v, log, dprimary, dtransform), (v0, log0, dprimary0, dtransform0) = got, want
+    assert len(log) == len(log0)
+    pairs = [("output", v, v0), ("d primary", dprimary, dprimary0),
+             ("d transform", dtransform, dtransform0)]
+    pairs += [(f"couplings {k}", a, b) for k, (a, b) in enumerate(zip(log, log0))]
+    for name, a, b in pairs:
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.isfinite(a).all(), name
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max(), name
+
+
+def paper_capsule_inputs(rng, n, scale=0.2):
+    """Squashed paper-sized primary capsules (16 x 8), a 16 x 8 -> 16 x 8
+    transform and an output weighting."""
+    primary = _squash(rng.normal(size=(n, 16, 8)))[0]
+    return (Tensor(primary), Tensor(rng.normal(size=(16, 16, 8, 8)) * scale),
+            rng.normal(size=(n, 16, 8)))
+
+
 class TestDynamicRouting:
     def test_single_iteration_couplings_uniform(self):
         rng = np.random.default_rng(3)
@@ -334,6 +414,120 @@ class TestDynamicRouting:
                                              squash_grads[-1](g))
         for got, expected in zip((grads[id(primary)], grads[id(transform)]), want):
             np.testing.assert_array_equal(got, expected)
+
+
+class TestRoutingMatchesFullUHat:
+    """The closed-form step 0, the per-capsule u_hat GEMMs and the shared
+    softmax shift against ``full_u_hat_routing``."""
+
+    @pytest.mark.parametrize("n", [1, 7, 140, 194])
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_float64(self, n, iterations):
+        rng = np.random.default_rng(400 + 3 * n + iterations)
+        primary, transform, g = paper_capsule_inputs(rng, n)
+        assert_runs_match(
+            routing_run(dynamic_routing, primary, transform, iterations, g),
+            routing_run(full_u_hat_routing, primary, transform, iterations, g),
+            1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 140, 194])
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_float32_stays_float32(self, n, iterations):
+        set_default_dtype(np.float32)
+        try:
+            rng = np.random.default_rng(500 + 3 * n + iterations)
+            primary, transform, g = paper_capsule_inputs(rng, n)
+            got = routing_run(dynamic_routing, primary, transform, iterations, g)
+            want = routing_run(full_u_hat_routing, primary, transform, iterations, g)
+        finally:
+            set_default_dtype(np.float64)
+        v, log, dprimary, dtransform = got
+        assert all(a.dtype == np.float32 for a in (v, dprimary, dtransform, *log))
+        assert_runs_match(got, want, 1e-5)
+
+    @pytest.mark.parametrize("dtype,scale,rtol", [(np.float64, 300.0, 1e-12),
+                                                  (np.float32, 40.0, 1e-3)])
+    def test_wide_logits_shift_each_row(self, dtype, scale, rtol):
+        """After step 0 the logits spread wider than exp's whole range, so
+        one shared shift would zero whole rows; the per-(n, i) shift keeps
+        every coupling finite and matching.  Float32 logits of a few
+        hundred round to about 1e-5 absolute, so at 3 iterations both
+        routings sit up to 1e-4 from the float64 result, and from each
+        other."""
+        set_default_dtype(dtype)
+        try:
+            rng = np.random.default_rng(7)
+            primary, transform, g = paper_capsule_inputs(rng, 140, scale)
+            u_hat = np.einsum("nip,ijpq->nijq", primary.data, transform.data)
+            v = full_u_hat_routing(primary, transform, 1).data
+            logits = np.einsum("nijq,njq->nij", u_hat, v)
+            spread = logits.max() - logits.max(axis=-1).min()
+            assert spread > -np.log(np.finfo(dtype).smallest_subnormal)
+            for iterations in (2, 3):
+                assert_runs_match(
+                    routing_run(dynamic_routing, primary, transform, iterations, g),
+                    routing_run(full_u_hat_routing, primary, transform, iterations,
+                                g),
+                    rtol)
+        finally:
+            set_default_dtype(np.float64)
+
+    def test_single_iteration_gradient_matches_finite_differences(self):
+        """The one-iteration backward (uniform couplings, exact) at paper
+        capsule sizes, n = 3: 64 seeded elements of each input, central
+        differences at 1e-6."""
+        rng = np.random.default_rng(29)
+        primary, transform, g = paper_capsule_inputs(rng, 3, scale=0.5)
+
+        def loss():
+            return reduce_sum(mul(dynamic_routing(primary, transform, 1), Tensor(g)))
+
+        with Tape() as tape:
+            out = loss()
+        grads = tape.gradients(out)
+        for t in (primary, transform):
+            base, analytic = t.data, grads[id(t)]
+            picks = rng.choice(t.size, size=64, replace=False)
+            numeric = np.empty(len(picks))
+            for k, index in enumerate(picks):
+                values = []
+                for step in (1e-6, -1e-6):
+                    probe = base.copy()
+                    probe.flat[index] += step
+                    t.data = probe
+                    values.append(float(loss().data))
+                numeric[k] = (values[0] - values[1]) / 2e-6
+            t.data = base
+            assert relative_error(analytic.flat[picks], numeric).max() < 1e-6
+
+
+def test_paper_predict_matches_full_u_hat_routing(monkeypatch):
+    """One paper-profile predict on a 140-token passage gives the span and,
+    within 1e-12 relative, the p_begin/p_end it gives with
+    ``full_u_hat_routing`` in place of ``dynamic_routing``."""
+    rng = np.random.default_rng(5)
+    words = [f"w{k:03d}" for k in range(400)]
+    example = Example(
+        id="routing-140", passage=[words[i] for i in rng.choice(400, 140)],
+        question=[words[i] for i in rng.choice(400, 10)],
+        pos=rng.integers(0, 8, size=140).tolist(),
+        ner=rng.integers(0, 4, size=140).tolist(),
+        rule=rng.integers(0, 2, size=140).tolist(), answer_begin=3, answer_end=5)
+    model = Model(paper_profile(), *build_vocabs([example]), seed=0)
+    got = model.predict(example)
+    model.invalidate_caches()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return full_u_hat_routing(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "dynamic_routing", counted)
+    want = model.predict(example)
+    assert len(calls) >= 24 and set(calls) == {3}
+    assert (got.begin, got.end) == (want.begin, want.end)
+    np.testing.assert_allclose(got.p_begin, want.p_begin, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.p_end, want.p_end, rtol=1e-12, atol=0)
 
 
 class TestConvPriDigLayer:
