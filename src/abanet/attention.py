@@ -1,17 +1,17 @@
 """Multi-granularity attention: representation stack, mixing, selection,
-bidirectional passage-question attention, and the fused output.
+and bidirectional passage-question attention.
 
 Six per-token representations (word+feature, char, embedding output,
 contextual mixture, encoder-block output, BiLSTM states) are projected to
 a common width and held as one [G, n, d] tensor, mixed by one matmul with
 a trainable G x G matrix, reduced to the three highest-weighted levels,
-and cross-attended in both directions.  For a pack of examples, passage
-segment s attends only to question segment s.
+and cross-attended in both directions.  A pack of examples needs no
+masks: attention loops over the pairs of passage segment s and question
+segment s, and records the whole pack as one tape record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,18 +19,13 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
-    add,
-    concat,
-    dropout,
-    masked_softmax,
+    dropout_mask,
     matmul,
-    mul,
     record_op,
     reshape,
     segment_bounds,
-    slice_axis,
+    softmax,
     stack,
-    transpose,
 )
 
 COMPONENT_NAMES = ("word", "char", "embed", "contextual", "block", "bilstm")
@@ -92,7 +87,7 @@ def select_top3(hos: Tensor, alpha: Tensor) -> tuple[Tensor, tuple[int, ...]]:
         raise ConfigError(f"need at least 3 levels to select from, got {levels}")
     if alpha.shape != (levels,):
         raise ShapeError(f"alpha shape {alpha.shape} does not match {levels} levels")
-    weights = masked_softmax(alpha)
+    weights = softmax(alpha)
     w = weights.data
     ranked = np.argsort(-w, kind="stable")
     chosen = tuple(sorted(int(i) for i in ranked[:3]))
@@ -109,121 +104,96 @@ def select_top3(hos: Tensor, alpha: Tensor) -> tuple[Tensor, tuple[int, ...]]:
     return record_op("select_top3", out, (hos, weights), bw), chosen
 
 
-def trilinear_similarity(hos_p: Tensor, hos_q: Tensor, w: Tensor, *,
-                         training: bool = False,
-                         rng: np.random.Generator | None = None,
-                         dropout_rate: float = 0.0) -> Tensor:
-    """Similarity H[i,j] = w . [p_i ; q_j ; p_i*q_j], with training dropout."""
-    width = hos_p.shape[1]
-    if hos_q.shape[1] != width or w.shape != (3 * width,):
-        raise ShapeError(
-            f"trilinear widths disagree: passage {hos_p.shape}, question "
-            f"{hos_q.shape}, weight {w.shape}")
-    w_p = reshape(slice_axis(w, 0, 0, width), (width, 1))
-    w_q = reshape(slice_axis(w, 0, width, width), (width, 1))
-    w_pq = slice_axis(w, 0, 2 * width, width)
-    similarity = add(
-        add(matmul(hos_p, w_p), transpose(matmul(hos_q, w_q))),
-        matmul(mul(hos_p, w_pq), transpose(hos_q)))
-    if training and dropout_rate > 0.0:
-        if rng is None:
-            raise ConfigError("training-mode trilinear_similarity needs an rng")
-        similarity = dropout(similarity, dropout_rate, rng)
-    return similarity
-
-
-def block_mask(p_lengths: Sequence[int] | None, q_lengths: Sequence[int] | None,
-               n: int, m: int) -> np.ndarray | None:
-    """[n, m] mask pairing passage segment s with question segment s only.
-
-    None when both sides are one segment, so nothing is masked.
-    """
-    p_bounds = segment_bounds(p_lengths, n)
-    q_bounds = segment_bounds(q_lengths, m)
-    if len(p_bounds) != len(q_bounds):
-        raise ShapeError(
-            f"{len(p_bounds)} passage segments but {len(q_bounds)} question segments")
-    if len(p_bounds) == 1:
-        return None
-    mask = np.zeros((n, m), dtype=bool)
-    for (p_start, p_stop), (q_start, q_stop) in zip(p_bounds, q_bounds):
-        mask[p_start:p_stop, q_start:q_stop] = True
-    return mask
-
-
-def _check_mask(mask: np.ndarray | None, shape: tuple[int, int]) -> None:
-    if mask is None:
-        return
-    if mask.shape != shape:
-        raise ShapeError(f"attention mask shape {mask.shape} != {shape}")
-    if not mask.any(axis=1).all():
-        raise ShapeError("empty question: a passage token attends to nothing")
-    if not mask.any(axis=0).all():
-        raise ShapeError("empty passage: a question token attends to nothing")
-
-
-def p2q_attention(similarity: Tensor, hos_q: Tensor,
-                  mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Question summary per passage token: M = row_softmax(H) . HOS_Q.
-
-    ``mask`` is an [n, m] boolean (True = attends) such as ``block_mask``.
-    """
-    _check_mask(mask, similarity.shape)
-    rows = masked_softmax(similarity, mask=mask, axis=-1)
-    return matmul(rows, hos_q), rows
-
-
-def q2p_attention(similarity: Tensor, hos_p: Tensor, rows: Tensor,
-                  mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Passage summary per passage token: S = rows . col_sm(H)^T . HOS_P.
-
-    ``rows`` is the row softmax of H that ``p2q_attention`` returns.  With
-    a block mask both softmaxes are zero off the blocks, so rows . cols^T
-    is block-diagonal and no segment reads another's passage.
-    """
-    _check_mask(mask, similarity.shape)
-    cols = masked_softmax(similarity, mask=mask, axis=0)
-    return matmul(matmul(rows, transpose(cols)), hos_p), cols
-
-
-def fuse_output(hos_p: Tensor, m_summary: Tensor, s_summary: Tensor) -> Tensor:
-    """O = [P ; M ; P*M ; P*S] along the feature axis."""
-    if not hos_p.shape == m_summary.shape == s_summary.shape:
-        raise ShapeError(
-            f"fuse_output shapes disagree: {hos_p.shape}, {m_summary.shape}, "
-            f"{s_summary.shape}")
-    return concat([hos_p, m_summary, mul(hos_p, m_summary),
-                   mul(hos_p, s_summary)], axis=1)
-
-
-@dataclass
-class AttentionOutputs:
-    """Similarity matrix, its two normalizations, and the fused features."""
-
-    similarity: Tensor       # H  [n x m]
-    rows: Tensor             # row-softmaxed H  [n x m]
-    cols: Tensor             # column-softmaxed H  [n x m]
-    p2q: Tensor              # M  [n x d_h]
-    q2p: Tensor              # S  [n x d_h]
-    fused: Tensor            # O  [n x 4*d_h]
-
-
 def bidirectional_attention(hos_p: Tensor, hos_q: Tensor, w: Tensor,
                             p_lengths: Sequence[int] | None = None,
                             q_lengths: Sequence[int] | None = None, *,
                             training: bool = False,
                             rng: np.random.Generator | None = None,
-                            dropout_rate: float = 0.0) -> AttentionOutputs:
-    """Both attention directions between a packed passage and question.
+                            dropout_rate: float = 0.0) -> Tensor:
+    """O = [P ; M ; P*M ; P*S] for a packed passage and question: [n, 4d].
 
     ``p_lengths`` and ``q_lengths`` give the segments of each pack (None:
-    one segment); passage segment s pairs with question segment s.
+    one segment); passage segment s attends only to question segment s.
+    For each pair (p, q) the trilinear similarity
+    H = p.w_p + (q.w_q)^T + (p*w_pq).q^T (BiDAF) is normalised by rows, R,
+    and by columns, C.  M = R.q summarises the question for every passage
+    token and S = (R.C^T).p summarises the passage (QANet's q2p).  In
+    training, H is dropped out by one mask drawn over the packed [n, m]
+    shape, of which each pair reads its block.
+
+    The pack is one ``bidirectional_attention`` record; its closed-form
+    backward keeps only each pair's R and C.
     """
-    mask = block_mask(p_lengths, q_lengths, hos_p.shape[0], hos_q.shape[0])
-    similarity = trilinear_similarity(hos_p, hos_q, w, training=training,
-                                      rng=rng, dropout_rate=dropout_rate)
-    m_summary, rows = p2q_attention(similarity, hos_q, mask)
-    s_summary, cols = q2p_attention(similarity, hos_p, rows, mask)
-    fused = fuse_output(hos_p, m_summary, s_summary)
-    return AttentionOutputs(similarity=similarity, rows=rows, cols=cols,
-                            p2q=m_summary, q2p=s_summary, fused=fused)
+    n, width = hos_p.shape
+    m = hos_q.shape[0]
+    if hos_q.shape[1] != width or w.shape != (3 * width,):
+        raise ShapeError(
+            f"trilinear widths disagree: passage {hos_p.shape}, question "
+            f"{hos_q.shape}, weight {w.shape}")
+    p_bounds = segment_bounds(p_lengths, n)
+    q_bounds = segment_bounds(q_lengths, m)
+    if len(p_bounds) != len(q_bounds):
+        raise ShapeError(
+            f"{len(p_bounds)} passage segments but {len(q_bounds)} question segments")
+    keep = None
+    if training and dropout_rate > 0.0:
+        if rng is None:
+            raise ConfigError("training-mode bidirectional_attention needs an rng")
+        keep = dropout_mask((n, m), dropout_rate, rng, hos_p.data.dtype)
+    w_p, w_q, w_pq = (w.data[k * width:(k + 1) * width] for k in range(3))
+    pairs = [(slice(*ps), slice(*qs)) for ps, qs in zip(p_bounds, q_bounds)]
+    out = np.empty((n, 4 * width), dtype=hos_p.data.dtype)
+    softmaxes = []
+    for ps, qs in pairs:
+        p, q = hos_p.data[ps], hos_q.data[qs]
+        h = (p @ w_p[:, None] + (q @ w_q[:, None]).T
+             + (p * w_pq) @ np.ascontiguousarray(q.T))
+        if keep is not None:
+            h *= keep[ps, qs]
+        rows = np.exp(h - h.max(axis=1, keepdims=True))
+        rows /= rows.sum(axis=1, keepdims=True)
+        cols = np.exp(h - h.max(axis=0, keepdims=True))
+        cols /= cols.sum(axis=0, keepdims=True)
+        m_summary = rows @ q
+        s_summary = (rows @ np.ascontiguousarray(cols.T)) @ p
+        block = out[ps]
+        block[:, :width] = p
+        block[:, width:2 * width] = m_summary
+        np.multiply(p, m_summary, out=block[:, 2 * width:3 * width])
+        np.multiply(p, s_summary, out=block[:, 3 * width:])
+        softmaxes.append((rows, cols))
+
+    def bw(g):
+        dp_all = np.empty_like(hos_p.data)
+        dq_all = np.empty_like(hos_q.data)
+        dw = np.zeros_like(w.data)
+        for (ps, qs), (rows, cols) in zip(pairs, softmaxes):
+            p, q = hos_p.data[ps], hos_q.data[qs]
+            g_p, g_m, g_pm, g_ps = (g[ps, k * width:(k + 1) * width]
+                                    for k in range(4))
+            m_summary = out[ps, width:2 * width]
+            # S = R.(C^T.p): the backward forms no [n_s, n_s] product.
+            passage_by_q = cols.T @ p                  # [m_s, d]
+            dm = g_m + g_pm * p
+            ds = g_ps * p
+            dp = g_p + g_pm * m_summary + g_ps * (rows @ passage_by_q)
+            d_passage_by_q = rows.T @ ds
+            drows = dm @ q.T + ds @ passage_by_q.T
+            dcols = p @ d_passage_by_q.T
+            dp += cols @ d_passage_by_q
+            dq = rows.T @ dm
+            dh = (rows * (drows - (drows * rows).sum(axis=1, keepdims=True))
+                  + cols * (dcols - (dcols * cols).sum(axis=0, keepdims=True)))
+            if keep is not None:
+                dh *= keep[ps, qs]
+            dh_rows, dh_cols, dh_q = dh.sum(axis=1), dh.sum(axis=0), dh @ q
+            dp += dh_rows[:, None] * w_p + dh_q * w_pq
+            dq += dh_cols[:, None] * w_q + dh.T @ (p * w_pq)
+            dw[:width] += dh_rows @ p
+            dw[width:2 * width] += dh_cols @ q
+            dw[2 * width:] += (dh_q * p).sum(axis=0)
+            dp_all[ps] = dp
+            dq_all[qs] = dq
+        return dp_all, dq_all, dw
+
+    return record_op("bidirectional_attention", out, (hos_p, hos_q, w), bw)

@@ -81,18 +81,6 @@ class Vocabulary:
         return cls(json.loads(text)["tokens"])
 
 
-@dataclass
-class EmbeddingTable:
-    """A lookup table plus its trainability contract."""
-
-    table: Tensor
-    trainable: bool = True
-
-    @property
-    def vocab_size(self) -> int:
-        return self.table.shape[0]
-
-
 def load_embedding_file(path: str, vocab: Vocabulary, dim: int) -> np.ndarray:
     """Read `token v1 ... v_e` lines into a [V x dim] array.
 
@@ -120,12 +108,12 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
     return ids
 
 
-def embed_words(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
+def embed_words(ids: np.ndarray, table: Tensor, *, trainable: bool) -> Tensor:
     """Row lookup; a fixed table contributes no gradient path."""
-    ids = _check_ids(ids, table.vocab_size, "word")
-    if not table.trainable:
-        return Tensor(table.table.data[ids].copy())
-    return gather_rows(table.table, ids)
+    ids = _check_ids(ids, table.shape[0], "word")
+    if not trainable:
+        return Tensor(table.data[ids])
+    return gather_rows(table, ids)
 
 
 def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
@@ -197,7 +185,7 @@ def lstm_run(x: Tensor, w: Tensor, u: Tensor, b: Tensor, *,
     bounds = segment_bounds(lengths, n)
     xs = x.data[::-1] if reverse else x.data       # processing order
     fresh = np.zeros(n, dtype=bool)                  # steps whose state starts at 0
-    fresh[[n - stop if reverse else start for start, stop in bounds if stop > start]] = True
+    fresh[[n - stop if reverse else start for start, stop in bounds]] = True
     fresh_steps = fresh.tolist()                     # cheap per-step tests
     z_in = xs @ w.data + b.data                      # [n, 4h], input part of z
     gates = np.empty_like(z_in)                      # i, f, g, o after activation

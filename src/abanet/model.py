@@ -21,7 +21,6 @@ import numpy as np
 
 from .attention import (
     COMPONENT_NAMES,
-    AttentionOutputs,
     adaptive_scale,
     assemble_hos,
     bidirectional_attention,
@@ -32,7 +31,6 @@ from .config import EncoderBlockConfig, ModelConfig
 from .data import Example, char_id_matrix
 from .embedding import (
     ContextualProvider,
-    EmbeddingTable,
     Vocabulary,
     bilstm_encode,
     contextual_mix,
@@ -80,8 +78,6 @@ PASSAGE_CACHE_BYTES = 4 * 2**20
 
 @dataclass
 class ForwardResult:
-    encoded: list[Tensor]          # B1, B2, B3 from the shared model encoder
-    attention: AttentionOutputs
     p_begin: Tensor                # [N], a distribution per passage segment
     p_end: Tensor
     p_lengths: tuple[int, ...]     # passage segment lengths, one per example
@@ -291,8 +287,8 @@ class Model:
         """The six granularity levels of one side of a pack."""
         cfg = self.config
         store = self.store
-        word = embed_words(ids, EmbeddingTable(store.get("word.table"),
-                                               trainable=cfg.word_trainable))
+        word = embed_words(ids, store.get("word.table"),
+                           trainable=cfg.word_trainable)
         if training and cfg.dropout_word > 0.0:
             word = dropout(word, cfg.dropout_word, rng)
         features = embed_features(pos, ner, rule, store.get("feat.pos"),
@@ -344,9 +340,11 @@ class Model:
         The passages are joined into one sequence and the questions into
         another, with one segment per example.  Every per-token op runs
         once over each side; self-attention, convolution, the BiLSTM,
-        positional encoding, bidirectional attention and the span softmax
-        stay within a segment.  ``p_begin`` and ``p_end`` hold one
-        distribution per passage segment, in pack order.  In training mode
+        positional encoding and the span softmax stay within a segment, and
+        bidirectional attention pairs passage segment s with question
+        segment s.  The result keeps only ``p_begin`` and ``p_end``, one
+        distribution per passage segment in pack order, the segment
+        lengths and the selected passage levels.  In training mode
         stochastic depth draws once per sublayer per pack, and dropout
         masks cover the packed shape.
 
@@ -403,21 +401,21 @@ class Model:
                                     None, q_lengths, training, rng)
         selected_q, _ = self._select_levels(raw_q, "lambda.q")
 
-        attention = bidirectional_attention(
+        fused = bidirectional_attention(
             selected_p, selected_q, store.get("attn.w"), p_lengths, q_lengths,
             training=training, rng=rng, dropout_rate=cfg.dropout_layer)
-        encoded = [matmul(attention.fused, store.get("attn.out_proj"))]
+        encoded = matmul(fused, store.get("attn.out_proj"))
+        passes = []    # B1, B2, B3 from the shared model encoder
         for _ in range(3):
-            encoded.append(run_encoder_stack(
-                encoded[-1], p_lengths, store, "modenc", num_heads=cfg.num_heads,
+            encoded = run_encoder_stack(
+                encoded, p_lengths, store, "modenc", num_heads=cfg.num_heads,
                 block=cfg.model_encoder, caps=cfg.capsules,
                 survival_end=cfg.survival_end, dropout_rate=cfg.dropout_layer,
-                training=training, rng=rng))
-        b1, b2, b3 = encoded[1], encoded[2], encoded[3]
-        p_begin, p_end = span_logits(b1, b2, b3, store.get("span.w1"),
+                training=training, rng=rng)
+            passes.append(encoded)
+        p_begin, p_end = span_logits(*passes, store.get("span.w1"),
                                      store.get("span.w2"), p_lengths)
-        return ForwardResult(encoded=[b1, b2, b3], attention=attention,
-                             p_begin=p_begin, p_end=p_end, p_lengths=p_lengths,
+        return ForwardResult(p_begin=p_begin, p_end=p_end, p_lengths=p_lengths,
                              q_lengths=q_lengths, selected_levels=levels)
 
     # -- inference ------------------------------------------------------------

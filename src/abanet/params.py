@@ -12,8 +12,7 @@ from .tensor import Tape, Tensor, default_dtype
 
 
 def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
-    fan_out = shape[-1]
+    fan_in, fan_out = shape[0], shape[-1]
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 

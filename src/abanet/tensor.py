@@ -400,15 +400,21 @@ def relu(a: Tensor) -> Tensor:
     return record_op("relu", out, (a,), lambda g: (g * (a.data > 0),))
 
 
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
+                 dtype) -> np.ndarray:
+    """Inverted-dropout scale, 0 or 1/(1 - rate) per element, from one
+    ``rng.random(shape)`` draw."""
+    if rate >= 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep).astype(dtype) / keep
+
+
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate is 0."""
     if rate <= 0.0:
         return a
-    if rate >= 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = 1.0 - rate
-    mask = (rng.random(a.shape) < keep).astype(a.data.dtype) / keep
-    return mul_const(a, mask)
+    return mul_const(a, dropout_mask(a.shape, rate, rng, a.data.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +458,9 @@ def segment_softmax(x: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
     return record_op("segment_softmax", out, (x,), bw)
 
 
-def masked_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` over positions where ``mask`` is True.
-
-    Masked positions come out exactly zero; every slice must keep at
-    least one unmasked element.  ``mask`` is a plain boolean array
-    broadcastable to ``x.shape`` (True = participates).
-    """
-    data = x.data
-    if mask is None:
-        valid = np.ones(data.shape, dtype=bool)
-    else:
-        valid = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-    if not valid.any(axis=axis).all():
-        raise ShapeError("masked_softmax: a slice is fully masked (empty sequence)")
-    z = np.where(valid, data, -np.inf)
-    z = z - z.max(axis=axis, keepdims=True)
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``."""
+    z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -475,7 +468,7 @@ def masked_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) ->
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - inner),)
 
-    return record_op("masked_softmax", out, (x,), bw)
+    return record_op("softmax", out, (x,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

@@ -4,32 +4,36 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from abanet import model as model_module
 from abanet.attention import (
     COMPONENT_NAMES,
     adaptive_scale,
     assemble_hos,
     bidirectional_attention,
-    block_mask,
-    fuse_output,
     lambda_init_matrix,
-    p2q_attention,
-    q2p_attention,
     select_top3,
-    trilinear_similarity,
 )
+from abanet.config import mini_profile
+from abanet.data import build_vocabs, gen_synthetic
 from abanet.errors import ConfigError, ShapeError
+from abanet.model import Adam, Model, train_step
 from abanet.params import ParamStore, fd_gradient, grad_check
 from abanet.tensor import (
     Tape,
     Tensor,
+    add,
+    add_const,
     concat,
-    masked_softmax,
+    dropout,
     matmul,
     mul,
     reduce_sum,
     reshape,
+    set_default_dtype,
     slice_axis,
+    softmax,
     stack,
+    transpose,
 )
 
 PAPER_WIDTHS = {"word": 328, "char": 64, "embed": 128, "contextual": 128,
@@ -60,11 +64,51 @@ def list_adaptive_scale(components, mixing):
 
 def list_select_top3(components, alpha):
     """The slice/mul/concat chain that the one select_top3 record replaced."""
-    weights = masked_softmax(alpha)
+    weights = softmax(alpha)
     ranked = np.argsort(-weights.data, kind="stable")
     chosen = tuple(sorted(int(i) for i in ranked[:3]))
     parts = [mul(slice_axis(weights, 0, g, 1), components[g]) for g in chosen]
     return concat(parts, axis=1), chosen
+
+
+def chain_bidirectional_attention(hos_p, hos_q, w, p_lengths=None, q_lengths=None,
+                                  *, training=False, rng=None, dropout_rate=0.0):
+    """The tape chain that the one bidirectional_attention record replaced:
+    trilinear similarity, dropout over the packed [n, m] shape, row and
+    column softmax under a block mask of 0 and -inf added to the
+    similarity, M, S and the concatenated output."""
+    width = hos_p.shape[1]
+    w_p = reshape(slice_axis(w, 0, 0, width), (width, 1))
+    w_q = reshape(slice_axis(w, 0, width, width), (width, 1))
+    w_pq = slice_axis(w, 0, 2 * width, width)
+    similarity = add(
+        add(matmul(hos_p, w_p), transpose(matmul(hos_q, w_q))),
+        matmul(mul(hos_p, w_pq), transpose(hos_q)))
+    if training:
+        similarity = dropout(similarity, dropout_rate, rng)
+    if p_lengths is not None:
+        p_seg = np.repeat(np.arange(len(p_lengths)), p_lengths)
+        q_seg = np.repeat(np.arange(len(q_lengths)), q_lengths)
+        similarity = add_const(
+            similarity, np.where(p_seg[:, None] == q_seg[None, :], 0.0, -np.inf))
+    rows = softmax(similarity, axis=1)
+    cols = softmax(similarity, axis=0)
+    m_summary = matmul(rows, hos_q)
+    s_summary = matmul(matmul(rows, transpose(cols)), hos_p)
+    return concat([hos_p, m_summary, mul(hos_p, m_summary),
+                   mul(hos_p, s_summary)], axis=1)
+
+
+def hand_similarity(p, q, w):
+    """H[i, j] = w . [p_i ; q_j ; p_i*q_j], one pair at a time."""
+    return np.array([[w @ np.concatenate([p_i, q_j, p_i * q_j]) for q_j in q]
+                     for p_i in p])
+
+
+def attend(p, q, w, *args, **kwargs):
+    """bidirectional_attention on arrays, returning an array."""
+    return bidirectional_attention(Tensor(p), Tensor(q), Tensor(w), *args,
+                                   **kwargs).data
 
 
 def assert_relatively_close(actual, expected, tol=1e-12):
@@ -283,44 +327,51 @@ class TestStackedLevels:
 
 
 class TestTrilinearSimilarity:
+    """H[i, j] = w . [p_i ; q_j ; p_i*q_j], read through the output."""
+
     def test_zero_weight_zero_similarity(self):
+        """H = 0: both softmaxes are uniform, so M is the question mean and
+        S the passage mean."""
         rng = np.random.default_rng(9)
-        out = trilinear_similarity(Tensor(rng.normal(size=(3, 4))),
-                                   Tensor(rng.normal(size=(2, 4))),
-                                   Tensor(np.zeros(12)))
-        np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
+        p, q = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        out = attend(p, q, np.zeros(12))
+        np.testing.assert_allclose(out[:, 4:8], np.tile(q.mean(axis=0), (3, 1)),
+                                   atol=1e-12)
+        np.testing.assert_allclose(out[:, 12:], p * p.mean(axis=0), atol=1e-12)
 
     def test_all_ones_closed_form(self):
-        d = 5
-        out = trilinear_similarity(Tensor(np.ones((1, d))), Tensor(np.ones((1, d))),
-                                   Tensor(np.ones(3 * d)))
-        assert out.data[0, 0] == pytest.approx(3 * d, abs=1e-12)
+        """All-ones weights and passage against question rows of ones and
+        zeros: H = [3, 1], so M = 1 / (1 + e^-2)."""
+        out = attend(np.ones((1, 1)), np.array([[1.0], [0.0]]), np.ones(3))
+        assert out[0, 1] == pytest.approx(1.0 / (1.0 + np.exp(-2.0)), abs=1e-12)
 
     def test_hand_evaluation_2x2(self):
         rng = np.random.default_rng(10)
         p = rng.normal(size=(2, 3))
         q = rng.normal(size=(2, 3))
         w = rng.normal(size=9)
-        out = trilinear_similarity(Tensor(p), Tensor(q), Tensor(w)).data
-        for i in range(2):
-            for j in range(2):
-                expected = float(w @ np.concatenate([p[i], q[j], p[i] * q[j]]))
-                assert out[i, j] == pytest.approx(expected, abs=1e-12)
+        h = hand_similarity(p, q, w)
+        rows = np.exp(h) / np.exp(h).sum(axis=1, keepdims=True)
+        cols = np.exp(h) / np.exp(h).sum(axis=0, keepdims=True)
+        m_summary, s_summary = rows @ q, rows @ cols.T @ p
+        expected = np.concatenate([p, m_summary, p * m_summary, p * s_summary], axis=1)
+        np.testing.assert_allclose(attend(p, q, w), expected, atol=1e-12)
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError, match="widths disagree"):
-            trilinear_similarity(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                                 Tensor(np.zeros(9)))
+            attend(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(9))
+        with pytest.raises(ShapeError, match="widths disagree"):
+            attend(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(12))
 
     def test_gradient(self):
         rng = np.random.default_rng(11)
         p = Tensor(rng.normal(size=(3, 4)))
         q = Tensor(rng.normal(size=(2, 4)))
         w = Tensor(rng.normal(size=12))
-        probe = rng.normal(size=(3, 2))
+        probe = rng.normal(size=(3, 16))
 
         def build():
-            return reduce_sum(mul(trilinear_similarity(p, q, w), Tensor(probe)))
+            return reduce_sum(mul(bidirectional_attention(p, q, w), Tensor(probe)))
 
         for t in (p, q, w):
             (g,) = tape_grads(build, [t])
@@ -331,116 +382,185 @@ class TestTrilinearSimilarity:
 class TestDirectionalAttention:
     def test_single_question_token_broadcasts(self):
         rng = np.random.default_rng(12)
-        similarity = Tensor(rng.normal(size=(4, 1)))
-        hos_q = Tensor(rng.normal(size=(1, 5)))
-        m_summary, rows = p2q_attention(similarity, hos_q)
-        np.testing.assert_allclose(rows.data, 1.0, atol=1e-12)
+        q = rng.normal(size=(1, 5))
+        out = attend(rng.normal(size=(4, 5)), q, rng.normal(size=15))
         for i in range(4):
-            np.testing.assert_allclose(m_summary.data[i], hos_q.data[0], atol=1e-12)
+            np.testing.assert_allclose(out[i, 5:10], q[0], atol=1e-12)
 
     def test_masked_question_columns_get_zero_attention(self):
-        """A pack of two: each passage segment attends to its own question."""
+        """A pack of two: each passage segment reads only its own question,
+        and S reads only its own passage."""
         rng = np.random.default_rng(13)
-        similarity = Tensor(rng.normal(size=(3, 4)))
-        hos_q = Tensor(rng.normal(size=(4, 2)))
-        mask = block_mask((2, 1), (1, 3), 3, 4)
-        np.testing.assert_array_equal(mask, [[True, False, False, False],
-                                             [True, False, False, False],
-                                             [False, True, True, True]])
-        _, rows = p2q_attention(similarity, hos_q, mask)
-        assert (rows.data[~mask] == 0.0).all()
-        np.testing.assert_allclose(rows.data.sum(axis=1), 1.0, atol=1e-6)
+        p, q, w = rng.normal(size=(3, 2)), rng.normal(size=(4, 2)), rng.normal(size=6)
+        lengths = ((2, 1), (1, 3))
+        base = attend(p, q, w, *lengths)
+        bumped_q = q.copy()
+        bumped_q[1:] += 10.0
+        moved = attend(p, bumped_q, w, *lengths)
+        np.testing.assert_array_equal(moved[:2], base[:2])
+        assert (moved[2:] != base[2:]).any()
+        bumped_p = p.copy()
+        bumped_p[2] += 10.0
+        moved = attend(bumped_p, q, w, *lengths)
+        np.testing.assert_array_equal(moved[:2], base[:2])
 
     def test_p2q_hand_computation_2x2(self):
         rng = np.random.default_rng(14)
-        h = rng.normal(size=(2, 2))
-        hos_q = rng.normal(size=(2, 3))
-        m_summary, _ = p2q_attention(Tensor(h), Tensor(hos_q))
+        p, q, w = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=9)
+        h = hand_similarity(p, q, w)
         e = np.exp(h - h.max(axis=1, keepdims=True))
         rows = e / e.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(m_summary.data, rows @ hos_q, atol=1e-12)
+        np.testing.assert_allclose(attend(p, q, w)[:, 3:6], rows @ q, atol=1e-12)
 
     def test_single_pair_returns_passage_vector(self):
         rng = np.random.default_rng(15)
-        hos_p = Tensor(rng.normal(size=(1, 4)))
-        similarity = Tensor(rng.normal(size=(1, 1)))
-        s_summary, _ = q2p_attention(similarity, hos_p, masked_softmax(similarity))
-        np.testing.assert_allclose(s_summary.data, hos_p.data, atol=1e-12)
+        p, q = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+        out = attend(p, q, rng.normal(size=12))
+        np.testing.assert_allclose(out, np.concatenate([p, q, p * q, p * p], axis=1),
+                                   atol=1e-12)
 
     def test_row_col_product_is_stochastic(self):
+        """R.C^T has unit row sums, so a passage of ones gives S = 1."""
         rng = np.random.default_rng(16)
-        similarity = Tensor(rng.normal(size=(5, 3)))
-        hos_p = Tensor(np.ones((5, 1)))
-        s_summary, _ = q2p_attention(similarity, hos_p, masked_softmax(similarity))
-        np.testing.assert_allclose(s_summary.data, 1.0, atol=1e-9)
+        out = attend(np.ones((5, 1)), rng.normal(size=(3, 1)), rng.normal(size=3))
+        np.testing.assert_allclose(out[:, 3], 1.0, atol=1e-9)
 
     def test_q2p_extended_precision_2x2(self):
-        """S for a 2x2 case against an mpmath evaluation of Eq-style algebra."""
+        """S for a 2x2 case against an mpmath evaluation of H, both
+        softmaxes and (R.C^T).P."""
         mp.dps = 50
-        h = np.array([[0.3, -1.2], [2.0, 0.7]])
-        hos_p = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        p = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        q = np.array([[0.4, -0.2], [1.5, 0.3]])
+        w = np.array([0.3, -1.2, 0.7, 0.1, -0.5, 0.25])
 
         def mp_softmax(values):
-            exps = [mp.e ** mpf(v) for v in values]
+            exps = [mp.e ** v for v in values]
             total = sum(exps)
             return [x / total for x in exps]
 
-        rows = [mp_softmax(h[i]) for i in range(2)]          # row-normalized
-        cols_t = [mp_softmax(h[:, j]) for j in range(2)]     # per question column
+        mpw = [mpf(x) for x in w]
+        h = [[sum(mpw[k] * mpf(p[i, k]) + mpw[2 + k] * mpf(q[j, k])
+                  + mpw[4 + k] * mpf(p[i, k]) * mpf(q[j, k]) for k in range(2))
+              for j in range(2)] for i in range(2)]
+        rows = [mp_softmax(h[i]) for i in range(2)]              # row-normalized
+        cols_t = [mp_softmax([h[0][j], h[1][j]]) for j in range(2)]
         cols = [[cols_t[j][i] for j in range(2)] for i in range(2)]
         rc = [[sum(rows[i][k] * cols[j][k] for k in range(2)) for j in range(2)]
               for i in range(2)]
-        expected = [[sum(rc[i][j] * mpf(hos_p[j, f]) for j in range(2))
+        expected = [[sum(rc[i][j] * mpf(p[j, f]) for j in range(2))
                      for f in range(2)] for i in range(2)]
         expected = np.array([[float(x) for x in row] for row in expected])
-
-        similarity = Tensor(h)
-        s_summary, _ = q2p_attention(similarity, Tensor(hos_p),
-                                     masked_softmax(similarity))
-        np.testing.assert_allclose(s_summary.data, expected, atol=1e-12)
+        np.testing.assert_allclose(attend(p, q, w)[:, 6:], p * expected, atol=1e-12)
 
     def test_empty_question_rejected(self):
-        with pytest.raises(ShapeError, match="empty question"):
-            p2q_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))),
-                          np.zeros((2, 3), dtype=bool))
+        with pytest.raises(ShapeError, match="nonempty segments"):
+            attend(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(6), (1, 1), (3, 0))
 
     def test_empty_passage_rejected(self):
-        similarity = Tensor(np.zeros((2, 3)))
-        with pytest.raises(ShapeError, match="empty passage"):
-            q2p_attention(similarity, Tensor(np.zeros((2, 2))),
-                          masked_softmax(similarity),
-                          np.array([[True, True, False], [True, True, False]]))
+        with pytest.raises(ShapeError, match="nonempty segments"):
+            attend(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(6), (2, 0), (1, 2))
 
 
 class TestFuseOutput:
     def test_paper_width(self):
         rng = np.random.default_rng(17)
-        parts = [Tensor(rng.normal(size=(2, 384))) for _ in range(3)]
-        assert fuse_output(*parts).shape == (2, 1536)
+        out = attend(rng.normal(size=(2, 384)), rng.normal(size=(3, 384)),
+                     rng.normal(size=1152) * 0.01)
+        assert out.shape == (2, 1536)
 
     def test_zero_passage_keeps_only_m_block(self):
+        """P = 0: H[i, j] = q_j . w_q for every row, so M is that softmax's
+        average of the question, and the P blocks are zero."""
         rng = np.random.default_rng(18)
-        m_summary = Tensor(rng.normal(size=(2, 3)))
-        s_summary = Tensor(rng.normal(size=(2, 3)))
-        fused = fuse_output(Tensor(np.zeros((2, 3))), m_summary, s_summary).data
-        np.testing.assert_array_equal(fused[:, :3], np.zeros((2, 3)))
-        np.testing.assert_array_equal(fused[:, 3:6], m_summary.data)
-        np.testing.assert_array_equal(fused[:, 6:], np.zeros((2, 6)))
+        q, w = rng.normal(size=(2, 3)), rng.normal(size=9)
+        out = attend(np.zeros((2, 3)), q, w)
+        weights = np.exp(q @ w[3:6]) / np.exp(q @ w[3:6]).sum()
+        np.testing.assert_array_equal(out[:, :3], np.zeros((2, 3)))
+        np.testing.assert_allclose(out[:, 3:6], np.tile(weights @ q, (2, 1)),
+                                   atol=1e-12)
+        np.testing.assert_array_equal(out[:, 6:], np.zeros((2, 6)))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError, match="fuse_output"):
-            fuse_output(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                        Tensor(np.zeros((2, 3))))
+        """Passage and question packs must have one segment per example."""
+        with pytest.raises(ShapeError, match="2 passage segments but 1 question"):
+            attend(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(9), (1, 1), (2,))
+        with pytest.raises(ShapeError, match="1 passage segments but 2 question"):
+            attend(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(9), None, (1, 1))
 
     def test_passage_permutation_permutes_rows(self):
         rng = np.random.default_rng(19)
         hos_p = rng.normal(size=(5, 4))
-        hos_q = Tensor(rng.normal(size=(3, 4)))
-        w = Tensor(rng.normal(size=12))
+        hos_q = rng.normal(size=(3, 4))
+        w = rng.normal(size=12)
         perm = np.array([3, 0, 4, 1, 2])
-        base = bidirectional_attention(Tensor(hos_p), hos_q, w).fused.data
-        permuted = bidirectional_attention(Tensor(hos_p[perm]), hos_q, w).fused.data
+        base = attend(hos_p, hos_q, w)
+        permuted = attend(hos_p[perm], hos_q, w)
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
+
+
+def random_pack(rng, width):
+    segments = int(rng.integers(1, 5))
+    p_lengths = [int(k) for k in rng.integers(1, 9, size=segments)]
+    q_lengths = [int(k) for k in rng.integers(1, 5, size=segments)]
+    hos_p = Tensor(rng.normal(size=(sum(p_lengths), width)))
+    hos_q = Tensor(rng.normal(size=(sum(q_lengths), width)))
+    w = Tensor(rng.normal(size=3 * width))
+    return hos_p, hos_q, w, p_lengths, q_lengths
+
+
+class TestFusedRecord:
+    """The one bidirectional_attention record against the chain it replaced."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_chain_on_random_packs(self, training):
+        rng = np.random.default_rng(40 + training)
+        for _ in range(40):
+            width = int(rng.integers(1, 7))
+            hos_p, hos_q, w, p_lengths, q_lengths = random_pack(rng, width)
+            n, m = hos_p.shape[0], hos_q.shape[0]
+            probe = Tensor(rng.normal(size=(n, 4 * width)))
+            seed = int(rng.integers(2**31))
+            results = []
+            for attention in (bidirectional_attention, chain_bidirectional_attention):
+                stream = np.random.default_rng(seed)
+                with Tape() as tape:
+                    out = attention(hos_p, hos_q, w, p_lengths, q_lengths,
+                                    training=training, rng=stream, dropout_rate=0.3)
+                    loss = reduce_sum(mul(out, probe))
+                grads = tape.gradients(loss)
+                results.append([out.data] + [grads[id(t)] for t in (hos_p, hos_q, w)])
+                if attention is bidirectional_attention:
+                    drawn = np.random.default_rng(seed)
+                    if training:
+                        drawn.random((n, m))
+                    assert stream.bit_generator.state == drawn.bit_generator.state
+            for label, got, want in zip(("output", "d hos_p", "d hos_q", "d w"),
+                                        *results):
+                assert got.shape == want.shape, label
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), label
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(42)
+        set_default_dtype(np.float32)
+        try:
+            hos_p, hos_q, w, p_lengths, q_lengths = random_pack(rng, 4)
+            with Tape() as tape:
+                out = bidirectional_attention(
+                    hos_p, hos_q, w, p_lengths, q_lengths, training=True,
+                    rng=np.random.default_rng(0), dropout_rate=0.3)
+                loss = reduce_sum(out)
+            grads = tape.gradients(loss)
+        finally:
+            set_default_dtype(np.float64)
+        dtypes = [out.data.dtype] + [grads[id(t)].dtype for t in (hos_p, hos_q, w)]
+        assert dtypes == [np.float32] * 4
+
+    def test_training_without_rng_rejected(self):
+        rng = np.random.default_rng(43)
+        hos_p, hos_q, w, p_lengths, q_lengths = random_pack(rng, 3)
+        with pytest.raises(ConfigError, match="needs an rng"):
+            bidirectional_attention(hos_p, hos_q, w, p_lengths, q_lengths,
+                                    training=True, dropout_rate=0.1)
 
 
 class TestEndToEndGradient:
@@ -455,37 +575,38 @@ class TestEndToEndGradient:
 
         def f():
             out = bidirectional_attention(hos_p, hos_q, w)
-            return reduce_sum(mul(out.fused, Tensor(probe)))
+            return reduce_sum(mul(out, Tensor(probe)))
 
         report = grad_check(f, store, epsilon=1e-3, tolerance=1e-3)
         assert report.passed, report.lines()
 
-    def test_row_softmax_is_recorded_once(self):
-        """q2p reuses p2q's row softmax: one row and one column softmax."""
-        rng = np.random.default_rng(25)
-        with Tape() as tape:
-            bidirectional_attention(
-                Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(3, 6))),
-                Tensor(rng.normal(size=18)))
-        names = [name for name, _, _, _ in tape._records]
-        assert names.count("masked_softmax") == 2
+    def test_train_step_records_attention_once(self, monkeypatch):
+        """A packed mini train step records bidirectional attention as one
+        record, with no slice or transpose record anywhere on its tape."""
+        examples = gen_synthetic("copy-locate", 4, 0)
+        model = Model(mini_profile(), *build_vocabs(examples), seed=0)
+        names = []
+        backward = model_module.backward
+
+        def traced(tape, *args, **kwargs):
+            names.extend(name for name, _, _, _ in tape._records)
+            return backward(tape, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "backward", traced)
+        train_step(model, examples, Adam(model.store, 1e-3),
+                   np.random.default_rng(0))
+        assert names.count("bidirectional_attention") == 1
+        assert "slice" not in names and "transpose" not in names
 
     def test_normalization_under_random_masks(self):
-        """Random packs: both softmaxes normalise within their block and are
-        zero off it, so passage segments never mix."""
+        """Random packs: both softmaxes normalise within their block, so a
+        feature that is 1 on every question token is 1 in M, and one that
+        is 1 on every passage token is 1 in S."""
         rng = np.random.default_rng(24)
         for _ in range(50):
-            segments = int(rng.integers(1, 4))
-            p_lengths = rng.integers(1, 5, size=segments)
-            q_lengths = rng.integers(1, 4, size=segments)
-            n, m = int(p_lengths.sum()), int(q_lengths.sum())
-            out = bidirectional_attention(
-                Tensor(rng.normal(size=(n, 4))), Tensor(rng.normal(size=(m, 4))),
-                Tensor(rng.normal(size=12)), p_lengths, q_lengths)
-            np.testing.assert_allclose(out.rows.data.sum(axis=1), 1.0, atol=1e-6)
-            np.testing.assert_allclose(out.cols.data.sum(axis=0), 1.0, atol=1e-6)
-            p_seg = np.repeat(np.arange(segments), p_lengths)
-            q_seg = np.repeat(np.arange(segments), q_lengths)
-            off = p_seg[:, None] != q_seg[None, :]
-            assert (out.rows.data[off] == 0).all()
-            assert (out.cols.data[off] == 0).all()
+            hos_p, hos_q, w, p_lengths, q_lengths = random_pack(rng, 4)
+            hos_p.data[:, 0] = 1.0
+            hos_q.data[:, 0] = 1.0
+            out = bidirectional_attention(hos_p, hos_q, w, p_lengths, q_lengths).data
+            np.testing.assert_allclose(out[:, 4], 1.0, atol=1e-12)
+            np.testing.assert_allclose(out[:, 12], 1.0, atol=1e-12)

@@ -5,7 +5,6 @@ import pytest
 
 from abanet.embedding import (
     ContextualProvider,
-    EmbeddingTable,
     UNK_ID,
     PAD_ID,
     Vocabulary,
@@ -67,36 +66,36 @@ class TestVocabulary:
 
 class TestEmbedWords:
     def test_unk_rows_identical(self):
-        table = EmbeddingTable(Tensor(np.random.default_rng(0).normal(size=(4, 5))))
-        out = embed_words(np.array([0, 0]), table)
+        table = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
+        out = embed_words(np.array([0, 0]), table, trainable=True)
         np.testing.assert_array_equal(out.data[0], out.data[1])
-        np.testing.assert_array_equal(out.data[0], table.table.data[0])
+        np.testing.assert_array_equal(out.data[0], table.data[0])
 
     def test_width_300_shape(self):
-        table = EmbeddingTable(Tensor(np.zeros((7, 300))), trainable=False)
-        assert embed_words(np.array([2, 3, 4]), table).shape == (3, 300)
+        table = Tensor(np.zeros((7, 300)))
+        assert embed_words(np.array([2, 3, 4]), table, trainable=False).shape == (3, 300)
 
     def test_out_of_range_id(self):
-        table = EmbeddingTable(Tensor(np.zeros((3, 2))))
+        table = Tensor(np.zeros((3, 2)))
         with pytest.raises(DataError, match="word id out of range"):
-            embed_words(np.array([5]), table)
+            embed_words(np.array([5]), table, trainable=True)
 
     def test_fixed_table_receives_no_gradient(self):
-        table = EmbeddingTable(Tensor(np.ones((3, 2))), trainable=False)
+        table = Tensor(np.ones((3, 2)))
 
         def build():
-            return reduce_sum(embed_words(np.array([0, 1]), table))
+            return reduce_sum(embed_words(np.array([0, 1]), table, trainable=False))
 
-        (g,) = tape_grads(build, [table.table])
+        (g,) = tape_grads(build, [table])
         assert g is None
 
     def test_trainable_table_receives_scatter_gradient(self):
-        table = EmbeddingTable(Tensor(np.ones((3, 2))))
+        table = Tensor(np.ones((3, 2)))
 
         def build():
-            return reduce_sum(embed_words(np.array([1, 1]), table))
+            return reduce_sum(embed_words(np.array([1, 1]), table, trainable=True))
 
-        (g,) = tape_grads(build, [table.table])
+        (g,) = tape_grads(build, [table])
         np.testing.assert_array_equal(g, [[0, 0], [2, 2], [0, 0]])
 
 

@@ -28,9 +28,9 @@ from abanet.params import ParamStore, fd_gradient, grad_check, relative_error
 from abanet.tensor import (
     Tape,
     Tensor,
+    add_const,
     concat,
     layer_norm,
-    masked_softmax,
     matmul,
     mul,
     mul_const,
@@ -38,6 +38,7 @@ from abanet.tensor import (
     reduce_sum,
     set_default_dtype,
     slice_axis,
+    softmax,
     stack,
     transpose,
 )
@@ -642,14 +643,15 @@ class TestFloat32:
 
 def composite_self_attention(x, lengths, num_heads, wq, wk, wv, wo):
     """The per-head tape composite that the fused record replaced, over a
-    pack through a block-diagonal [n, n] mask."""
+    pack through a block-diagonal [n, n] mask of 0 and -inf added to the
+    scores."""
     n, d = x.shape
     head_dim = d // num_heads
     q, k, v = matmul(x, wq), matmul(x, wk), matmul(x, wv)
     key_mask = None
     if lengths is not None:
         segment = np.repeat(np.arange(len(lengths)), lengths)
-        key_mask = segment[:, None] == segment[None, :]
+        key_mask = np.where(segment[:, None] == segment[None, :], 0.0, -np.inf)
     heads = []
     for h in range(num_heads):
         start = h * head_dim
@@ -658,7 +660,9 @@ def composite_self_attention(x, lengths, num_heads, wq, wk, wv, wo):
         vh = slice_axis(v, 1, start, head_dim)
         scores = mul_const(matmul(qh, transpose(kh)),
                            np.asarray(1.0 / np.sqrt(head_dim)))
-        attention = masked_softmax(scores, mask=key_mask, axis=-1)
+        if key_mask is not None:
+            scores = add_const(scores, key_mask)
+        attention = softmax(scores, axis=-1)
         heads.append(matmul(attention, vh))
     return matmul(concat(heads, axis=1), wo)
 

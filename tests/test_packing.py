@@ -158,7 +158,7 @@ class TestPackedOps:
         weight = rng.normal(size=(n, 24))
         got, got_grads = output_and_grads(
             lambda: bidirectional_attention(hos_p, hos_q, w, PASSAGE_LENGTHS,
-                                            QUESTION_LENGTHS).fused,
+                                            QUESTION_LENGTHS),
             (hos_p, hos_q, w), weight)
         outs, dps, dqs, dw = [], [], [], np.zeros(18)
         p_start = q_start = 0
@@ -166,7 +166,7 @@ class TestPackedOps:
             p = Tensor(hos_p.data[p_start:p_start + p_len])
             q = Tensor(hos_q.data[q_start:q_start + q_len])
             out, (dp, dq, dw_part) = output_and_grads(
-                lambda: bidirectional_attention(p, q, w).fused, (p, q, w),
+                lambda: bidirectional_attention(p, q, w), (p, q, w),
                 weight[p_start:p_start + p_len])
             outs.append(out)
             dps.append(dp)

@@ -19,7 +19,6 @@ from abanet.tensor import (
     gather_rows,
     layer_norm,
     log,
-    masked_softmax,
     matmul,
     mul,
     no_grad,
@@ -30,6 +29,7 @@ from abanet.tensor import (
     reshape,
     sigmoid,
     slice_axis,
+    softmax,
     stack,
     sub,
     tanh,
@@ -77,53 +77,39 @@ class TestMatmul:
 
 class TestMaskedSoftmax:
     def test_uniform_on_equal_logits(self):
-        out = masked_softmax(Tensor([0.0, 0.0, 0.0]))
+        out = softmax(Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-12)
-
-    def test_masked_position_exactly_zero(self):
-        out = masked_softmax(Tensor([5.0, 5.0, 5.0]),
-                             mask=np.array([True, True, False]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5, 0.0], atol=1e-12)
-        assert out.data[2] == 0.0
 
     def test_against_high_precision_oracle(self):
         # mpmath at 50 digits: exp(i) / sum(exp([1,2,3]))
         expected = [0.090030573170380457998,
                     0.24472847105479765247,
                     0.66524095577482188953]
-        out = masked_softmax(Tensor([1.0, 2.0, 3.0]))
+        out = softmax(Tensor([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(out.data, expected, rtol=1e-14)
 
-    def test_fully_masked_slice_raises(self):
-        with pytest.raises(ShapeError, match="fully masked"):
-            masked_softmax(Tensor([[1.0, 2.0], [3.0, 4.0]]),
-                           mask=np.array([[True, True], [False, False]]))
-
     def test_random_masks_normalise(self):
-        """Nonnegative, slice-sum 1, zero where masked, for random masks."""
+        """Nonnegative and slice-sum 1 along either axis, for random logits."""
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = rng.integers(1, 9)
             x = Tensor(rng.normal(size=(4, n)) * 5)
-            mask = rng.random((4, n)) < 0.6
-            mask[np.arange(4), rng.integers(0, n, size=4)] = True
-            out = masked_softmax(x, mask=mask).data
-            assert (out >= 0).all()
-            np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
-            assert (out[~mask] == 0.0).all()
+            for axis in (0, -1):
+                out = softmax(x, axis=axis).data
+                assert (out >= 0).all()
+                np.testing.assert_allclose(out.sum(axis=axis), 1.0, atol=1e-6)
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 5)))
-        mask = np.array([[True] * 5, [True, True, True, False, False]])
         w = rng.normal(size=(2, 5))
+        for axis in (0, -1):
+            def build():
+                return reduce_sum(mul(softmax(x, axis=axis), Tensor(w)))
 
-        def build():
-            return reduce_sum(mul(masked_softmax(x, mask=mask), Tensor(w)))
-
-        (gx,) = tape_grads(build, [x])
-        fx = fd_gradient(build, x, 1e-5)
-        np.testing.assert_allclose(gx, fx, atol=1e-7)
+            (gx,) = tape_grads(build, [x])
+            fx = fd_gradient(build, x, 1e-5)
+            np.testing.assert_allclose(gx, fx, atol=1e-7)
 
 
 class TestLayerNorm:
