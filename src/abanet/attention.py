@@ -54,17 +54,6 @@ def assemble_hos(raw: dict[str, Tensor], projections: dict[str, Tensor]) -> Tens
     return stack(components)
 
 
-def lambda_init_matrix(mode: str, levels: int) -> np.ndarray:
-    """Initial mixing matrix: identity, or the all-ones first column."""
-    if mode == "identity":
-        return np.eye(levels)
-    if mode == "paper":
-        out = np.zeros((levels, levels))
-        out[:, 0] = 1.0
-        return out
-    raise ConfigError(f"unknown lambda init mode {mode!r}")
-
-
 def adaptive_scale(hos: Tensor, mixing: Tensor) -> Tensor:
     """Mix granularity levels: output level g = sum_j mixing[g, j] * level j."""
     levels = hos.shape[0]

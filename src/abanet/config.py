@@ -45,7 +45,6 @@ class ModelConfig:
 
     # embedding layer
     word_dim: int = 300
-    word_trainable: bool = False
     char_emb_dim: int = 16
     char_out_dim: int = 64
     char_kernel: int = 3
@@ -59,7 +58,6 @@ class ModelConfig:
     provider_layers: int = 4
     provider_width: int = 128
     lstm_hidden: int = 128
-    lstm_layers: int = 1
 
     # regularization
     dropout_word: float = 0.1
@@ -69,7 +67,6 @@ class ModelConfig:
     l2_decay: float = 3e-7
 
     # attention
-    lambda_init: str = "identity"  # "identity" or "paper"
     use_adaptive_scale: bool = True
 
     # head / optimization
@@ -78,6 +75,9 @@ class ModelConfig:
     batch_size: int = 25
     learning_rate: float = 1e-3
     warmup_steps: int = 100
+
+    # float width of every parameter and activation: "float64" or "float32"
+    dtype: str = "float64"
 
     @property
     def feature_dim(self) -> int:
@@ -98,7 +98,7 @@ class ModelConfig:
 
     def validate(self) -> None:
         caps = self.capsules
-        for name in ("num_heads", "provider_layers", "lstm_layers"):
+        for name in ("num_heads", "provider_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.num_heads:
@@ -127,9 +127,6 @@ class ModelConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {rate}")
-        if self.lambda_init not in ("identity", "paper"):
-            raise ConfigError(
-                f"lambda_init must be 'identity' or 'paper', got {self.lambda_init!r}")
         if self.char_kernel % 2 == 0 or self.char_kernel > self.max_word_len:
             raise ConfigError(
                 f"char_kernel={self.char_kernel} must be odd and fit within "
@@ -141,6 +138,8 @@ class ModelConfig:
         if self.provider_width % 2:
             raise ConfigError(
                 "provider_width must be even for its two heads and positional encoding")
+        if self.dtype not in ("float64", "float32"):
+            raise ConfigError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
 
 
 def paper_profile() -> ModelConfig:

@@ -108,12 +108,9 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
     return ids
 
 
-def embed_words(ids: np.ndarray, table: Tensor, *, trainable: bool) -> Tensor:
-    """Row lookup; a fixed table contributes no gradient path."""
-    ids = _check_ids(ids, table.shape[0], "word")
-    if not trainable:
-        return Tensor(table.data[ids])
-    return gather_rows(table, ids)
+def embed_words(ids: np.ndarray, table: Tensor) -> Tensor:
+    """Row lookup in the frozen word table: a constant, off the tape."""
+    return Tensor(table.data[_check_ids(ids, table.shape[0], "word")])
 
 
 def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
@@ -244,18 +241,14 @@ def lstm_run(x: Tensor, w: Tensor, u: Tensor, b: Tensor, *,
 LstmWeights = tuple[Tensor, Tensor, Tensor]
 
 
-def bilstm_encode(x: Tensor, layers: Sequence[tuple[LstmWeights, LstmWeights]],
+def bilstm_encode(x: Tensor, fwd: LstmWeights, bwd: LstmWeights,
                   lengths: Sequence[int] | None = None) -> Tensor:
-    """Stacked bidirectional LSTM over a pack; output [n x 2h], halves fwd
-    then bwd.  Neither direction carries state across a segment boundary."""
+    """Bidirectional LSTM over a pack; output [n x 2h], halves fwd then
+    bwd.  Neither direction carries state across a segment boundary."""
     if x.shape[0] == 0:
         raise DataError("bilstm_encode: empty sequence")
-    out = x
-    for fwd, bwd in layers:
-        forward = lstm_run(out, *fwd, lengths=lengths)
-        backward_states = lstm_run(out, *bwd, reverse=True, lengths=lengths)
-        out = concat([forward, backward_states], axis=1)
-    return out
+    return concat([lstm_run(x, *fwd, lengths=lengths),
+                   lstm_run(x, *bwd, reverse=True, lengths=lengths)], axis=1)
 
 
 def lstm_bias_init(hidden: int) -> np.ndarray:
@@ -334,7 +327,8 @@ def contextual_mix(provider: ContextualProvider, token_ids: np.ndarray,
                     f"provider layer {index} has shape {layer.shape}, "
                     f"expected {expected}")
         pooled.append(np.stack([averaging @ np.asarray(layer) for layer in layers]))
-    # A constant [L, n*w]: the provider is frozen.
-    pooled = Tensor(np.concatenate(pooled, axis=1).reshape(count, n * provider.width))
+    # A constant [L, n*w] in theta's width: the provider is frozen.
+    pooled = Tensor(np.concatenate(pooled, axis=1).reshape(count, n * provider.width),
+                    dtype=theta.data.dtype)
     mixed = matmul(reshape(theta, (1, count)), pooled)
     return reshape(mixed, (n, provider.width))

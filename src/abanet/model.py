@@ -24,7 +24,6 @@ from .attention import (
     adaptive_scale,
     assemble_hos,
     bidirectional_attention,
-    lambda_init_matrix,
     select_top3,
 )
 from .config import EncoderBlockConfig, ModelConfig
@@ -49,7 +48,6 @@ from .tensor import (
     Tensor,
     backward,
     concat,
-    default_dtype,
     dropout,
     matmul,
     no_grad,
@@ -112,8 +110,12 @@ class Model:
             = OrderedDict()
         self._passage_cache_bytes = 0
         self._param_refs: list[weakref.ref] = []
-        self.store = ParamStore()
+        self._frozen_refs: list[weakref.ref] = []
+        self.store = ParamStore(config.dtype)
         self._register(np.random.default_rng(seed), word_vectors)
+        trainable = dict(self.store.trainable())
+        self._frozen = [tensor for name, tensor in self.store.items()
+                        if name not in trainable]
         self.provider = ContextualProvider(
             num_layers=config.provider_layers, width=config.provider_width,
             run=self._provider_run)
@@ -131,12 +133,12 @@ class Model:
                 raise ConfigError(
                     f"word vectors shaped {word_vectors.shape}, expected "
                     f"{(v_words, cfg.word_dim)}")
-            store.register("word.table", Tensor(word_vectors.copy()),
-                           trainable=cfg.word_trainable)
+            store.register("word.table", Tensor(word_vectors.astype(store.dtype)),
+                           trainable=False)
             rng.normal(size=(v_words, cfg.word_dim))  # keep the draw sequence fixed
         else:
             store.create("word.table", (v_words, cfg.word_dim), normal_init(0.5),
-                         rng=rng, trainable=cfg.word_trainable)
+                         rng=rng, trainable=False)
         store.create("char.table", (v_chars, cfg.char_emb_dim), normal_init(0.2),
                      rng=rng)
         store.create("char.filters",
@@ -171,23 +173,18 @@ class Model:
         store.create("theta", (cfg.provider_layers,),
                      lambda r, s: np.full(s, 1.0 / cfg.provider_layers))
 
-        for layer in range(cfg.lstm_layers):
-            width = cfg.d if layer == 0 else 2 * cfg.lstm_hidden
-            for direction in ("fwd", "bwd"):
-                base = f"bilstm.l{layer}.{direction}"
-                store.create(f"{base}.w", (width, 4 * cfg.lstm_hidden), rng=rng)
-                store.create(f"{base}.u",
-                             (cfg.lstm_hidden, 4 * cfg.lstm_hidden), rng=rng)
-                store.create(f"{base}.b", (4 * cfg.lstm_hidden,),
-                             lambda r, s: lstm_bias_init(cfg.lstm_hidden))
+        for direction in ("fwd", "bwd"):
+            base = f"bilstm.l0.{direction}"
+            store.create(f"{base}.w", (cfg.d, 4 * cfg.lstm_hidden), rng=rng)
+            store.create(f"{base}.u", (cfg.lstm_hidden, 4 * cfg.lstm_hidden), rng=rng)
+            store.create(f"{base}.b", (4 * cfg.lstm_hidden,),
+                         lambda r, s: lstm_bias_init(cfg.lstm_hidden))
 
         for name, width in self._component_widths().items():
             store.create(f"hos.{name}", (width, cfg.d), rng=rng)
         levels = len(COMPONENT_NAMES)
-        store.create("lambda.p", (levels, levels),
-                     lambda r, s: lambda_init_matrix(cfg.lambda_init, levels))
-        store.create("lambda.q", (levels, levels),
-                     lambda r, s: lambda_init_matrix(cfg.lambda_init, levels))
+        store.create("lambda.p", (levels, levels), lambda r, s: np.eye(levels))
+        store.create("lambda.q", (levels, levels), lambda r, s: np.eye(levels))
         store.create("alpha", (levels,), lambda r, s: _ALPHA_INIT.copy())
         store.create("attn.w", (3 * cfg.selected_dim,), rng=rng)
         store.create("attn.out_proj", (cfg.fused_dim, cfg.d), rng=rng)
@@ -241,24 +238,26 @@ class Model:
             self._provider_cache_bytes -= sum(layer.nbytes for layer in evicted)
         return layers
 
-    def invalidate_caches(self) -> None:
-        self._provider_cache.clear()
-        self._provider_cache_bytes = 0
-        self._passage_cache.clear()
-        self._passage_cache_bytes = 0
-
     # -- passage cache ---------------------------------------------------------
 
-    def _check_params(self) -> None:
-        """Empty the passage cache if any parameter array was rebound.
+    def _check_frozen(self) -> None:
+        """Empty the provider cache if a frozen array was rebound.
 
-        Weak references pin no replaced array; a dead or different
-        reference means the parameter changed since the last check.
+        The provider's layers depend only on the frozen arrays, which
+        ``Adam`` never rebinds, so the cache survives training steps and
+        is emptied only by a change such as ``load_state_dict``.
         """
+        frozen = [tensor.data for tensor in self._frozen]
+        if _same_arrays(self._frozen_refs, frozen):
+            return
+        self._provider_cache.clear()
+        self._provider_cache_bytes = 0
+        self._frozen_refs = [weakref.ref(array) for array in frozen]
+
+    def _check_params(self) -> None:
+        """Empty the passage cache if any parameter array was rebound."""
         arrays = [tensor.data for _, tensor in self.store.items()]
-        refs = self._param_refs
-        if len(refs) == len(arrays) and all(
-                ref() is array for ref, array in zip(refs, arrays)):
+        if _same_arrays(self._param_refs, arrays):
             return
         self._passage_cache.clear()
         self._passage_cache_bytes = 0
@@ -287,8 +286,7 @@ class Model:
         """The six granularity levels of one side of a pack."""
         cfg = self.config
         store = self.store
-        word = embed_words(ids, store.get("word.table"),
-                           trainable=cfg.word_trainable)
+        word = embed_words(ids, store.get("word.table"))
         if training and cfg.dropout_word > 0.0:
             word = dropout(word, cfg.dropout_word, rng)
         features = embed_features(pos, ner, rule, store.get("feat.pos"),
@@ -310,15 +308,9 @@ class Model:
             block=cfg.embedding_encoder, caps=cfg.capsules,
             survival_end=cfg.survival_end, dropout_rate=cfg.dropout_layer,
             training=training, rng=rng)
-        lstm_layers = []
-        for layer in range(cfg.lstm_layers):
-            directions = []
-            for direction in ("fwd", "bwd"):
-                base = f"bilstm.l{layer}.{direction}"
-                directions.append((store.get(f"{base}.w"), store.get(f"{base}.u"),
-                                   store.get(f"{base}.b")))
-            lstm_layers.append(tuple(directions))
-        recurrent = bilstm_encode(embedded, lstm_layers, lengths)
+        fwd, bwd = (tuple(store.get(f"bilstm.l0.{direction}.{part}")
+                          for part in ("w", "u", "b")) for direction in ("fwd", "bwd"))
+        recurrent = bilstm_encode(embedded, fwd, bwd, lengths)
         return {"word": word_level, "char": char_level, "embed": embedded,
                 "contextual": contextual, "block": block_out,
                 "bilstm": recurrent}
@@ -352,9 +344,10 @@ class Model:
         mixing and top-3 selection) does not depend on the question.  In
         an eval-mode forward of a pack of one with no tape recording, its
         selected [n, 3d] levels and their indices are cached, keyed by the
-        passage's word, char, pos, ner, rule and sub-token ids and the
-        default dtype.  The cache is emptied when any parameter array has
-        been rebound since the last such forward.
+        passage's word, char, pos, ner, rule and sub-token ids.  The cache
+        is emptied when any parameter array has been rebound since the
+        last such forward, and every forward first empties the provider
+        cache if a frozen array has been rebound.
         """
         cfg = self.config
         store = self.store
@@ -379,18 +372,18 @@ class Model:
                 np.ones(len(e.passage), dtype=np.int64) if e.subtokens is None
                 else np.asarray(e.subtokens, dtype=np.int64) for e in examples])
 
+        self._check_frozen()
         cached = key = None
         if len(examples) == 1 and not training and not recording():
             self._check_params()
             key = (p_ids.tobytes(), p_chars.tobytes(),
                    *(f.tobytes() for f in p_feats),
-                   None if subtokens is None else subtokens.tobytes(),
-                   default_dtype())
+                   None if subtokens is None else subtokens.tobytes())
             cached = self._passage_cache.get(key)
         if cached is not None:
             self._passage_cache.move_to_end(key)
             selected, levels = cached
-            selected_p = Tensor(selected, dtype=selected.dtype)
+            selected_p = Tensor(selected)
         else:
             raw_p = self._sequence_repr(p_ids, p_chars, *p_feats, subtokens,
                                         p_lengths, training, rng)
@@ -440,6 +433,16 @@ class Model:
     def predict(self, example: Example) -> SpanPrediction:
         """The best span of one example: a forward of the pack [example]."""
         return self.decode([example], self.forward([example]))[0]
+
+
+def _same_arrays(refs: list[weakref.ref], arrays: list[np.ndarray]) -> bool:
+    """Whether ``refs`` still point at exactly ``arrays``, in order.
+
+    Weak references pin no replaced array; a dead or different reference
+    means the parameter was rebound since the references were taken.
+    """
+    return len(refs) == len(arrays) and all(
+        ref() is array for ref, array in zip(refs, arrays))
 
 
 def span_logits(b1: Tensor, b2: Tensor, b3: Tensor, w1: Tensor, w2: Tensor,

@@ -8,7 +8,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tape, Tensor, default_dtype
+from .tensor import Tape, Tensor
 
 
 def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -42,9 +42,11 @@ class ParamStore:
 
     A weight shared between use sites is one name fetched at each site;
     the gradient contributions of all sites sum into its one slot.
+    ``create`` makes every parameter in the store's float width.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._entries: dict[str, _Entry] = {}
 
     def create(self, name: str, shape, init=None, *,
@@ -55,7 +57,7 @@ class ParamStore:
         if init is None:
             init = xavier_uniform
         data = init(rng if rng is not None else np.random.default_rng(0), tuple(shape))
-        tensor = Tensor(np.asarray(data, dtype=default_dtype()))
+        tensor = Tensor(data, dtype=self.dtype)
         self._entries[name] = _Entry(tensor, trainable)
         return tensor
 
@@ -195,10 +197,13 @@ def grad_check(f: Callable[[], Tensor], params: ParamStore, *,
     """Compare tape gradients of scalar ``f()`` against central differences.
 
     ``f`` must close over the store's tensors and be deterministic.
-    The per-element error is ``relative_error``.  Runs in float64 only.
+    The per-element error is ``relative_error``.  Every trainable
+    parameter must be float64.
     """
-    if default_dtype() is not np.float64:
-        raise ConfigError("grad_check requires float64 mode")
+    for name, tensor in params.trainable():
+        if tensor.data.dtype != np.float64:
+            raise ConfigError(
+                f"grad_check requires float64 parameters; {name} is {tensor.data.dtype}")
 
     with Tape() as tape:
         loss = f()

@@ -6,9 +6,12 @@ appended in creation order, so a single reverse sweep is a valid
 topological traversal.  With no tape active the same functions evaluate
 eagerly with zero recording overhead, which is what evaluation mode uses.
 
-Two float widths are supported: float64 (the default, used for all
-verification work) and float32 (a fast mode).  Gradient checking refuses
-to run in float32.
+A tensor keeps the float width of the array it wraps; anything else
+(ints, bools, Python lists of numbers) becomes float64.  A Python scalar
+in tensor arithmetic takes the width of the other operand.  So a model
+built in float32 runs in float32 end to end, and one in float64 (used
+for all verification work) in float64, side by side in one process.
+Gradient checking refuses float32 parameters.
 """
 
 from __future__ import annotations
@@ -20,36 +23,26 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ConfigError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
 
 class Tensor:
     """Dense N-d float array plus a gradient slot.
+
+    ``data`` keeps the float width of the array given, or takes ``dtype``
+    when one is passed; non-float input becomes float64.
 
     The ``data`` buffer is treated as immutable by every operation; only
     the owner of a parameter (the optimizer, ``load_state_dict``, or a
     finite-difference probe) changes it, and only by rebinding ``data`` to
     a new array between forward passes, never by writing into the old
-    one.  The model's passage cache relies on this: it detects a changed
+    one.  The model's caches rely on this: they detect a changed
     parameter by the identity of its array.
     """
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        data = np.asarray(data, dtype=dtype)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
 
     @property
@@ -69,33 +62,36 @@ class Tensor:
 
     # Arithmetic sugar; scalars and ndarrays are wrapped as constants.
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(_wrap(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(_wrap(other, self), self)
 
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, _wrap(other, self))
 
 
-def _wrap(value) -> Tensor:
+def _wrap(value, other: Tensor) -> Tensor:
+    """``value`` as a tensor; a Python scalar takes the width of ``other``."""
     if isinstance(value, Tensor):
         return value
+    if isinstance(value, (int, float)):
+        return Tensor(value, dtype=other.data.dtype)
     return Tensor(value)
 
 
@@ -192,7 +188,7 @@ def record_op(name: str, out_data: np.ndarray, parents: Sequence[Tensor],
     ``backward`` maps the output gradient to one gradient (or None) per
     parent.  Other modules use this hook to define their own primitives.
     """
-    out = Tensor(out_data, dtype=out_data.dtype)
+    out = Tensor(out_data)
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE._records.append((name, out, tuple(parents), backward))
     return out

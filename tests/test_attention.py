@@ -10,7 +10,6 @@ from abanet.attention import (
     adaptive_scale,
     assemble_hos,
     bidirectional_attention,
-    lambda_init_matrix,
     select_top3,
 )
 from abanet.config import mini_profile
@@ -29,7 +28,6 @@ from abanet.tensor import (
     mul,
     reduce_sum,
     reshape,
-    set_default_dtype,
     slice_axis,
     softmax,
     stack,
@@ -161,13 +159,15 @@ class TestAdaptiveScale:
     def test_identity_matrix_is_identity_map(self):
         rng = np.random.default_rng(1)
         hos = make_hos(rng, n=4, d=8)
-        mixed = adaptive_scale(hos, Tensor(lambda_init_matrix("identity", 6)))
+        mixed = adaptive_scale(hos, Tensor(np.eye(6)))
         np.testing.assert_array_equal(mixed.data, hos.data)
 
     def test_paper_literal_collapses_to_first_component(self):
         rng = np.random.default_rng(2)
         hos = make_hos(rng, n=4, d=8)
-        mixed = adaptive_scale(hos, Tensor(lambda_init_matrix("paper", 6)))
+        first_column = np.zeros((6, 6))
+        first_column[:, 0] = 1.0
+        mixed = adaptive_scale(hos, Tensor(first_column))
         for scaled in mixed.data:
             np.testing.assert_array_equal(scaled, hos.data[0])
 
@@ -187,10 +187,6 @@ class TestAdaptiveScale:
         rng = np.random.default_rng(0)
         with pytest.raises(ShapeError, match="mixing matrix"):
             adaptive_scale(make_hos(rng, 2, 4), Tensor(np.eye(5)))
-
-    def test_unknown_init_mode(self):
-        with pytest.raises(ConfigError, match="lambda init"):
-            lambda_init_matrix("ones", 6)
 
     def test_gradient_through_mixing(self):
         rng = np.random.default_rng(4)
@@ -498,13 +494,13 @@ class TestFuseOutput:
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
-def random_pack(rng, width):
+def random_pack(rng, width, dtype=np.float64):
     segments = int(rng.integers(1, 5))
     p_lengths = [int(k) for k in rng.integers(1, 9, size=segments)]
     q_lengths = [int(k) for k in rng.integers(1, 5, size=segments)]
-    hos_p = Tensor(rng.normal(size=(sum(p_lengths), width)))
-    hos_q = Tensor(rng.normal(size=(sum(q_lengths), width)))
-    w = Tensor(rng.normal(size=3 * width))
+    hos_p = Tensor(rng.normal(size=(sum(p_lengths), width)), dtype=dtype)
+    hos_q = Tensor(rng.normal(size=(sum(q_lengths), width)), dtype=dtype)
+    w = Tensor(rng.normal(size=3 * width), dtype=dtype)
     return hos_p, hos_q, w, p_lengths, q_lengths
 
 
@@ -541,17 +537,13 @@ class TestFusedRecord:
 
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(42)
-        set_default_dtype(np.float32)
-        try:
-            hos_p, hos_q, w, p_lengths, q_lengths = random_pack(rng, 4)
-            with Tape() as tape:
-                out = bidirectional_attention(
-                    hos_p, hos_q, w, p_lengths, q_lengths, training=True,
-                    rng=np.random.default_rng(0), dropout_rate=0.3)
-                loss = reduce_sum(out)
-            grads = tape.gradients(loss)
-        finally:
-            set_default_dtype(np.float64)
+        hos_p, hos_q, w, p_lengths, q_lengths = random_pack(rng, 4, np.float32)
+        with Tape() as tape:
+            out = bidirectional_attention(
+                hos_p, hos_q, w, p_lengths, q_lengths, training=True,
+                rng=np.random.default_rng(0), dropout_rate=0.3)
+            loss = reduce_sum(out)
+        grads = tape.gradients(loss)
         dtypes = [out.data.dtype] + [grads[id(t)].dtype for t in (hos_p, hos_q, w)]
         assert dtypes == [np.float32] * 4
 

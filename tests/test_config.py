@@ -29,7 +29,7 @@ def test_profiles_are_valid(name):
     ({"dropout_word": 1.0}, "dropout_word"),
     ({"dropout_char": -0.1}, "dropout_char"),
     ({"dropout_layer": 1.0}, "dropout_layer"),
-    ({"lambda_init": "ones"}, "lambda_init"),
+    ({"dtype": "float16"}, "dtype must be"),
     ({"char_kernel": 4}, "char_kernel"),
     ({"char_kernel": 9}, "char_kernel"),
     ({"max_span_len": 0}, "max_span_len"),
@@ -38,7 +38,6 @@ def test_profiles_are_valid(name):
     ({"provider_width": 7}, "provider_width must be even"),
     ({"num_heads": 0}, "num_heads must be >= 1"),
     ({"provider_layers": 0}, "provider_layers must be >= 1"),
-    ({"lstm_layers": 0}, "lstm_layers must be >= 1"),
 ])
 def test_each_constraint_is_rejected(changes, message):
     config = dataclasses.replace(mini_profile(), **changes)

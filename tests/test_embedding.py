@@ -29,7 +29,6 @@ from abanet.tensor import (
     matmul,
     mul,
     reduce_sum,
-    set_default_dtype,
     sigmoid,
     slice_axis,
     tanh,
@@ -67,36 +66,27 @@ class TestVocabulary:
 class TestEmbedWords:
     def test_unk_rows_identical(self):
         table = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
-        out = embed_words(np.array([0, 0]), table, trainable=True)
+        out = embed_words(np.array([0, 0]), table)
         np.testing.assert_array_equal(out.data[0], out.data[1])
         np.testing.assert_array_equal(out.data[0], table.data[0])
 
     def test_width_300_shape(self):
         table = Tensor(np.zeros((7, 300)))
-        assert embed_words(np.array([2, 3, 4]), table, trainable=False).shape == (3, 300)
+        assert embed_words(np.array([2, 3, 4]), table).shape == (3, 300)
 
     def test_out_of_range_id(self):
         table = Tensor(np.zeros((3, 2)))
         with pytest.raises(DataError, match="word id out of range"):
-            embed_words(np.array([5]), table, trainable=True)
+            embed_words(np.array([5]), table)
 
     def test_fixed_table_receives_no_gradient(self):
         table = Tensor(np.ones((3, 2)))
 
         def build():
-            return reduce_sum(embed_words(np.array([0, 1]), table, trainable=False))
+            return reduce_sum(embed_words(np.array([0, 1]), table))
 
         (g,) = tape_grads(build, [table])
         assert g is None
-
-    def test_trainable_table_receives_scatter_gradient(self):
-        table = Tensor(np.ones((3, 2)))
-
-        def build():
-            return reduce_sum(embed_words(np.array([1, 1]), table, trainable=True))
-
-        (g,) = tape_grads(build, [table])
-        np.testing.assert_array_equal(g, [[0, 0], [2, 2], [0, 0]])
 
 
 def naive_char_cnn(char_ids, table, filters, kernel):
@@ -244,10 +234,10 @@ class TestHighway:
             np.testing.assert_allclose(g, f, atol=1e-6)
 
 
-def make_lstm_weights(rng, d, h, scale=0.4):
-    w = Tensor(rng.normal(size=(d, 4 * h)) * scale)
-    u = Tensor(rng.normal(size=(h, 4 * h)) * scale)
-    b = Tensor(lstm_bias_init(h))
+def make_lstm_weights(rng, d, h, scale=0.4, dtype=np.float64):
+    w = Tensor(rng.normal(size=(d, 4 * h)) * scale, dtype=dtype)
+    u = Tensor(rng.normal(size=(h, 4 * h)) * scale, dtype=dtype)
+    b = Tensor(lstm_bias_init(h), dtype=dtype)
     return w, u, b
 
 
@@ -309,6 +299,7 @@ class TestBiLstm:
             assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max(), name
 
     def test_stacked_matches_composite_reference(self):
+        """Two BiLSTM layers, the second reading the first's output."""
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(9, 128)))
         layers = [(make_lstm_weights(rng, 128, 128, scale=0.1),
@@ -318,7 +309,7 @@ class TestBiLstm:
         inputs = (x,) + tuple(t for layer in layers for d in layer for t in d)
         g = rng.normal(size=(9, 256))
         got, got_grads, tape = output_and_grads(
-            lambda: bilstm_encode(x, layers), inputs, g)
+            lambda: bilstm_encode(bilstm_encode(x, *layers[0]), *layers[1]), inputs, g)
         assert [rec[0] for rec in tape._records].count("lstm") == 4
         want, want_grads, _ = output_and_grads(
             lambda: composite_bilstm_encode(x, layers), inputs, g)
@@ -327,16 +318,12 @@ class TestBiLstm:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_float32_stays_float32(self, reverse):
-        set_default_dtype(np.float32)
-        try:
-            rng = np.random.default_rng(3)
-            x = Tensor(rng.normal(size=(6, 5)))
-            weights = make_lstm_weights(rng, 5, 4)
-            out, grads, _ = output_and_grads(
-                lambda: lstm_run(x, *weights, reverse=reverse), (x,) + weights,
-                rng.normal(size=(6, 4)))
-        finally:
-            set_default_dtype(np.float64)
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(6, 5)), dtype=np.float32)
+        weights = make_lstm_weights(rng, 5, 4, dtype=np.float32)
+        out, grads, _ = output_and_grads(
+            lambda: lstm_run(x, *weights, reverse=reverse), (x,) + weights,
+            rng.normal(size=(6, 4)).astype(np.float32))
         assert out.dtype == np.float32
         assert [gr.dtype for gr in grads] == [np.float32] * 4
 
@@ -344,33 +331,34 @@ class TestBiLstm:
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(1, 4)))
         weights = make_lstm_weights(rng, 4, 3)
-        out = bilstm_encode(x, [(weights, weights)])
+        out = bilstm_encode(x, weights, weights)
         np.testing.assert_allclose(out.data[:, :3], out.data[:, 3:])
 
     def test_reversal_swaps_halves_with_shared_weights(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 4))
         weights = make_lstm_weights(rng, 4, 3)
-        fwd_then_bwd = bilstm_encode(Tensor(x), [(weights, weights)]).data
-        reversed_out = bilstm_encode(Tensor(x[::-1].copy()), [(weights, weights)]).data
+        fwd_then_bwd = bilstm_encode(Tensor(x), weights, weights).data
+        reversed_out = bilstm_encode(Tensor(x[::-1].copy()), weights, weights).data
         np.testing.assert_allclose(reversed_out[::-1, 3:], fwd_then_bwd[:, :3],
                                    atol=1e-12)
         np.testing.assert_allclose(reversed_out[::-1, :3], fwd_then_bwd[:, 3:],
                                    atol=1e-12)
 
     def test_output_shape_stacked(self):
+        """A second layer reads the first's [n, 2h] output."""
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(6, 4)))
         layer1 = (make_lstm_weights(rng, 4, 3), make_lstm_weights(rng, 4, 3))
         layer2 = (make_lstm_weights(rng, 6, 3), make_lstm_weights(rng, 6, 3))
-        out = bilstm_encode(x, [layer1, layer2])
+        out = bilstm_encode(bilstm_encode(x, *layer1), *layer2)
         assert out.shape == (6, 6)
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(0)
         layer = (make_lstm_weights(rng, 4, 3), make_lstm_weights(rng, 4, 3))
         with pytest.raises(DataError, match="empty sequence"):
-            bilstm_encode(Tensor(np.zeros((0, 4))), [layer])
+            bilstm_encode(Tensor(np.zeros((0, 4))), *layer)
 
     def test_gradient_n3_d4_h3(self):
         rng = np.random.default_rng(33)
@@ -380,7 +368,7 @@ class TestBiLstm:
         w = rng.normal(size=(3, 6))
 
         def build():
-            return reduce_sum(mul(bilstm_encode(x, [(fwd, bwd)]), Tensor(w)))
+            return reduce_sum(mul(bilstm_encode(x, fwd, bwd), Tensor(w)))
 
         for t in (x,) + fwd + bwd:
             (g,) = tape_grads(build, [t])

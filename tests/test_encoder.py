@@ -36,7 +36,6 @@ from abanet.tensor import (
     mul_const,
     record_op,
     reduce_sum,
-    set_default_dtype,
     slice_axis,
     softmax,
     stack,
@@ -277,12 +276,13 @@ def assert_runs_match(got, want, rtol):
         assert np.abs(a - b).max() <= rtol * np.abs(b).max(), name
 
 
-def paper_capsule_inputs(rng, n, scale=0.2):
+def paper_capsule_inputs(rng, n, scale=0.2, dtype=np.float64):
     """Squashed paper-sized primary capsules (16 x 8), a 16 x 8 -> 16 x 8
-    transform and an output weighting."""
+    transform and an output weighting, all in ``dtype``."""
     primary = _squash(rng.normal(size=(n, 16, 8)))[0]
-    return (Tensor(primary), Tensor(rng.normal(size=(16, 16, 8, 8)) * scale),
-            rng.normal(size=(n, 16, 8)))
+    return (Tensor(primary, dtype=dtype),
+            Tensor(rng.normal(size=(16, 16, 8, 8)) * scale, dtype=dtype),
+            rng.normal(size=(n, 16, 8)).astype(dtype))
 
 
 class TestDynamicRouting:
@@ -434,14 +434,10 @@ class TestRoutingMatchesFullUHat:
     @pytest.mark.parametrize("n", [1, 7, 140, 194])
     @pytest.mark.parametrize("iterations", [1, 2, 3])
     def test_float32_stays_float32(self, n, iterations):
-        set_default_dtype(np.float32)
-        try:
-            rng = np.random.default_rng(500 + 3 * n + iterations)
-            primary, transform, g = paper_capsule_inputs(rng, n)
-            got = routing_run(dynamic_routing, primary, transform, iterations, g)
-            want = routing_run(full_u_hat_routing, primary, transform, iterations, g)
-        finally:
-            set_default_dtype(np.float64)
+        rng = np.random.default_rng(500 + 3 * n + iterations)
+        primary, transform, g = paper_capsule_inputs(rng, n, dtype=np.float32)
+        got = routing_run(dynamic_routing, primary, transform, iterations, g)
+        want = routing_run(full_u_hat_routing, primary, transform, iterations, g)
         v, log, dprimary, dtransform = got
         assert all(a.dtype == np.float32 for a in (v, dprimary, dtransform, *log))
         assert_runs_match(got, want, 1e-5)
@@ -455,23 +451,18 @@ class TestRoutingMatchesFullUHat:
         hundred round to about 1e-5 absolute, so at 3 iterations both
         routings sit up to 1e-4 from the float64 result, and from each
         other."""
-        set_default_dtype(dtype)
-        try:
-            rng = np.random.default_rng(7)
-            primary, transform, g = paper_capsule_inputs(rng, 140, scale)
-            u_hat = np.einsum("nip,ijpq->nijq", primary.data, transform.data)
-            v = full_u_hat_routing(primary, transform, 1).data
-            logits = np.einsum("nijq,njq->nij", u_hat, v)
-            spread = logits.max() - logits.max(axis=-1).min()
-            assert spread > -np.log(np.finfo(dtype).smallest_subnormal)
-            for iterations in (2, 3):
-                assert_runs_match(
-                    routing_run(dynamic_routing, primary, transform, iterations, g),
-                    routing_run(full_u_hat_routing, primary, transform, iterations,
-                                g),
-                    rtol)
-        finally:
-            set_default_dtype(np.float64)
+        rng = np.random.default_rng(7)
+        primary, transform, g = paper_capsule_inputs(rng, 140, scale, dtype)
+        u_hat = np.einsum("nip,ijpq->nijq", primary.data, transform.data)
+        v = full_u_hat_routing(primary, transform, 1).data
+        logits = np.einsum("nijq,njq->nij", u_hat, v)
+        spread = logits.max() - logits.max(axis=-1).min()
+        assert spread > -np.log(np.finfo(dtype).smallest_subnormal)
+        for iterations in (2, 3):
+            assert_runs_match(
+                routing_run(dynamic_routing, primary, transform, iterations, g),
+                routing_run(full_u_hat_routing, primary, transform, iterations, g),
+                rtol)
 
     def test_single_iteration_gradient_matches_finite_differences(self):
         """The one-iteration backward (uniform couplings, exact) at paper
@@ -516,7 +507,7 @@ def test_paper_predict_matches_full_u_hat_routing(monkeypatch):
         rule=rng.integers(0, 2, size=140).tolist(), answer_begin=3, answer_end=5)
     model = Model(paper_profile(), *build_vocabs([example]), seed=0)
     got = model.predict(example)
-    model.invalidate_caches()
+    model.store.load_state_dict(model.store.state_dict())  # empties both caches
     calls = []
 
     def counted(*args, **kwargs):
@@ -576,69 +567,65 @@ class TestConvPriDigLayer:
             np.testing.assert_allclose(g, f, atol=1e-5)
 
 
+def f32(data) -> Tensor:
+    return Tensor(data, dtype=np.float32)
+
+
 class TestFloat32:
     def test_outputs_and_gradients_stay_float32(self):
         """Fused primitives keep float32 inputs float32, forward and backward."""
-        set_default_dtype(np.float32)
-        try:
-            rng = np.random.default_rng(8)
-            x, gain, bias, dw, pw = (Tensor(rng.normal(size=shape)) for shape in
-                                     ((3, 8), (8,), (8,), (3, 8), (8, 8)))
-            primary = Tensor(rng.normal(size=(3, 2, 4)))
-            transform = Tensor(rng.normal(size=(2, 2, 4, 4)) * 0.5)
-            caps = CapsuleConfig(2, 4, 2, 4, 3)
-            attn = [Tensor(rng.normal(size=(8, 8))) for _ in range(4)]
-            hos, alpha = Tensor(rng.normal(size=(6, 3, 8))), Tensor(rng.normal(size=6))
-            decayed = ParamStore()
-            weights = [decayed.register(f"w{i}", Tensor(rng.normal(size=shape)))
-                       for i, shape in enumerate(((3, 8), (8,)))]
-            cases = {
-                "layer_norm": (lambda: layer_norm(x, gain, bias), (x, gain, bias)),
-                "squash": (lambda: squash(primary), (primary,)),
-                "dynamic_routing": (lambda: dynamic_routing(primary, transform, 3),
-                                    (primary, transform)),
-                "conv_pri_dig_layer": (
-                    lambda: conv_pri_dig_layer(x, dw, pw, transform, caps),
-                    (x, dw, pw, transform)),
-                "self_attention": (
-                    lambda: multi_head_self_attention(x, (2, 1), 2, *attn),
-                    (x, *attn)),
-                "stack": (lambda: stack([x, dw]), (x, dw)),
-                "select_top3": (lambda: select_top3(hos, alpha)[0], (hos, alpha)),
-                "l2_penalty": (lambda: l2_penalty(decayed, 3e-7), weights),
-            }
-            for name, (op, inputs) in cases.items():
-                with Tape() as tape:
-                    out = op()
-                    loss = reduce_sum(mul(out, Tensor(rng.normal(size=out.shape))))
-                grads = tape.gradients(loss)
-                dtypes = [out.data.dtype] + [grads[id(t)].dtype for t in inputs]
-                assert dtypes == [np.float32] * len(dtypes), name
-        finally:
-            set_default_dtype(np.float64)
+        rng = np.random.default_rng(8)
+        x, gain, bias, dw, pw = (f32(rng.normal(size=shape)) for shape in
+                                 ((3, 8), (8,), (8,), (3, 8), (8, 8)))
+        primary = f32(rng.normal(size=(3, 2, 4)))
+        transform = f32(rng.normal(size=(2, 2, 4, 4)) * 0.5)
+        caps = CapsuleConfig(2, 4, 2, 4, 3)
+        attn = [f32(rng.normal(size=(8, 8))) for _ in range(4)]
+        hos, alpha = f32(rng.normal(size=(6, 3, 8))), f32(rng.normal(size=6))
+        decayed = ParamStore(np.float32)
+        weights = [decayed.register(f"w{i}", f32(rng.normal(size=shape)))
+                   for i, shape in enumerate(((3, 8), (8,)))]
+        cases = {
+            "layer_norm": (lambda: layer_norm(x, gain, bias), (x, gain, bias)),
+            "squash": (lambda: squash(primary), (primary,)),
+            "dynamic_routing": (lambda: dynamic_routing(primary, transform, 3),
+                                (primary, transform)),
+            "conv_pri_dig_layer": (
+                lambda: conv_pri_dig_layer(x, dw, pw, transform, caps),
+                (x, dw, pw, transform)),
+            "self_attention": (
+                lambda: multi_head_self_attention(x, (2, 1), 2, *attn),
+                (x, *attn)),
+            "stack": (lambda: stack([x, dw]), (x, dw)),
+            "select_top3": (lambda: select_top3(hos, alpha)[0], (hos, alpha)),
+            "l2_penalty": (lambda: l2_penalty(decayed, 3e-7), weights),
+        }
+        for name, (op, inputs) in cases.items():
+            with Tape() as tape:
+                out = op()
+                loss = reduce_sum(mul(out, f32(rng.normal(size=out.shape))))
+            grads = tape.gradients(loss)
+            dtypes = [out.data.dtype] + [grads[id(t)].dtype for t in inputs]
+            assert dtypes == [np.float32] * len(dtypes), name
 
     @pytest.mark.parametrize("training", [True, False])
     def test_encoder_stack_stays_float32(self, training):
         """Constants (positional table, survival and attention scales) must
         not promote a float32 stack to float64."""
-        set_default_dtype(np.float32)
-        try:
-            store = ParamStore()
-            rng = np.random.default_rng(9)
-            build_mini_stack(store, "enc", rng)
-            x = Tensor(rng.normal(size=(5, 8)))
-            with Tape() as tape:
-                out = run_encoder_stack(x, None, store, "enc", num_heads=2,
-                                        block=MINI_BLOCK, caps=MINI_CAPS,
-                                        dropout_rate=0.1, training=training,
-                                        rng=np.random.default_rng(0))
-                loss = reduce_sum(mul(out, Tensor(rng.normal(size=out.shape))))
-            records = [(name, o.data.dtype) for name, o, _, _ in tape._records]
-            assert records and all(dt == np.float32 for _, dt in records), records
-            grads = tape.gradients(loss)
-            assert all(g.dtype == np.float32 for g in grads.values())
-        finally:
-            set_default_dtype(np.float64)
+        store = ParamStore(np.float32)
+        rng = np.random.default_rng(9)
+        build_mini_stack(store, "enc", rng)
+        x = f32(rng.normal(size=(5, 8)))
+        with Tape() as tape:
+            out = run_encoder_stack(x, None, store, "enc", num_heads=2,
+                                    block=MINI_BLOCK, caps=MINI_CAPS,
+                                    dropout_rate=0.1, training=training,
+                                    rng=np.random.default_rng(0))
+            loss = reduce_sum(mul(out, f32(rng.normal(size=out.shape))))
+        records = [(name, o.data.dtype) for name, o, _, _ in tape._records]
+        assert records and all(dt == np.float32 for _, dt in records), records
+        grads = tape.gradients(loss)
+        assert all(g.dtype == np.float32 for g in grads.values())
 
 
 def composite_self_attention(x, lengths, num_heads, wq, wk, wv, wo):

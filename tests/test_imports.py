@@ -1,5 +1,6 @@
-"""Every imported name in the package and its tests is used, and every
-top-level function and class of the package is referenced somewhere."""
+"""Every imported name in the package and its tests is used, every
+top-level function and class of the package is referenced somewhere, and
+the active tape is the package's only process-wide mutable state."""
 
 import ast
 import pathlib
@@ -80,3 +81,27 @@ def test_detects_an_unreferenced_definition():
     sources = {"pkg.py": package, "caller.py": caller}
     assert unreferenced_definitions(sources, {"pkg.py"}) == [
         "pkg.py: recursive", "pkg.py: Orphan"]
+
+
+# The one name the package may rebind with ``global``: which tape records.
+ALLOWED_GLOBALS = {"_ACTIVE_TAPE"}
+
+
+def global_statements(source: str) -> list[str]:
+    """Names a ``global`` statement declares, other than the allowed ones."""
+    return [f"{name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global)
+            for name in node.names if name not in ALLOWED_GLOBALS]
+
+
+def test_no_process_wide_state_but_the_tape():
+    found = {path.name: names for path in PACKAGE
+             if (names := global_statements(path.read_text(encoding="utf-8")))}
+    assert not found, found
+
+
+def test_detects_a_global_statement():
+    source = ("_WIDTH = 8\n_ACTIVE_TAPE = None\n\n"
+              "def set_width(width):\n    global _WIDTH\n    _WIDTH = width\n\n"
+              "def enter(tape):\n    global _ACTIVE_TAPE\n    _ACTIVE_TAPE = tape\n")
+    assert global_statements(source) == ["_WIDTH (line 5)"]

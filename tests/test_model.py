@@ -1,5 +1,6 @@
 """Span head (per-segment distributions, gold-span likelihood, decoding),
-float32 purity of a whole model step, the provider and passage caches,
+float32 purity of a whole model step, float32 serving of a float64-trained
+model, models of both widths in one process, the provider and passage caches,
 the rebind-only parameter contract, full-model gradients, the Adam update,
 the freeing backward sweep, the training step's garbage-collection state,
 determinism and learning, the one-record weight decay and the model
@@ -28,7 +29,7 @@ from abanet.model import (
     train_step,
 )
 from abanet.params import ParamStore, relative_error
-from abanet.tensor import Tape, Tensor, mul, reduce_sum, set_default_dtype
+from abanet.tensor import Tape, Tensor, mul, reduce_sum
 
 
 def loop_decode_span(p_begin, p_end, max_len, unanswerable_mode=False):
@@ -167,24 +168,69 @@ class TestSpanNll:
             span_nll(p, p, *gold, (2, 1))
 
 
+FLOAT32 = dataclasses.replace(mini_profile(), dtype="float32")
+
+
 def test_float32_model_forward_and_backward_stay_float32():
-    set_default_dtype(np.float32)
-    try:
-        examples = gen_synthetic("copy-locate", 4, 0)
-        model = Model(mini_profile(), *build_vocabs(examples), seed=0)
-        example = examples[0]
-        with Tape() as tape:
-            result = model.forward([example], training=True,
-                                   rng=np.random.default_rng(0))
-            loss = span_nll(result.p_begin, result.p_end,
-                            example.answer_begin, example.answer_end)
-        upcast = [(i, name) for i, (name, out, _, _) in enumerate(tape._records)
-                  if out.data.dtype != np.float32]
-        assert not upcast, upcast[:5]
-        grads = tape.gradients(loss)
-        assert all(g.dtype == np.float32 for g in grads.values())
-    finally:
-        set_default_dtype(np.float64)
+    examples = gen_synthetic("copy-locate", 4, 0)
+    model = Model(FLOAT32, *build_vocabs(examples), seed=0)
+    assert all(t.data.dtype == np.float32 for _, t in model.store.items())
+    example = examples[0]
+    with Tape() as tape:
+        result = model.forward([example], training=True,
+                               rng=np.random.default_rng(0))
+        loss = span_nll(result.p_begin, result.p_end,
+                        example.answer_begin, example.answer_end)
+    upcast = [(i, name) for i, (name, out, _, _) in enumerate(tape._records)
+              if out.data.dtype != np.float32]
+    assert not upcast, upcast[:5]
+    grads = tape.gradients(loss)
+    assert all(g.dtype == np.float32 for g in grads.values())
+
+
+def test_word_vectors_take_the_model_width():
+    examples = gen_synthetic("copy-locate", 4, 0)
+    vocabs = build_vocabs(examples)
+    vectors = np.ones((len(vocabs[0]), FLOAT32.word_dim))
+    model = Model(FLOAT32, *vocabs, seed=0, word_vectors=vectors)
+    table = model.store.get("word.table").data
+    assert table.dtype == np.float32 and not np.shares_memory(table, vectors)
+    assert model.predict(examples[0]).p_begin.dtype == np.float32
+
+
+def test_float64_trained_model_serves_in_float32():
+    """A model trained by ``fit`` in float64 and loaded into a float32 model
+    predicts the same spans, with distributions within 1e-4 relative."""
+    examples = gen_synthetic("copy-locate", 50, 0)
+    vocabs = build_vocabs(examples)
+    trained = Model(mini_profile(), *vocabs, seed=0)
+    fit(trained, examples, epochs=8, seed=0)
+    served = Model(FLOAT32, *vocabs, seed=1)
+    served.store.load_state_dict(trained.store.state_dict())
+    agree = 0
+    for example in examples:
+        want, got = trained.predict(example), served.predict(example)
+        assert got.p_begin.dtype == got.p_end.dtype == np.float32
+        agree += (got.begin, got.end) == (want.begin, want.end)
+        for name in ("p_begin", "p_end"):
+            a, e = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(a - e) / e) <= 1e-4, name
+    assert agree >= 0.99 * len(examples), agree
+
+
+def test_both_widths_predict_in_turn_in_one_process():
+    """A float32 and a float64 model share the process: each keeps its
+    width, and the float64 one predicts the bits it predicts alone."""
+    examples = gen_synthetic("copy-locate", 6, 0)
+    vocabs = build_vocabs(examples)
+    alone = [Model(mini_profile(), *vocabs, seed=0).predict(e) for e in examples]
+    narrow = Model(FLOAT32, *vocabs, seed=0)
+    wide = Model(mini_profile(), *vocabs, seed=0)
+    for example, want in zip(examples, alone):
+        got32, got64 = narrow.predict(example), wide.predict(example)
+        assert got32.p_begin.dtype == got32.p_end.dtype == np.float32
+        assert got64.p_begin.dtype == got64.p_end.dtype == np.float64
+        assert_same_prediction(got64, want)
 
 
 def mini_model(seed=0):
@@ -196,10 +242,9 @@ class TestProviderCache:
     """Least-recently-used eviction under a byte budget of two entries."""
 
     def setup_method(self):
-        self.model, _ = mini_model()
         self.keys = [np.array([2, 3, k]) for k in (4, 5, 6)]
-        entry = self.model._provider_run(self.keys[0])
-        self.model.invalidate_caches()
+        entry = mini_model()[0]._provider_run(self.keys[0])
+        self.model, _ = mini_model()
         self.budget = 2 * sum(layer.nbytes for layer in entry)
 
     def cached(self):
@@ -223,12 +268,46 @@ class TestProviderCache:
         assert self.cached() == [4, 6]
 
     def test_invalidate_empties(self):
+        """A rebound frozen array invalidates the cache at the next check."""
+        self.model._check_frozen()  # as a forward does before the provider runs
         for key in self.keys:
             self.model._provider_run(key)
+        self.model._check_frozen()
         assert len(self.model._provider_cache) == 3
-        self.model.invalidate_caches()
+        table = self.model.store.get("provider.table")
+        table.data = table.data.copy()
+        self.model._check_frozen()
         assert not self.model._provider_cache
         assert self.model._provider_cache_bytes == 0
+
+    def test_loaded_frozen_weights_are_used(self):
+        """After ``load_state_dict`` the provider runs on the loaded frozen
+        weights: the model predicts the bits of the model it was loaded
+        from, with the contextual level among the selected three."""
+        examples = gen_synthetic("copy-locate", 4, 0)
+        vocabs = build_vocabs(examples)
+        models = [Model(mini_profile(), *vocabs, seed=seed) for seed in (0, 5)]
+        for model in models:
+            model.store.get("alpha").data = np.array([0.3, 0.2, 0.0, 0.25, 0.0, 0.0])
+        model, source = models
+        model.predict(examples[0])
+        model.store.load_state_dict(source.store.state_dict())
+        for example in examples:
+            got = model.predict(example)
+            assert_same_prediction(got, source.predict(example))
+        assert model.forward(examples[:1]).selected_levels == (0, 1, 3)
+
+    def test_survives_a_training_step(self):
+        """Adam rebinds only trainable arrays, so cached provider layers
+        are reused after a step."""
+        model, examples = mini_model()
+        model.predict(examples[0])
+        before = dict(model._provider_cache)
+        train_step(model, examples[:2], Adam(model.store, 1e-2),
+                   np.random.default_rng(0))
+        model.predict(examples[0])
+        assert all(model._provider_cache[key] is layers
+                   for key, layers in before.items())
 
 
 def count_sequence_reprs(model, monkeypatch):
@@ -359,9 +438,9 @@ class TestPassageCache:
         base = examples[0]
         passages = {k: dataclasses.replace(base, passage=base.passage[k:]
                                            + base.passage[:k]) for k in (1, 2, 3)}
-        model.predict(passages[1])
-        (entry, _), = model._passage_cache.values()
-        model.invalidate_caches()
+        sizer, _ = mini_model()
+        sizer.predict(passages[1])
+        (entry, _), = sizer._passage_cache.values()
         monkeypatch.setattr(model_module, "PASSAGE_CACHE_BYTES", 2 * entry.nbytes)
 
         def cached():
@@ -378,11 +457,15 @@ class TestPassageCache:
         assert cached() == [1, 3]
 
     def test_invalidate_empties_both_caches(self):
+        """Loading a state rebinds every array, frozen ones included, so
+        the next checks empty both caches."""
         model, examples = mini_model()
         for example in examples:
             model.predict(example)
         assert model._provider_cache and len(model._passage_cache) == 4
-        model.invalidate_caches()
+        model.store.load_state_dict(model.store.state_dict())
+        model._check_frozen()
+        model._check_params()
         assert not model._provider_cache and not model._passage_cache
         assert model._provider_cache_bytes == model._passage_cache_bytes == 0
 
@@ -754,8 +837,10 @@ class TestWithoutAdaptiveScale:
         predictions = []
         for flag in (True, False):
             config = dataclasses.replace(mini_profile(), use_adaptive_scale=flag)
-            assert config.lambda_init == "identity"
-            predictions.append(Model(config, *vocabs, seed=0).predict(examples[0]))
+            model = Model(config, *vocabs, seed=0)
+            for name in ("lambda.p", "lambda.q"):
+                np.testing.assert_array_equal(model.store.get(name).data, np.eye(6))
+            predictions.append(model.predict(examples[0]))
         on, off = predictions
         np.testing.assert_array_equal(on.p_begin, off.p_begin)
         np.testing.assert_array_equal(on.p_end, off.p_end)

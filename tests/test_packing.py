@@ -33,7 +33,6 @@ from abanet.tensor import (
     reduce_sum,
     reshape,
     segment_softmax,
-    set_default_dtype,
 )
 
 PASSAGE_LENGTHS = (1, 7, 3, 12)
@@ -65,14 +64,14 @@ def segment_by_segment(op, x, params, lengths, weight):
     return np.concatenate(outs), [np.concatenate(dxs)] + dparams
 
 
-def lstm_weights(rng, d, h):
-    return (Tensor(rng.normal(size=(d, 4 * h)) * 0.3),
-            Tensor(rng.normal(size=(h, 4 * h)) * 0.3),
-            Tensor(rng.normal(size=4 * h) * 0.1))
+def lstm_weights(rng, d, h, dtype=np.float64):
+    return (Tensor(rng.normal(size=(d, 4 * h)) * 0.3, dtype=dtype),
+            Tensor(rng.normal(size=(h, 4 * h)) * 0.3, dtype=dtype),
+            Tensor(rng.normal(size=4 * h) * 0.1, dtype=dtype))
 
 
-def small_stack(rng):
-    store = ParamStore()
+def small_stack(rng, dtype):
+    store = ParamStore(dtype)
     block = EncoderBlockConfig(num_conv_layers=1, kernel=5, num_blocks=2)
     caps = CapsuleConfig(2, 4, 2, 4, 1)
     build_encoder_stack(store, "enc", d=8, num_heads=2, ffn_hidden=8, block=block,
@@ -82,25 +81,28 @@ def small_stack(rng):
         x, lengths, store, "enc", num_heads=2, block=block, caps=caps)), params
 
 
-def packed_op(name, rng):
-    """(op(x, lengths), parameters, input width, output width) of one case."""
+def packed_op(name, rng, dtype=np.float64):
+    """(op(x, lengths), parameters in ``dtype``, input width, output width)
+    of one case."""
     if name == "self_attention":
-        weights = tuple(Tensor(rng.normal(size=(8, 8)) / np.sqrt(8)) for _ in range(4))
+        weights = tuple(Tensor(rng.normal(size=(8, 8)) / np.sqrt(8), dtype=dtype)
+                        for _ in range(4))
         return (lambda x, lengths: multi_head_self_attention(x, lengths, 2, *weights),
                 weights, 8, 8)
     if name == "depthwise_conv":
-        kernel = Tensor(rng.normal(size=(5, 8)))
+        kernel = Tensor(rng.normal(size=(5, 8)), dtype=dtype)
         return lambda x, lengths: depthwise_conv1d(x, kernel, lengths), (kernel,), 8, 8
     if name in ("lstm_fwd", "lstm_bwd"):
-        weights = lstm_weights(rng, 6, 4)
+        weights = lstm_weights(rng, 6, 4, dtype)
         reverse = name == "lstm_bwd"
         return (lambda x, lengths: lstm_run(x, *weights, reverse=reverse,
                                             lengths=lengths), weights, 6, 4)
     if name == "stacked_bilstm":
-        layers = [(lstm_weights(rng, 6, 4), lstm_weights(rng, 6, 4)),
-                  (lstm_weights(rng, 8, 4), lstm_weights(rng, 8, 4))]
-        params = tuple(t for layer in layers for d in layer for t in d)
-        return lambda x, lengths: bilstm_encode(x, layers, lengths), params, 6, 8
+        first = (lstm_weights(rng, 6, 4, dtype), lstm_weights(rng, 6, 4, dtype))
+        second = (lstm_weights(rng, 8, 4, dtype), lstm_weights(rng, 8, 4, dtype))
+        params = tuple(t for layer in (first, second) for d in layer for t in d)
+        return (lambda x, lengths: bilstm_encode(
+            bilstm_encode(x, *first, lengths), *second, lengths), params, 6, 8)
     if name == "positional_encoding":
         return (lambda x, lengths: add_const(
             x, positional_encoding(x.shape[0], 8, lengths)), (), 8, 8)
@@ -108,7 +110,7 @@ def packed_op(name, rng):
         return (lambda x, lengths: segment_softmax(reshape(x, (x.shape[0],)), lengths),
                 (), 1, None)
     if name == "encoder_stack":
-        op, params = small_stack(rng)
+        op, params = small_stack(rng, dtype)
         return op, params, 8, 8
     raise KeyError(name)
 
@@ -136,17 +138,13 @@ class TestPackedOps:
 
     @pytest.mark.parametrize("name", CASES)
     def test_float32_stays_float32(self, name):
-        set_default_dtype(np.float32)
-        try:
-            rng = np.random.default_rng(7)
-            op, params, width, out_width = packed_op(name, rng)
-            n = sum(PASSAGE_LENGTHS)
-            x = Tensor(rng.normal(size=(n, width)))
-            weight = rng.normal(size=(n,) if out_width is None else (n, out_width))
-            out, grads = output_and_grads(lambda: op(x, PASSAGE_LENGTHS),
-                                          (x,) + params, weight)
-        finally:
-            set_default_dtype(np.float64)
+        rng = np.random.default_rng(7)
+        op, params, width, out_width = packed_op(name, rng, np.float32)
+        n = sum(PASSAGE_LENGTHS)
+        x = Tensor(rng.normal(size=(n, width)), dtype=np.float32)
+        weight = rng.normal(size=(n,) if out_width is None else (n, out_width))
+        out, grads = output_and_grads(lambda: op(x, PASSAGE_LENGTHS),
+                                      (x,) + params, weight.astype(np.float32))
         assert [a.dtype for a in [out] + grads] == [np.float32] * (len(grads) + 1)
 
     def test_bidirectional_attention_matches_each_pair_alone(self):

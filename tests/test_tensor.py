@@ -390,6 +390,39 @@ class TestGradCheck:
         report = grad_check(lambda: reduce_sum(broken_square(w)), store)
         assert not report.passed
 
+    def test_refuses_a_float32_parameter(self):
+        store = ParamStore(np.float32)
+        w = store.create("w", (3,), rng=np.random.default_rng(2))
+        with pytest.raises(ConfigError, match="float64 parameters; w is float32"):
+            grad_check(lambda: reduce_sum(mul(w, w)), store)
+
+
+class TestWidth:
+    """A tensor keeps its array's float width; Python scalars follow the
+    other operand; a store creates parameters in its own width."""
+
+    @pytest.mark.parametrize("data,dtype", [
+        (np.ones(2, dtype=np.float32), np.float32),
+        (np.ones(2), np.float64),
+        (np.arange(2), np.float64),
+        (np.array([True, False]), np.float64),
+        ([1, 2], np.float64),
+        (1.5, np.float64),
+    ])
+    def test_wrapped_width(self, data, dtype):
+        assert Tensor(data).data.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_python_scalars_take_the_other_width(self, dtype):
+        t = Tensor(np.array([0.25, 2.0], dtype=dtype))
+        for out in (t + 1, 1.0 + t, t - 0.5, 1.0 - t, t * 3, 0.5 * t):
+            assert out.data.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_store_creates_in_its_width(self, dtype):
+        w = ParamStore(dtype).create("w", (2, 3), rng=np.random.default_rng(0))
+        assert w.data.dtype == dtype
+
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
