@@ -274,7 +274,7 @@ class ContextualProvider:
 
 def expand_subtokens(token_ids: np.ndarray,
                      subtoken_counts: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Repeat each token id S times; also build the [n x T] averaging map."""
+    """Repeat each token id S times; also return the [n] counts S."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
     n = token_ids.shape[0]
     if subtoken_counts is None:
@@ -284,13 +284,7 @@ def expand_subtokens(token_ids: np.ndarray,
         if counts.shape != (n,) or (counts < 1).any():
             raise DataError(
                 f"subtoken counts must be {n} positive integers, got {counts!r}")
-    expanded = np.repeat(token_ids, counts)
-    averaging = np.zeros((n, expanded.shape[0]))
-    offset = 0
-    for row, count in enumerate(counts):
-        averaging[row, offset:offset + count] = 1.0 / count
-        offset += count
-    return expanded, averaging
+    return np.repeat(token_ids, counts), counts
 
 
 def contextual_mix(provider: ContextualProvider, token_ids: np.ndarray,
@@ -313,7 +307,7 @@ def contextual_mix(provider: ContextualProvider, token_ids: np.ndarray,
     count = provider.num_layers
     pooled = []
     for start, stop in segment_bounds(lengths, n):
-        expanded, averaging = expand_subtokens(
+        expanded, counts = expand_subtokens(
             token_ids[start:stop],
             None if subtoken_counts is None else subtoken_counts[start:stop])
         layers = provider.run(expanded)
@@ -326,7 +320,12 @@ def contextual_mix(provider: ContextualProvider, token_ids: np.ndarray,
                 raise ShapeError(
                     f"provider layer {index} has shape {layer.shape}, "
                     f"expected {expected}")
-        pooled.append(np.stack([averaging @ np.asarray(layer) for layer in layers]))
+        # Each word's sub-token rows are summed, then divided by their
+        # count, in the layer's own width.
+        starts = np.cumsum(counts) - counts
+        pooled.append(np.stack([
+            np.add.reduceat(layer, starts, axis=0) / counts.astype(layer.dtype)[:, None]
+            for layer in layers]))
     # A constant [L, n*w] in theta's width: the provider is frozen.
     pooled = Tensor(np.concatenate(pooled, axis=1).reshape(count, n * provider.width),
                     dtype=theta.data.dtype)

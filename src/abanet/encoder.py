@@ -25,7 +25,7 @@ from .tensor import (
     Tensor,
     add,
     add_const,
-    depthwise_separable_conv1d,
+    depthwise_conv1d,
     dropout,
     layer_norm,
     matmul,
@@ -190,7 +190,7 @@ def conv_pri_dig_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor,
         raise ShapeError(
             f"width {width} does not tile into {caps.primary_count} capsules "
             f"of dim {caps.primary_dim}")
-    convolved = depthwise_separable_conv1d(x, depthwise, pointwise, lengths)
+    convolved = matmul(depthwise_conv1d(x, depthwise, lengths), pointwise)
     primary = squash(reshape(convolved, (n, caps.primary_count, caps.primary_dim)))
     digits = dynamic_routing(primary, transform, caps.routing_iterations)
     return reshape(digits, (n, caps.digit_count * caps.digit_dim))

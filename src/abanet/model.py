@@ -94,6 +94,49 @@ class SpanPrediction:
     text: str
 
 
+class _LRUCache:
+    """A least-recently-used map under a byte budget, for values computed
+    from the arrays of ``tensors``.
+
+    Parameters change only by rebinding their arrays (see ``Tensor``), so
+    a value is stale once any of those arrays was rebound.  ``get`` first
+    compares each tensor's array with the one it last saw; on any
+    difference, and at the first lookup, it empties the map and misses.
+    Weak references pin no replaced array.  They are taken at lookup, not
+    at construction: taken in ``Model.__init__`` they slowed a loop of
+    model set-ups by about 15%, through the heap's page reuse.
+    """
+
+    def __init__(self, tensors: list[Tensor], budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self.entries: OrderedDict = OrderedDict()   # key -> (value, nbytes)
+        self._tensors = tensors
+        self._refs: list[weakref.ref] = []
+
+    def get(self, key):
+        if len(self._refs) != len(self._tensors) or not all(
+                ref() is tensor.data for ref, tensor in zip(self._refs, self._tensors)):
+            self.entries.clear()
+            self.nbytes = 0
+            self._refs = [weakref.ref(tensor.data) for tensor in self._tensors]
+            return None
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        self.entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, value, nbytes: int) -> None:
+        """Add ``value`` as the most recent entry, then drop the oldest
+        entries while the byte total is over budget."""
+        self.entries[key] = (value, nbytes)
+        self.nbytes += nbytes
+        while self.nbytes > self.budget:
+            _, (_, evicted) = self.entries.popitem(last=False)
+            self.nbytes -= evicted
+
+
 class Model:
     """Owns the parameter store, the frozen contextual provider, and wiring."""
 
@@ -104,18 +147,16 @@ class Model:
         self.config = config
         self.word_vocab = word_vocab
         self.char_vocab = char_vocab
-        self._provider_cache: OrderedDict[bytes, list[np.ndarray]] = OrderedDict()
-        self._provider_cache_bytes = 0
-        self._passage_cache: OrderedDict[tuple, tuple[np.ndarray, tuple[int, ...]]] \
-            = OrderedDict()
-        self._passage_cache_bytes = 0
-        self._param_refs: list[weakref.ref] = []
-        self._frozen_refs: list[weakref.ref] = []
         self.store = ParamStore(config.dtype)
         self._register(np.random.default_rng(seed), word_vectors)
         trainable = dict(self.store.trainable())
-        self._frozen = [tensor for name, tensor in self.store.items()
-                        if name not in trainable]
+        # The provider's layers read only the frozen arrays, which Adam
+        # never rebinds, so its cache survives training steps.
+        self._provider_cache = _LRUCache(
+            [tensor for name, tensor in self.store.items() if name not in trainable],
+            PROVIDER_CACHE_BYTES)
+        self._passage_cache = _LRUCache(
+            [tensor for _, tensor in self.store.items()], PASSAGE_CACHE_BYTES)
         self.provider = ContextualProvider(
             num_layers=config.provider_layers, width=config.provider_width,
             run=self._provider_run)
@@ -217,7 +258,6 @@ class Model:
         key = expanded_ids.tobytes()
         cached = self._provider_cache.get(key)
         if cached is not None:
-            self._provider_cache.move_to_end(key)
             return cached
         with no_grad():
             x = Tensor(self.store.get("provider.table").data[expanded_ids])
@@ -231,46 +271,8 @@ class Model:
                 x, None, self.store, "provider.enc", num_heads=2,
                 block=self._provider_block(), caps=self.config.capsules,
                 collect_blocks=True)]
-        self._provider_cache[key] = layers
-        self._provider_cache_bytes += sum(layer.nbytes for layer in layers)
-        while self._provider_cache_bytes > PROVIDER_CACHE_BYTES:
-            _, evicted = self._provider_cache.popitem(last=False)
-            self._provider_cache_bytes -= sum(layer.nbytes for layer in evicted)
+        self._provider_cache.put(key, layers, sum(layer.nbytes for layer in layers))
         return layers
-
-    # -- passage cache ---------------------------------------------------------
-
-    def _check_frozen(self) -> None:
-        """Empty the provider cache if a frozen array was rebound.
-
-        The provider's layers depend only on the frozen arrays, which
-        ``Adam`` never rebinds, so the cache survives training steps and
-        is emptied only by a change such as ``load_state_dict``.
-        """
-        frozen = [tensor.data for tensor in self._frozen]
-        if _same_arrays(self._frozen_refs, frozen):
-            return
-        self._provider_cache.clear()
-        self._provider_cache_bytes = 0
-        self._frozen_refs = [weakref.ref(array) for array in frozen]
-
-    def _check_params(self) -> None:
-        """Empty the passage cache if any parameter array was rebound."""
-        arrays = [tensor.data for _, tensor in self.store.items()]
-        if _same_arrays(self._param_refs, arrays):
-            return
-        self._passage_cache.clear()
-        self._passage_cache_bytes = 0
-        self._param_refs = [weakref.ref(array) for array in arrays]
-
-    def _cache_passage(self, key: tuple, selected: np.ndarray,
-                       levels: tuple[int, ...]) -> None:
-        selected.setflags(write=False)
-        self._passage_cache[key] = (selected, levels)
-        self._passage_cache_bytes += selected.nbytes
-        while self._passage_cache_bytes > PASSAGE_CACHE_BYTES:
-            _, (evicted, _) = self._passage_cache.popitem(last=False)
-            self._passage_cache_bytes -= evicted.nbytes
 
     # -- forward -------------------------------------------------------------
 
@@ -344,10 +346,7 @@ class Model:
         mixing and top-3 selection) does not depend on the question.  In
         an eval-mode forward of a pack of one with no tape recording, its
         selected [n, 3d] levels and their indices are cached, keyed by the
-        passage's word, char, pos, ner, rule and sub-token ids.  The cache
-        is emptied when any parameter array has been rebound since the
-        last such forward, and every forward first empties the provider
-        cache if a frozen array has been rebound.
+        passage's word, char, pos, ner, rule and sub-token ids.
         """
         cfg = self.config
         store = self.store
@@ -372,16 +371,13 @@ class Model:
                 np.ones(len(e.passage), dtype=np.int64) if e.subtokens is None
                 else np.asarray(e.subtokens, dtype=np.int64) for e in examples])
 
-        self._check_frozen()
         cached = key = None
         if len(examples) == 1 and not training and not recording():
-            self._check_params()
             key = (p_ids.tobytes(), p_chars.tobytes(),
                    *(f.tobytes() for f in p_feats),
                    None if subtokens is None else subtokens.tobytes())
             cached = self._passage_cache.get(key)
         if cached is not None:
-            self._passage_cache.move_to_end(key)
             selected, levels = cached
             selected_p = Tensor(selected)
         else:
@@ -389,7 +385,9 @@ class Model:
                                         p_lengths, training, rng)
             selected_p, levels = self._select_levels(raw_p, "lambda.p")
             if key is not None:
-                self._cache_passage(key, selected_p.data, levels)
+                selected_p.data.setflags(write=False)
+                self._passage_cache.put(key, (selected_p.data, levels),
+                                        selected_p.data.nbytes)
         raw_q = self._sequence_repr(q_ids, q_chars, q_zero, q_zero, q_zero,
                                     None, q_lengths, training, rng)
         selected_q, _ = self._select_levels(raw_q, "lambda.q")
@@ -433,16 +431,6 @@ class Model:
     def predict(self, example: Example) -> SpanPrediction:
         """The best span of one example: a forward of the pack [example]."""
         return self.decode([example], self.forward([example]))[0]
-
-
-def _same_arrays(refs: list[weakref.ref], arrays: list[np.ndarray]) -> bool:
-    """Whether ``refs`` still point at exactly ``arrays``, in order.
-
-    Weak references pin no replaced array; a dead or different reference
-    means the parameter was rebound since the references were taken.
-    """
-    return len(refs) == len(arrays) and all(
-        ref() is array for ref, array in zip(refs, arrays))
 
 
 def span_logits(b1: Tensor, b2: Tensor, b3: Tensor, w1: Tensor, w2: Tensor,

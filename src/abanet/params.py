@@ -42,7 +42,8 @@ class ParamStore:
 
     A weight shared between use sites is one name fetched at each site;
     the gradient contributions of all sites sum into its one slot.
-    ``create`` makes every parameter in the store's float width.
+    Every parameter has the store's float width: ``create`` makes it so,
+    and ``register`` rejects any other.
     """
 
     def __init__(self, dtype=np.float64):
@@ -64,6 +65,9 @@ class ParamStore:
     def register(self, name: str, tensor: Tensor, *, trainable: bool = True) -> Tensor:
         if name in self._entries:
             raise ConfigError(f"parameter {name!r} already registered")
+        if tensor.data.dtype != self.dtype:
+            raise ConfigError(f"parameter {name!r} is {tensor.data.dtype}, "
+                              f"but the store holds {self.dtype}")
         self._entries[name] = _Entry(tensor, trainable)
         return tensor
 

@@ -538,13 +538,3 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor,
         return (gather(gp, pad), dk)
 
     return record_op("depthwise_conv1d", out, (x, kernel), bw)
-
-
-def depthwise_separable_conv1d(x: Tensor, depthwise: Tensor, pointwise: Tensor,
-                               lengths: Sequence[int] | None = None) -> Tensor:
-    """Depthwise same-padded convolution (per segment) followed by a 1x1 channel mix."""
-    if pointwise.shape[0] != depthwise.shape[1]:
-        raise ShapeError(
-            f"depthwise_separable_conv1d: pointwise {pointwise.shape} does not "
-            f"match depthwise channels {depthwise.shape}")
-    return matmul(depthwise_conv1d(x, depthwise, lengths), pointwise)

@@ -391,8 +391,14 @@ def constant_provider(layers):
 
 
 def loop_contextual_mix(provider, token_ids, theta, subtoken_counts=None):
-    """The per-layer slice/mul/add loop that the one [L, n*w] matmul replaced."""
-    expanded, averaging = expand_subtokens(token_ids, subtoken_counts)
+    """The per-layer slice/mul/add loop that the one [L, n*w] matmul replaced,
+    pooling sub-tokens with a dense [n, T] averaging matrix."""
+    expanded, counts = expand_subtokens(token_ids, subtoken_counts)
+    averaging = np.zeros((len(counts), expanded.shape[0]))
+    offset = 0
+    for row, count in enumerate(counts):
+        averaging[row, offset:offset + count] = 1.0 / count
+        offset += count
     mixed = None
     for index, layer in enumerate(provider.run(expanded)):
         term = mul(slice_axis(theta, 0, index, 1), Tensor(averaging @ layer))
@@ -454,6 +460,19 @@ class TestContextualMix:
                              subtoken_counts=[3, 1, 2])
         expected = np.stack([layer[0:3].mean(0), layer[3], layer[4:6].mean(0)])
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_float32_layers_pool_in_float32(self):
+        """Sub-token means of float32 layers are formed in float32: with a
+        float64 unit theta every output is a float32 value, where a float64
+        mean of three float32 rows mostly is not."""
+        rng = np.random.default_rng(12)
+        layer = rng.normal(size=(30, 16)).astype(np.float32)
+        out = contextual_mix(constant_provider([layer]), np.arange(10),
+                             Tensor(np.ones(1)), [3] * 10).data
+        wide = layer.astype(np.float64).reshape(10, 3, 16).mean(axis=1)
+        assert not np.array_equal(wide, wide.astype(np.float32))
+        np.testing.assert_array_equal(out, out.astype(np.float32))
+        np.testing.assert_allclose(out, wide, rtol=1e-6, atol=1e-6)
 
     def test_linear_in_theta(self):
         rng = np.random.default_rng(11)

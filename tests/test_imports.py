@@ -1,6 +1,7 @@
 """Every imported name in the package and its tests is used, every
-top-level function and class of the package is referenced somewhere, and
-the active tape is the package's only process-wide mutable state."""
+top-level function and class of the package is referenced somewhere and,
+but for a known few, from outside the tests, and the active tape is the
+package's only process-wide mutable state."""
 
 import ast
 import pathlib
@@ -44,13 +45,16 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["dumps (line 3)", "os (line 1)"]
 
 
-def unreferenced_definitions(sources: dict[str, str], checked: set[str]) -> list[str]:
-    """Top-level functions and classes of the ``checked`` sources that no
-    ``ast.Name`` or attribute in any source references outside their own
-    definition.  ``sources`` maps a label to source text.
+def definitions_and_references(sources: dict[str, str], checked: set[str]
+                                ) -> tuple[list[tuple[str, str]], dict[str, set[str]]]:
+    """Top-level functions and classes of the ``checked`` sources, as
+    (label, name), and for every source the names that an ``ast.Name`` or
+    attribute in it references outside their own definition.  ``sources``
+    maps a label to source text.
     """
-    defined, referenced = [], set()
+    defined, referenced = [], {}
     for label, source in sources.items():
+        referenced[label] = set()
         for statement in ast.parse(source).body:
             own = statement.name if isinstance(statement, DEFINITIONS) else None
             if own is not None and label in checked:
@@ -59,16 +63,41 @@ def unreferenced_definitions(sources: dict[str, str], checked: set[str]) -> list
                      if isinstance(node, ast.Name)}
             names |= {node.attr for node in ast.walk(statement)
                       if isinstance(node, ast.Attribute)}
-            referenced |= names - {own}
-    return [f"{label}: {name}" for label, name in defined if name not in referenced]
+            referenced[label] |= names - {own}
+    return defined, referenced
 
 
-def test_every_package_definition_is_referenced():
+def unreferenced_definitions(sources: dict[str, str], checked: set[str]) -> list[str]:
+    """Definitions of the ``checked`` sources that no source references."""
+    defined, referenced = definitions_and_references(sources, checked)
+    anywhere = set().union(*referenced.values())
+    return [f"{label}: {name}" for label, name in defined if name not in anywhere]
+
+
+def only_tested_definitions(sources: dict[str, str], checked: set[str],
+                            tests: set[str]) -> list[str]:
+    """Definitions of the ``checked`` sources that only the ``tests``
+    sources reference."""
+    defined, referenced = definitions_and_references(sources, checked)
+    by_tests = set().union(*(names for label, names in referenced.items()
+                             if label in tests))
+    elsewhere = set().union(*(names for label, names in referenced.items()
+                              if label not in tests))
+    return [f"{label}: {name}" for label, name in defined
+            if name in by_tests and name not in elsewhere]
+
+
+def package_sources() -> tuple[dict[str, str], set[str]]:
+    """The package, its tests and the benchmark, by relative path, and the
+    package's paths."""
     paths = [*SOURCES, *(ROOT / "perfbench").glob("*.py")]
     sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
                for path in paths}
-    checked = {path.relative_to(ROOT).as_posix() for path in PACKAGE}
-    unreferenced = unreferenced_definitions(sources, checked)
+    return sources, {path.relative_to(ROOT).as_posix() for path in PACKAGE}
+
+
+def test_every_package_definition_is_referenced():
+    unreferenced = unreferenced_definitions(*package_sources())
     assert not unreferenced, unreferenced
 
 
@@ -81,6 +110,31 @@ def test_detects_an_unreferenced_definition():
     sources = {"pkg.py": package, "caller.py": caller}
     assert unreferenced_definitions(sources, {"pkg.py"}) == [
         "pkg.py: recursive", "pkg.py: Orphan"]
+
+
+# Package definitions that only the tests use today: file helpers, the
+# training loop, the finite-difference checker and one tape op.
+TEST_ONLY = {"load_jsonl", "save_jsonl", "load_embedding_file", "fit",
+             "grad_check", "slice_axis"}
+
+
+def test_no_new_definition_serves_only_the_tests():
+    sources, package = package_sources()
+    tests = {label for label in sources if label.startswith("tests/")}
+    found = only_tested_definitions(sources, package, tests)
+    new = [entry for entry in found if entry.split(": ")[1] not in TEST_ONLY]
+    assert not new, new
+
+
+def test_detects_a_test_only_definition():
+    package = ("def helper():\n    return shared()\n\n"
+               "def shared():\n    pass\n\n"
+               "def tested():\n    pass\n\n"
+               "def orphan():\n    pass\n")
+    test = "from pkg import helper, shared, tested\nhelper()\nshared()\ntested()\n"
+    sources = {"pkg.py": package, "tests/test_pkg.py": test}
+    assert only_tested_definitions(sources, {"pkg.py"}, {"tests/test_pkg.py"}) == [
+        "pkg.py: helper", "pkg.py: tested"]
 
 
 # The one name the package may rebind with ``global``: which tape records.

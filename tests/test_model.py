@@ -13,7 +13,6 @@ import weakref
 import numpy as np
 import pytest
 
-from abanet import model as model_module
 from abanet.config import mini_profile
 from abanet.data import build_vocabs, gen_synthetic
 from abanet.errors import DataError, NumericsError
@@ -249,17 +248,17 @@ class TestProviderCache:
 
     def cached(self):
         return [np.frombuffer(k, dtype=np.int64)[-1]
-                for k in self.model._provider_cache]
+                for k in self.model._provider_cache.entries]
 
-    def test_oldest_entry_is_evicted_first(self, monkeypatch):
-        monkeypatch.setattr(model_module, "PROVIDER_CACHE_BYTES", self.budget)
+    def test_oldest_entry_is_evicted_first(self):
+        self.model._provider_cache.budget = self.budget
         for key in self.keys:
             self.model._provider_run(key)
         assert self.cached() == [5, 6]
-        assert self.model._provider_cache_bytes == self.budget
+        assert self.model._provider_cache.nbytes == self.budget
 
-    def test_hit_refreshes_recency(self, monkeypatch):
-        monkeypatch.setattr(model_module, "PROVIDER_CACHE_BYTES", self.budget)
+    def test_hit_refreshes_recency(self):
+        self.model._provider_cache.budget = self.budget
         a, b, c = self.keys
         first = self.model._provider_run(a)
         self.model._provider_run(b)
@@ -268,17 +267,42 @@ class TestProviderCache:
         assert self.cached() == [4, 6]
 
     def test_invalidate_empties(self):
-        """A rebound frozen array invalidates the cache at the next check."""
-        self.model._check_frozen()  # as a forward does before the provider runs
-        for key in self.keys:
+        """A rebound frozen array empties the cache at its next lookup."""
+        cache = self.model._provider_cache
+        first = self.model._provider_run(self.keys[0])
+        for key in self.keys[1:]:
             self.model._provider_run(key)
-        self.model._check_frozen()
-        assert len(self.model._provider_cache) == 3
+        assert len(cache.entries) == 3
         table = self.model.store.get("provider.table")
         table.data = table.data.copy()
-        self.model._check_frozen()
-        assert not self.model._provider_cache
-        assert self.model._provider_cache_bytes == 0
+        assert cache.get(self.keys[1].tobytes()) is None
+        assert not cache.entries and cache.nbytes == 0
+        again = self.model._provider_run(self.keys[0])
+        assert again is not first and len(cache.entries) == 1
+        for old, new in zip(first, again):
+            np.testing.assert_array_equal(old, new)
+
+    @pytest.mark.parametrize("change", ["rebind", "load"])
+    def test_direct_run_reads_the_current_frozen_arrays(self, change):
+        """``provider.run`` called outside a forward, after the frozen
+        arrays were rebound or loaded, returns the layers of the model
+        the new arrays came from."""
+        examples = gen_synthetic("copy-locate", 4, 0)
+        vocabs = build_vocabs(examples)
+        model, source = (Model(mini_profile(), *vocabs, seed=seed) for seed in (0, 5))
+        ids = model.word_vocab.ids(examples[0].passage)
+        stale = model.provider.run(ids)
+        if change == "load":
+            model.store.load_state_dict(source.store.state_dict())
+        else:
+            trainable = dict(model.store.trainable())
+            for name, tensor in model.store.items():
+                if name not in trainable:
+                    tensor.data = source.store.get(name).data
+        layers = model.provider.run(ids)
+        assert layers is not stale
+        for got, want in zip(layers, source.provider.run(ids), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_loaded_frozen_weights_are_used(self):
         """After ``load_state_dict`` the provider runs on the loaded frozen
@@ -302,12 +326,12 @@ class TestProviderCache:
         are reused after a step."""
         model, examples = mini_model()
         model.predict(examples[0])
-        before = dict(model._provider_cache)
+        before = {key: layers for key, (layers, _) in model._provider_cache.entries.items()}
         train_step(model, examples[:2], Adam(model.store, 1e-2),
                    np.random.default_rng(0))
         model.predict(examples[0])
-        assert all(model._provider_cache[key] is layers
-                   for key, layers in before.items())
+        assert before and all(model._provider_cache.get(key) is layers
+                              for key, layers in before.items())
 
 
 def count_sequence_reprs(model, monkeypatch):
@@ -339,9 +363,9 @@ class TestPassageCache:
         other = dataclasses.replace(first, question=examples[1].passage[:3])
         calls = count_sequence_reprs(model, monkeypatch)
         model.predict(first)
-        assert calls == [10, 1] and len(model._passage_cache) == 1
+        assert calls == [10, 1] and len(model._passage_cache.entries) == 1
         hits = [model.predict(first), model.predict(other)]
-        assert calls == [10, 1, 1, 3] and len(model._passage_cache) == 1
+        assert calls == [10, 1, 1, 3] and len(model._passage_cache.entries) == 1
         for example, hit in zip((first, other), hits):
             assert_same_prediction(hit, mini_model()[0].predict(example))
 
@@ -364,7 +388,7 @@ class TestPassageCache:
         ids = [model.word_vocab.ids(v.passage) for v in variants[1:3]]
         np.testing.assert_array_equal(*ids)
         predictions = [model.predict(v) for v in variants]
-        assert len(model._passage_cache) == len(variants)
+        assert len(model._passage_cache.entries) == len(variants)
         for variant, prediction in zip(variants, predictions):
             assert_same_prediction(prediction, mini_model()[0].predict(variant))
 
@@ -390,7 +414,7 @@ class TestPassageCache:
                    np.random.default_rng(0))
         model.predict(examples[0])
         assert len(calls) == 6 and calls[:2] == calls[-2:] == [10, 1]
-        assert len(model._passage_cache) == 1
+        assert len(model._passage_cache.entries) == 1
 
     def test_rebinding_a_parameter_invalidates(self, monkeypatch):
         model, examples = mini_model()
@@ -399,7 +423,7 @@ class TestPassageCache:
         projection = model.store.get("hos.word")
         projection.data = 1.5 * projection.data
         changed = model.predict(examples[0])
-        assert calls == [10, 1, 10, 1] and len(model._passage_cache) == 1
+        assert calls == [10, 1, 10, 1] and len(model._passage_cache.entries) == 1
         cold, _ = mini_model()
         cold.store.get("hos.word").data = projection.data
         assert_same_prediction(changed, cold.predict(examples[0]))
@@ -411,7 +435,7 @@ class TestPassageCache:
         model, examples = mini_model()
         example = examples[0]
         model.predict(example)
-        cached = dict(model._passage_cache)
+        cached = dict(model._passage_cache.entries)
         calls = count_sequence_reprs(model, monkeypatch)
         for other in (example, examples[1]):
             model.forward([other], training=True, rng=np.random.default_rng(0))
@@ -420,8 +444,8 @@ class TestPassageCache:
             with Tape():
                 model.forward([other])
         assert calls == [10, 1] * 3 + [7, 1] * 3
-        assert model._passage_cache.keys() == cached.keys()
-        assert all(model._passage_cache[k] is v for k, v in cached.items())
+        assert model._passage_cache.entries.keys() == cached.keys()
+        assert all(model._passage_cache.entries[k] is v for k, v in cached.items())
 
         with Tape() as tape:
             result = model.forward([example])
@@ -433,41 +457,42 @@ class TestPassageCache:
             g = grads.get(id(model.store.get(name)))
             assert g is not None and np.abs(g).max() > 0.0, name
 
-    def test_least_recently_used_goes_first(self, monkeypatch):
+    def test_least_recently_used_goes_first(self):
         model, examples = mini_model()
         base = examples[0]
         passages = {k: dataclasses.replace(base, passage=base.passage[k:]
                                            + base.passage[:k]) for k in (1, 2, 3)}
         sizer, _ = mini_model()
         sizer.predict(passages[1])
-        (entry, _), = sizer._passage_cache.values()
-        monkeypatch.setattr(model_module, "PASSAGE_CACHE_BYTES", 2 * entry.nbytes)
+        ((selected, _), entry_bytes), = sizer._passage_cache.entries.values()
+        assert entry_bytes == selected.nbytes == sizer._passage_cache.nbytes
+        model._passage_cache.budget = 2 * entry_bytes
 
         def cached():
             ids = {model.word_vocab.ids(e.passage).tobytes(): k
                    for k, e in passages.items()}
-            return [ids[key[0]] for key in model._passage_cache]
+            return [ids[key[0]] for key in model._passage_cache.entries]
 
         for k in (1, 2, 3):
             model.predict(passages[k])
         assert cached() == [2, 3]
-        assert model._passage_cache_bytes == 2 * entry.nbytes
+        assert model._passage_cache.nbytes == 2 * entry_bytes
         for k in (1, 2, 1, 3):
             model.predict(passages[k])
         assert cached() == [1, 3]
 
     def test_invalidate_empties_both_caches(self):
         """Loading a state rebinds every array, frozen ones included, so
-        the next checks empty both caches."""
+        each cache misses and empties at its next lookup."""
         model, examples = mini_model()
         for example in examples:
             model.predict(example)
-        assert model._provider_cache and len(model._passage_cache) == 4
+        caches = (model._provider_cache, model._passage_cache)
+        assert caches[0].entries and len(caches[1].entries) == 4
         model.store.load_state_dict(model.store.state_dict())
-        model._check_frozen()
-        model._check_params()
-        assert not model._provider_cache and not model._passage_cache
-        assert model._provider_cache_bytes == model._passage_cache_bytes == 0
+        for cache in caches:
+            assert cache.get(next(iter(cache.entries))) is None
+            assert not cache.entries and cache.nbytes == 0
 
 
 class TestRebindOnly:
@@ -549,12 +574,12 @@ def test_frozen_provider_stays_off_the_training_tape():
     """A cache miss in training mode records nothing that reads a frozen
     parameter; the provider's layers enter the tape as constants."""
     model, examples = mini_model()
-    assert not model._provider_cache
+    assert not model._provider_cache.entries
     frozen = {id(t) for _, t in model.store.items()}
     frozen -= {id(t) for _, t in model.store.trainable()}
     with Tape() as tape:
         model.forward(examples[:1], training=True, rng=np.random.default_rng(0))
-    assert model._provider_cache
+    assert model._provider_cache.entries
     leaks = [name for name, _, parents, _ in tape._records
              if any(id(p) in frozen for p in parents)]
     assert not leaks, leaks[:5]

@@ -13,7 +13,6 @@ from abanet.tensor import (
     backward,
     concat,
     depthwise_conv1d,
-    depthwise_separable_conv1d,
     dropout,
     exp,
     gather_rows,
@@ -175,19 +174,25 @@ def naive_separable_conv(x, dw, pw):
     return out
 
 
+def separable_conv(x, dw, pw):
+    """Depthwise convolution followed by a 1x1 channel mix, as the capsule
+    layer composes them."""
+    return matmul(depthwise_conv1d(x, dw), pw)
+
+
 class TestDepthwiseSeparableConv:
     def test_impulse_kernel_is_identity(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(6, 4)))
         dw = np.zeros((5, 4))
         dw[2, :] = 1.0  # unit impulse at center tap
-        out = depthwise_separable_conv1d(x, Tensor(dw), Tensor(np.eye(4)))
+        out = separable_conv(x, Tensor(dw), Tensor(np.eye(4)))
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
     def test_paper_scale_shape(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(20, 128)))
-        out = depthwise_separable_conv1d(
+        out = separable_conv(
             x, Tensor(rng.normal(size=(7, 128))), Tensor(rng.normal(size=(128, 128))))
         assert out.shape == (20, 128)
 
@@ -197,7 +202,7 @@ class TestDepthwiseSeparableConv:
             x = rng.normal(size=(n, d))
             dw = rng.normal(size=(k, d))
             pw = rng.normal(size=(d, f))
-            out = depthwise_separable_conv1d(Tensor(x), Tensor(dw), Tensor(pw))
+            out = separable_conv(Tensor(x), Tensor(dw), Tensor(pw))
             np.testing.assert_allclose(out.data, naive_separable_conv(x, dw, pw),
                                        atol=1e-6)
 
@@ -213,7 +218,7 @@ class TestDepthwiseSeparableConv:
         w = rng.normal(size=(5, 2))
 
         def build():
-            return reduce_sum(mul(depthwise_separable_conv1d(x, dw, pw), Tensor(w)))
+            return reduce_sum(mul(separable_conv(x, dw, pw), Tensor(w)))
 
         for t in (x, dw, pw):
             (g,) = tape_grads(build, [t])
@@ -447,6 +452,14 @@ class TestParamStore:
         store.create("w", (1,), rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
             store.create("w", (1,), rng=np.random.default_rng(0))
+
+    def test_register_rejects_another_width(self):
+        store = ParamStore(np.float32)
+        with pytest.raises(ConfigError, match="float64.*float32"):
+            store.register("w", Tensor(np.ones(2)))
+        assert store.register("v", Tensor(np.ones(2, dtype=np.float32))).data.dtype \
+            == np.float32
+        assert [name for name, _ in store.items()] == ["v"]
 
     def test_state_dict_round_trip(self):
         store = ParamStore()
