@@ -17,17 +17,11 @@ from .errors import ConfigError, DataError, ShapeError
 from .tensor import (
     Tensor,
     _sigmoid,
-    add,
     concat,
-    gather_rows,
     matmul,
-    mul,
     record_op,
-    reduce_max,
     reshape,
     segment_bounds,
-    sigmoid,
-    tanh,
 )
 
 UNK_ID = 0
@@ -115,10 +109,14 @@ def embed_words(ids: np.ndarray, table: Tensor) -> Tensor:
 
 def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
                 *, kernel: int) -> Tensor:
-    """Character embedding, 1-D valid convolution, max-pool per word.
+    """Character embedding, 1-D valid convolution, max-pool per word
+    (Kim et al. 2016).
 
     ``char_ids`` is [n x c_max]; output is [n x d_char] with d_char the
     filter count.  The convolution weight is [kernel*char_dim x d_char].
+    One ``char_cnn`` record: the kernel-wide windows of every word are one
+    row gather, the convolution one matmul, and the pooled gradient goes
+    to the first position holding each maximum.
     """
     char_ids = _check_ids(char_ids, char_table.shape[0], "char")
     n, c_max = char_ids.shape
@@ -126,40 +124,75 @@ def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
         raise ConfigError(
             f"word length {c_max} is shorter than char kernel {kernel}")
     positions = c_max - kernel + 1
-    windows = []
-    for tau in range(kernel):
-        span = char_ids[:, tau:tau + positions].reshape(-1)
-        windows.append(gather_rows(char_table, span))  # [n*positions, char_dim]
-    stacked = concat(windows, axis=1)                  # [n*positions, kernel*char_dim]
-    activations = matmul(stacked, filters)             # [n*positions, d_char]
-    per_word = reshape(activations, (n, positions, filters.shape[1]))
-    return reduce_max(per_word, axis=1)
+    d_char = filters.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(char_ids, kernel, axis=1)
+    stacked = char_table.data[windows].reshape(n * positions, -1)
+    per_word = (stacked @ filters.data).reshape(n, positions, d_char)
+    first_max = per_word.argmax(axis=1)[:, None, :]    # [n, 1, d_char]
+
+    def bw(g):
+        d_act = np.zeros((n, positions, d_char), dtype=g.dtype)
+        np.put_along_axis(d_act, first_max, g[:, None, :], axis=1)
+        d_act = d_act.reshape(n * positions, d_char)
+        d_table = np.zeros_like(char_table.data)
+        np.add.at(d_table, windows,
+                  (d_act @ filters.data.T).reshape(*windows.shape, -1))
+        return d_table, stacked.T @ d_act
+
+    return record_op("char_cnn", per_word.max(axis=1), (char_table, filters), bw)
 
 
 def embed_features(pos_ids: np.ndarray, ner_ids: np.ndarray, rule_ids: np.ndarray,
                    pos_table: Tensor, ner_table: Tensor, rule_table: Tensor) -> Tensor:
-    """Concatenated POS/NER/rule embeddings, in that order."""
-    parts = [
-        gather_rows(pos_table, _check_ids(pos_ids, pos_table.shape[0], "pos")),
-        gather_rows(ner_table, _check_ids(ner_ids, ner_table.shape[0], "ner")),
-        gather_rows(rule_table, _check_ids(rule_ids, rule_table.shape[0], "rule")),
-    ]
-    return concat(parts, axis=1)
+    """Concatenated POS/NER/rule embeddings, in that order, as one record
+    whose backward scatter-adds each column block into its table."""
+    tables = (pos_table, ner_table, rule_table)
+    ids = [_check_ids(i, t.shape[0], what) for i, t, what in
+           zip((pos_ids, ner_ids, rule_ids), tables, ("pos", "ner", "rule"))]
+    splits = np.cumsum([t.shape[1] for t in tables])[:-1]
+
+    def bw(g):
+        grads = []
+        for table, rows, block in zip(tables, ids, np.split(g, splits, axis=1)):
+            full = np.zeros_like(table.data)
+            np.add.at(full, rows, block)
+            grads.append(full)
+        return grads
+
+    return record_op("features", np.concatenate(
+        [t.data[i] for t, i in zip(tables, ids)], axis=1), tables, bw)
+
+
+def _highway_layer(x: Tensor, wt: Tensor, bt: Tensor, wg: Tensor,
+                   bg: Tensor) -> Tensor:
+    """y = g * t + (1 - g) * x with t = tanh(x wt + bt) and
+    g = sigmoid(x wg + bg), as one ``highway`` record."""
+    if wt.shape[0] != wt.shape[1]:
+        raise ShapeError(f"highway transform must be square, got {wt.shape}")
+    t = np.tanh(x.data @ wt.data + bt.data)
+    gate = _sigmoid(x.data @ wg.data + bg.data)
+    carry = 1.0 - gate
+
+    def bw(g):
+        dz_t = g * gate * (1.0 - t * t)
+        dz_g = g * (t - x.data) * gate * carry
+        dx = g * carry + dz_g @ wg.data.T + dz_t @ wt.data.T
+        return (dx, x.data.T @ dz_t, dz_t.sum(axis=0),
+                x.data.T @ dz_g, dz_g.sum(axis=0))
+
+    return record_op("highway", gate * t + carry * x.data, (x, wt, bt, wg, bg), bw)
 
 
 def highway(x: Tensor, layers: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
     """Gated residual layers: y = g * t(x) + (1-g) * x.
 
     Each layer is (transform_w, transform_b, gate_w, gate_b) with square
-    transform weights; the transform nonlinearity is tanh.
+    transform weights; the transform nonlinearity is tanh and the gate a
+    sigmoid (Srivastava et al. 2015).  Each layer is one tape record.
     """
     out = x
-    for wt, bt, wg, bg in layers:
-        if wt.shape[0] != wt.shape[1]:
-            raise ShapeError(f"highway transform must be square, got {wt.shape}")
-        t = tanh(add(matmul(out, wt), bt))
-        g = sigmoid(add(matmul(out, wg), bg))
-        out = add(mul(g, t), mul(1.0 - g, out))
+    for layer in layers:
+        out = _highway_layer(out, *layer)
     return out
 
 

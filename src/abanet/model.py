@@ -46,10 +46,12 @@ from .params import ParamStore, normal_init, zeros_init
 from .tensor import (
     Tape,
     Tensor,
+    add,
     backward,
     concat,
     dropout,
     matmul,
+    mul_const,
     no_grad,
     record_op,
     recording,
@@ -492,11 +494,11 @@ def batch_loss(nlls: Tensor, store: ParamStore | None = None,
     """Mean over the [B] example losses plus the L2 weight-decay term."""
     if nlls.ndim != 1 or nlls.shape[0] == 0:
         raise DataError(f"batch_loss needs a nonempty [B] vector, got {nlls.shape}")
-    loss = reduce_sum(nlls) * (1.0 / nlls.shape[0])
+    loss = mul_const(reduce_sum(nlls), 1.0 / nlls.shape[0])
     if store is not None:
         penalty = l2_penalty(store, decay)
         if penalty is not None:
-            loss = loss + penalty
+            loss = add(loss, penalty)
     return loss
 
 

@@ -1,4 +1,4 @@
-"""Named parameter storage, plus finite-difference checking."""
+"""Named parameter storage and initialisers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tape, Tensor
+from .tensor import Tensor
 
 
 def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -138,89 +138,3 @@ class ParamStore:
                 raise ShapeError(
                     f"{name}: stored shape {arr.shape} != expected {entry.tensor.shape}")
             entry.tensor.data = arr
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    per_param: dict[str, float]
-    tolerance: float
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.per_param.values()) if self.per_param else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-    def lines(self) -> list[str]:
-        out = []
-        for name, err in sorted(self.per_param.items()):
-            status = "ok" if err < self.tolerance else "FAIL"
-            out.append(f"{status}  {name}  max_rel_err={err:.3e}")
-        return out
-
-
-def fd_gradient(f: Callable[[], Tensor], tensor: Tensor, epsilon: float) -> np.ndarray:
-    """Central finite differences of scalar ``f`` w.r.t. every element."""
-    base = tensor.data
-    grad = np.zeros_like(base)
-    flat = base.ravel()
-    for idx in range(flat.size):
-        orig = flat[idx]
-        plus = base.copy()
-        plus.ravel()[idx] = orig + epsilon
-        tensor.data = plus
-        f_plus = float(f().data)
-        minus = base.copy()
-        minus.ravel()[idx] = orig - epsilon
-        tensor.data = minus
-        f_minus = float(f().data)
-        grad.ravel()[idx] = (f_plus - f_minus) / (2.0 * epsilon)
-    tensor.data = base
-    return grad
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray,
-                   rel_floor: float = 1e-3) -> np.ndarray:
-    """Elementwise |analytic - numeric| / max(|analytic|, |numeric|, rel_floor).
-
-    The floor keeps near-zero gradients from dividing by noise.
-    """
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), rel_floor)
-    return np.abs(analytic - numeric) / denom
-
-
-def grad_check(f: Callable[[], Tensor], params: ParamStore, *,
-               epsilon: float = 1e-3, tolerance: float = 1e-3,
-               rel_floor: float = 1e-3) -> GradCheckReport:
-    """Compare tape gradients of scalar ``f()`` against central differences.
-
-    ``f`` must close over the store's tensors and be deterministic.
-    The per-element error is ``relative_error``.  Every trainable
-    parameter must be float64.
-    """
-    for name, tensor in params.trainable():
-        if tensor.data.dtype != np.float64:
-            raise ConfigError(
-                f"grad_check requires float64 parameters; {name} is {tensor.data.dtype}")
-
-    with Tape() as tape:
-        loss = f()
-    if loss.size != 1:
-        raise ShapeError(f"grad_check needs a scalar function, got {loss.shape}")
-    grads = tape.gradients(loss)
-
-    report: dict[str, float] = {}
-    for name, tensor in params.trainable():
-        analytic = grads.get(id(tensor))
-        if analytic is None:
-            analytic = np.zeros_like(tensor.data)
-        numeric = fd_gradient(f, tensor, epsilon)
-        rel = relative_error(analytic, numeric, rel_floor)
-        report[name] = float(rel.max()) if rel.size else 0.0
-    return GradCheckReport(per_param=report, tolerance=tolerance)

@@ -7,11 +7,11 @@ topological traversal.  With no tape active the same functions evaluate
 eagerly with zero recording overhead, which is what evaluation mode uses.
 
 A tensor keeps the float width of the array it wraps; anything else
-(ints, bools, Python lists of numbers) becomes float64.  A Python scalar
-in tensor arithmetic takes the width of the other operand.  So a model
-built in float32 runs in float32 end to end, and one in float64 (used
-for all verification work) in float64, side by side in one process.
-Gradient checking refuses float32 parameters.
+(ints, bools, Python lists of numbers) becomes float64, and constants
+passed to ``add_const`` and ``mul_const`` take the width of the tensor.
+So a model built in float32 runs in float32 end to end, and one in
+float64 (used for all verification work) in float64, side by side in one
+process.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ class Tensor:
     when one is passed; non-float input becomes float64.
 
     The ``data`` buffer is treated as immutable by every operation; only
-    the owner of a parameter (the optimizer, ``load_state_dict``, or a
-    finite-difference probe) changes it, and only by rebinding ``data`` to
-    a new array between forward passes, never by writing into the old
-    one.  The model's caches rely on this: they detect a changed
+    the owner of a parameter (the optimizer, or ``load_state_dict``)
+    changes it, and only by rebinding ``data`` to a new array between
+    forward passes, never by writing into the old one; a finite-difference
+    probe follows the same rule.  The model's caches rely on this: they detect a changed
     parameter by the identity of its array.
     """
 
@@ -59,40 +59,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
-
-    # Arithmetic sugar; scalars and ndarrays are wrapped as constants.
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, self))
-
-
-def _wrap(value, other: Tensor) -> Tensor:
-    """``value`` as a tensor; a Python scalar takes the width of ``other``."""
-    if isinstance(value, Tensor):
-        return value
-    if isinstance(value, (int, float)):
-        return Tensor(value, dtype=other.data.dtype)
-    return Tensor(value)
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +195,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    return record_op("sub", out, (a, b), lambda g: (
-        _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-    return record_op("mul", out, (a, b), lambda g: (
-        _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
-
-
-def neg(a: Tensor) -> Tensor:
-    return record_op("neg", -a.data, (a,), lambda g: (-g,))
-
-
 def add_const(a: Tensor, c: np.ndarray) -> Tensor:
     """a + c where c carries no gradient (positional tables, offsets).
 
@@ -274,12 +224,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g @ b.data.T, a.data.T @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    return record_op("transpose", a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
     return record_op("reshape", out, (a,), lambda g: (g.reshape(a.shape),))
@@ -307,36 +251,6 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
                      lambda g: tuple(row if row.any() else None for row in g))
 
 
-def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = a.data[index].copy()
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        return (full,)
-
-    return record_op("slice", out, (a,), bw)
-
-
-def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]`` with scatter-add backward into the table."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(
-            f"gather_rows: id out of range [0, {table.shape[0]}) in {ids!r}")
-    out = table.data[ids]
-
-    def bw(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        return (full,)
-
-    return record_op("gather", out, (table,), bw)
-
-
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -349,46 +263,14 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return record_op("sum", out, (a,), bw)
 
 
-def reduce_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Max along one axis; gradient routes to the first argmax per slice."""
-    out = a.data.max(axis=axis, keepdims=keepdims)
-    arg = a.data.argmax(axis=axis)
-
-    def bw(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(arg, axis), gg, axis=axis)
-        return (full,)
-
-    return record_op("max", out, (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return record_op("exp", out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    return record_op("log", np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return record_op("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|x|.
 
-    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; shared with the fused LSTM.
+    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; the gate of the fused
+    highway and LSTM records.
     """
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-    return record_op("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def relu(a: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from abanet.config import mini_profile
 from abanet.data import build_vocabs, gen_synthetic
 from abanet.errors import ConfigError, ShapeError
 from abanet.model import Adam, Model, train_step
-from abanet.params import ParamStore, fd_gradient, grad_check
+from abanet.params import ParamStore
 from abanet.tensor import (
     Tape,
     Tensor,
@@ -25,14 +25,13 @@ from abanet.tensor import (
     concat,
     dropout,
     matmul,
-    mul,
     reduce_sum,
     reshape,
-    slice_axis,
     softmax,
     stack,
-    transpose,
 )
+
+from tape_reference import fd_gradient, grad_check, mul, slice_axis, transpose
 
 PAPER_WIDTHS = {"word": 328, "char": 64, "embed": 128, "contextual": 128,
                 "block": 128, "bilstm": 256}

@@ -1,8 +1,10 @@
-"""Embedding layers: vocab, word/char/feature lookups, highway, BiLSTM, mixtures."""
+"""Embedding layers: vocab, word/char/feature lookups, highway, BiLSTM,
+mixtures, and the fused embedding records against their op chains."""
 
 import numpy as np
 import pytest
 
+from abanet.data import char_id_matrix
 from abanet.embedding import (
     ContextualProvider,
     UNK_ID,
@@ -20,15 +22,14 @@ from abanet.embedding import (
     lstm_run,
 )
 from abanet.errors import ConfigError, DataError, ShapeError
-from abanet.params import fd_gradient
-from abanet.tensor import (
-    Tape,
-    Tensor,
-    add,
-    concat,
-    matmul,
+from abanet.tensor import Tape, Tensor, add, concat, matmul, reduce_sum
+
+from tape_reference import (
+    chain_embed_chars,
+    chain_embed_features,
+    chain_highway,
+    fd_gradient,
     mul,
-    reduce_sum,
     sigmoid,
     slice_axis,
     tanh,
@@ -277,6 +278,69 @@ def output_and_grads(run, inputs, weight):
         loss = reduce_sum(mul(out, Tensor(weight)))
     grads = tape.gradients(loss)
     return out.data, [grads[id(t)] for t in inputs], tape
+
+
+# A pack of three segments (1, 6 and 3 tokens), two of whose words are
+# empty, so their character rows are all PAD.
+PACK_TOKENS = [["a"], ["the", "", "cat", "sat", "on", "mattress"], ["ox", "", "yz"]]
+
+
+def fused_and_chain_inputs(rng, dtype):
+    """Inputs of the three fused embedding records over ``PACK_TOKENS``, as
+    (name, fused, chain, tensors, output width), with float tensors of
+    ``dtype``."""
+    tokens = [token for segment in PACK_TOKENS for token in segment]
+    chars = Vocabulary(sorted(set("".join(tokens))))
+    char_ids = char_id_matrix(tokens, chars, max_word_len=6)
+    n, kernel, e, d_char = len(tokens), 3, 4, 5
+    table = Tensor(rng.normal(size=(len(chars), e)), dtype=dtype)
+    filters = Tensor(rng.normal(size=(kernel * e, d_char)), dtype=dtype)
+    feature_tables = [Tensor(rng.normal(size=(v, w)), dtype=dtype)
+                      for v, w in ((5, 3), (4, 2), (3, 2))]
+    feature_ids = [rng.integers(0, t.shape[0], size=n) for t in feature_tables]
+    x = Tensor(rng.normal(size=(n, 8)), dtype=dtype)
+    layers = [tuple(Tensor(t.data, dtype=dtype) for t in layer)
+              for layer in make_highway_layers(rng, 8, gate_bias=0.5)]
+    return [
+        ("char_cnn",
+         lambda: embed_chars(char_ids, table, filters, kernel=kernel),
+         lambda: chain_embed_chars(char_ids, table, filters, kernel=kernel),
+         (table, filters), d_char),
+        ("features",
+         lambda: embed_features(*feature_ids, *feature_tables),
+         lambda: chain_embed_features(*feature_ids, *feature_tables),
+         tuple(feature_tables), 7),
+        ("highway", lambda: highway(x, layers), lambda: chain_highway(x, layers),
+         (x,) + tuple(t for layer in layers for t in layer), 8),
+    ]
+
+
+class TestFusedEmbeddingRecords:
+    """Each embedding record against the op chain it replaced."""
+
+    RECORDS = {"char_cnn": 1, "features": 1, "highway": 2}
+
+    @pytest.mark.parametrize("index", range(3), ids=list(RECORDS))
+    def test_matches_chain(self, index):
+        rng = np.random.default_rng(50 + index)
+        name, fused, chain, inputs, width = fused_and_chain_inputs(rng, np.float64)[index]
+        probe = rng.normal(size=(sum(map(len, PACK_TOKENS)), width))
+        got, got_grads, tape = output_and_grads(fused, inputs, probe)
+        assert [rec[0] for rec in tape._records][:-2] == [name] * self.RECORDS[name]
+        want, want_grads, _ = output_and_grads(chain, inputs, probe)
+        np.testing.assert_array_equal(got, want)
+        for k, (a, e) in enumerate(zip(got_grads, want_grads)):
+            assert a.shape == e.shape, k
+            assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max(), k
+
+    @pytest.mark.parametrize("index", range(3), ids=list(RECORDS))
+    def test_float32_stays_float32(self, index):
+        rng = np.random.default_rng(60 + index)
+        _, fused, _, inputs, width = fused_and_chain_inputs(rng, np.float32)[index]
+        probe = rng.normal(size=(sum(map(len, PACK_TOKENS)), width)).astype(np.float32)
+        out, grads, _ = output_and_grads(fused, inputs, probe)
+        assert out.dtype == np.float32
+        assert [g.dtype for g in grads] == [np.float32] * len(inputs)
 
 
 class TestBiLstm:

@@ -45,24 +45,66 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["dumps (line 3)", "os (line 1)"]
 
 
+def module_aliases(tree: ast.AST, package: str) -> set[str]:
+    """Names that ``tree`` binds to ``package`` or one of its modules: by
+    ``import package.module [as name]``, by ``from package import module``,
+    or by assigning such a module to a name, as in
+    ``m, enc = abanet.model, abanet.encoder``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {imported.asname or imported.name.split(".")[0]
+                        for imported in node.names
+                        if imported.name.split(".")[0] == package}
+        elif isinstance(node, ast.ImportFrom) and node.module == package:
+            aliases |= {imported.asname or imported.name for imported in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts)
+                     if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                     else [(target, value)])
+            aliases |= {target.id for target, value in pairs
+                        if isinstance(target, ast.Name) and is_module(value, aliases, package)}
+    return aliases
+
+
+def is_module(node: ast.AST, aliases: set[str], package: str) -> bool:
+    """Whether ``node`` names a module of the package: an alias, or an
+    attribute of the package itself (``abanet.model``)."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == package and package in aliases
+    return isinstance(node, ast.Name) and node.id in aliases
+
+
 def definitions_and_references(sources: dict[str, str], checked: set[str]
                                 ) -> tuple[list[tuple[str, str]], dict[str, set[str]]]:
     """Top-level functions and classes of the ``checked`` sources, as
-    (label, name), and for every source the names that an ``ast.Name`` or
-    attribute in it references outside their own definition.  ``sources``
-    maps a label to source text.
+    (label, name), and for every source the names it references outside
+    their own definition.  ``sources`` maps a label to source text.
+
+    A name is referenced as a bare name, as an imported name, or as an
+    attribute of an ``abanet`` module; numpy's ``np.exp`` or a method call
+    ``a.transpose()`` references nothing of the package.
     """
     defined, referenced = [], {}
     for label, source in sources.items():
+        tree = ast.parse(source)
+        aliases = module_aliases(tree, "abanet")
         referenced[label] = set()
-        for statement in ast.parse(source).body:
+        for statement in tree.body:
             own = statement.name if isinstance(statement, DEFINITIONS) else None
             if own is not None and label in checked:
                 defined.append((label, own))
-            names = {node.id for node in ast.walk(statement)
-                     if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(statement)
-                      if isinstance(node, ast.Attribute)}
+            names = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.ImportFrom):
+                    names |= {imported.name for imported in node.names}
+                elif isinstance(node, ast.Attribute) and is_module(
+                        node.value, aliases, "abanet"):
+                    names.add(node.attr)
             referenced[label] |= names - {own}
     return defined, referenced
 
@@ -106,16 +148,36 @@ def test_detects_an_unreferenced_definition():
                "def recursive(n):\n    return recursive(n - 1)\n\n"
                "class Orphan:\n    pass\n\n"
                "def via_attribute():\n    pass\n")
-    caller = "import pkg\nused()\npkg.via_attribute()\n"
+    caller = "import abanet.pkg as pkg\nused()\npkg.via_attribute()\n"
     sources = {"pkg.py": package, "caller.py": caller}
     assert unreferenced_definitions(sources, {"pkg.py"}) == [
         "pkg.py: recursive", "pkg.py: Orphan"]
 
 
-# Package definitions that only the tests use today: file helpers, the
-# training loop, the finite-difference checker and one tape op.
-TEST_ONLY = {"load_jsonl", "save_jsonl", "load_embedding_file", "fit",
-             "grad_check", "slice_axis"}
+def test_numpy_attributes_keep_no_definition_alive():
+    """``np.exp`` and ``a.transpose()`` are attributes of numpy and of an
+    array, so they keep package ``exp`` and ``transpose`` unreferenced;
+    attributes of a module alias, imported or assigned, still count."""
+    package = ("def exp(a):\n    pass\n\n"
+               "def transpose(a):\n    pass\n\n"
+               "def backward(a):\n    pass\n\n"
+               "def forward(a):\n    pass\n\n"
+               "def step(a):\n    pass\n")
+    caller = ("import numpy as np\nimport abanet.pkg\n"
+              "from abanet import pkg as module\n\n"
+              "def run(a):\n"
+              "    m, other = abanet.pkg, np\n"
+              "    m.backward(other.exp(a.transpose()))\n"
+              "    module.forward(np.exp(a))\n"
+              "    return abanet.pkg.step(a)\n")
+    sources = {"pkg.py": package, "caller.py": caller}
+    assert unreferenced_definitions(sources, {"pkg.py"}) == [
+        "pkg.py: exp", "pkg.py: transpose"]
+
+
+# Package definitions that only the tests use today: file helpers and the
+# training loop.
+TEST_ONLY = {"load_jsonl", "save_jsonl", "load_embedding_file", "fit"}
 
 
 def test_no_new_definition_serves_only_the_tests():

@@ -3,16 +3,20 @@ float32 purity of a whole model step, float32 serving of a float64-trained
 model, models of both widths in one process, the provider and passage caches,
 the rebind-only parameter contract, full-model gradients, the Adam update,
 the freeing backward sweep, the training step's garbage-collection state,
-determinism and learning, the one-record weight decay and the model
-without level mixing."""
+determinism and learning, the one-record weight decay, the record names
+a training tape may hold, and the model without level mixing."""
 
+import ast
 import dataclasses
 import gc
+import pathlib
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from abanet import model as model_module
 from abanet.config import mini_profile
 from abanet.data import build_vocabs, gen_synthetic
 from abanet.errors import DataError, NumericsError
@@ -27,8 +31,10 @@ from abanet.model import (
     span_nll,
     train_step,
 )
-from abanet.params import ParamStore, relative_error
-from abanet.tensor import Tape, Tensor, mul, reduce_sum
+from abanet.params import ParamStore
+from abanet.tensor import Tape, Tensor, add, mul_const, reduce_sum
+
+from tape_reference import mul, relative_error
 
 
 def loop_decode_span(p_begin, p_end, max_len, unanswerable_mode=False):
@@ -585,6 +591,54 @@ def test_frozen_provider_stays_off_the_training_tape():
     assert not leaks, leaks[:5]
 
 
+# Every record name a model tape may hold: the tape ops of tensor.py
+# (``sum`` is reduce_sum; dropout records as mul_const) and the fused
+# records of the layers.
+TAPE_OPS = {"add", "add_const", "mul_const", "matmul", "reshape", "concat", "stack",
+            "sum", "relu", "softmax", "segment_softmax", "layer_norm",
+            "depthwise_conv1d"}
+FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "squash",
+                 "dynamic_routing", "self_attention", "select_top3",
+                 "bidirectional_attention", "span_nll", "l2_penalty"}
+
+
+def package_record_names():
+    """The names that the package's ``record_op`` calls record under."""
+    names = set()
+    for path in (pathlib.Path(__file__).resolve().parents[1] / "src" / "abanet").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "record_op"):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_train_step_tape_holds_only_the_package_vocabulary(monkeypatch):
+    """A packed mini train step records only tape ops and fused records,
+    and each side's embedding tier is two highway records, one char CNN
+    record and one feature record, so no op chain creeps back in."""
+    assert package_record_names() == TAPE_OPS | FUSED_RECORDS
+    model, examples = mini_model()
+    tapes = []
+    backward = model_module.backward
+
+    def captured(tape, *args, **kwargs):
+        tapes.append(tape)
+        return backward(tape, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "backward", captured)
+    train_step(model, examples, Adam(model.store, 1e-3), np.random.default_rng(0))
+    records = tapes[0]._records
+    assert {name for name, _, _, _ in records} <= TAPE_OPS | FUSED_RECORDS
+    p_rows = sum(len(e.passage) for e in examples)
+    q_rows = sum(len(e.question) for e in examples)
+    assert p_rows != q_rows
+    tier = Counter((name, out.shape[0]) for name, out, _, _ in records
+                   if name in ("char_cnn", "features", "highway"))
+    assert tier == Counter({(name, n): count for n in (p_rows, q_rows) for name, count
+                            in (("highway", 2), ("char_cnn", 1), ("features", 1))})
+
+
 @pytest.mark.parametrize("selected", [(0, 1, 2), (3, 4, 5)])
 def test_full_model_gradient_matches_finite_differences(selected):
     """Eval-mode span loss on one copy-locate example at the mini profile:
@@ -829,8 +883,8 @@ def chain_l2_penalty(store, decay):
     total = None
     for _, tensor in store.trainable():
         term = reduce_sum(mul(tensor, tensor))
-        total = term if total is None else total + term
-    return decay * total
+        total = term if total is None else add(total, term)
+    return mul_const(total, decay)
 
 
 def test_l2_penalty_is_one_record_matching_the_chain():
