@@ -1,6 +1,11 @@
 """Residual encoder blocks: convolution+capsule routing, self-attention, FFN.
 
-Every sublayer runs as f(layernorm(x)) + x with stochastic depth; the
+Each block b of a stack under prefix P adds the positional signal, then
+runs ``num_conv_layers`` conv sublayers P.block{b}.conv{c} (weights .dw,
+.pw, .caps), self-attention P.block{b}.attn (.wq, .wk, .wv, .wo) and a
+feed-forward layer P.block{b}.ffn (.w1, .b1, .w2, .b2).  ``_sublayers``
+lists this layout.  Every sublayer S runs as S(layernorm(x)) + x, with
+gain and bias S.ln.gain and S.ln.bias, under stochastic depth; the
 survival probability decays linearly with the global sublayer index
 across the whole stack.
 
@@ -20,7 +25,7 @@ import numpy as np
 
 from .config import CapsuleConfig, EncoderBlockConfig
 from .errors import ConfigError, ShapeError
-from .params import ParamStore, ones_init, zeros_init
+from .params import ParamStore, normal_init, ones_init, zeros_init
 from .tensor import (
     Tensor,
     add,
@@ -297,90 +302,46 @@ def residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
 # Stacks
 # ---------------------------------------------------------------------------
 
-def _register_layer_norm(store: ParamStore, name: str, d: int, *,
-                         trainable: bool) -> None:
-    store.create(f"{name}.gain", (d,), ones_init, trainable=trainable)
-    store.create(f"{name}.bias", (d,), zeros_init, trainable=trainable)
+def _sublayers(prefix: str, block: EncoderBlockConfig) -> list[tuple[str, str]]:
+    """The stack's sublayers in order, as (kind, parameter prefix)."""
+    return [(kind, f"{prefix}.block{b}.{name}")
+            for b in range(block.num_blocks)
+            for kind, name in [*(("conv", f"conv{c}") for c in range(block.num_conv_layers)),
+                               ("attn", "attn"), ("ffn", "ffn")]]
 
 
-def build_encoder_stack(store: ParamStore, prefix: str, *, d: int, num_heads: int,
+def build_encoder_stack(store: ParamStore, prefix: str, *, d: int,
                         ffn_hidden: int, block: EncoderBlockConfig,
                         caps: CapsuleConfig, rng: np.random.Generator,
                         trainable: bool = True) -> None:
-    """Register every parameter of a stack of encoder blocks."""
-    for b in range(block.num_blocks):
-        base = f"{prefix}.block{b}"
-        for c in range(block.num_conv_layers):
-            conv = f"{base}.conv{c}"
-            store.create(f"{conv}.dw", (block.kernel, d), rng=rng,
-                         trainable=trainable)
-            store.create(f"{conv}.pw", (d, d), rng=rng, trainable=trainable)
-            store.create(
-                f"{conv}.caps",
-                (caps.primary_count, caps.digit_count,
-                 caps.primary_dim, caps.digit_dim),
-                lambda r, shape: r.normal(0.0, 0.2, size=shape), rng=rng,
-                trainable=trainable)
-            _register_layer_norm(store, f"{conv}.ln", d, trainable=trainable)
-        for name in ("wq", "wk", "wv", "wo"):
-            store.create(f"{base}.attn.{name}", (d, d), rng=rng,
-                         trainable=trainable)
-        _register_layer_norm(store, f"{base}.attn.ln", d, trainable=trainable)
-        store.create(f"{base}.ffn.w1", (d, ffn_hidden), rng=rng,
-                     trainable=trainable)
-        store.create(f"{base}.ffn.b1", (ffn_hidden,), zeros_init,
-                     trainable=trainable)
-        store.create(f"{base}.ffn.w2", (ffn_hidden, d), rng=rng,
-                     trainable=trainable)
-        store.create(f"{base}.ffn.b2", (d,), zeros_init, trainable=trainable)
-        _register_layer_norm(store, f"{base}.ffn.ln", d, trainable=trainable)
+    """Register every parameter of a stack, sublayer by sublayer: the
+    sublayer's weights, then its layer norm's gain and bias."""
+    weights = {
+        "conv": [("dw", (block.kernel, d), None), ("pw", (d, d), None),
+                 ("caps", (caps.primary_count, caps.digit_count,
+                           caps.primary_dim, caps.digit_dim), normal_init(0.2))],
+        "attn": [(name, (d, d), None) for name in ("wq", "wk", "wv", "wo")],
+        "ffn": [("w1", (d, ffn_hidden), None), ("b1", (ffn_hidden,), zeros_init),
+                ("w2", (ffn_hidden, d), None), ("b2", (d,), zeros_init)],
+    }
+    norm = [("ln.gain", (d,), ones_init), ("ln.bias", (d,), zeros_init)]
+    for kind, name in _sublayers(prefix, block):
+        for suffix, shape, init in weights[kind] + norm:
+            store.create(f"{name}.{suffix}", shape, init, rng=rng, trainable=trainable)
 
 
-def encoder_block_forward(x: Tensor, lengths: Sequence[int] | None,
-                          store: ParamStore,
-                          base: str, *, num_heads: int, block: EncoderBlockConfig,
-                          caps: CapsuleConfig, survival_end: float,
-                          dropout_rate: float, training: bool,
-                          rng: np.random.Generator | None,
-                          layer_offset: int, total_layers: int) -> Tensor:
-    """One block: positional signal, conv+capsule sublayers, attention, FFN."""
-    n, d = x.shape
-    out = add_const(x, positional_encoding(n, d, lengths))
-    layer = layer_offset
-    for c in range(block.num_conv_layers):
-        conv = f"{base}.conv{c}"
-        layer += 1
-        out = residual_sublayer(
-            out,
-            lambda h, _c=conv: conv_pri_dig_layer(
-                h, store.get(f"{_c}.dw"), store.get(f"{_c}.pw"),
-                store.get(f"{_c}.caps"), caps, lengths),
-            layer_index=layer, total_layers=total_layers,
-            survival_end=survival_end, gain=store.get(f"{conv}.ln.gain"),
-            bias=store.get(f"{conv}.ln.bias"), training=training, rng=rng,
-            dropout_rate=dropout_rate)
-    layer += 1
-    out = residual_sublayer(
-        out,
-        lambda h: multi_head_self_attention(
-            h, lengths, num_heads, store.get(f"{base}.attn.wq"),
-            store.get(f"{base}.attn.wk"), store.get(f"{base}.attn.wv"),
-            store.get(f"{base}.attn.wo")),
-        layer_index=layer, total_layers=total_layers, survival_end=survival_end,
-        gain=store.get(f"{base}.attn.ln.gain"),
-        bias=store.get(f"{base}.attn.ln.bias"), training=training, rng=rng,
-        dropout_rate=dropout_rate)
-    layer += 1
-    out = residual_sublayer(
-        out,
-        lambda h: feed_forward(
-            h, store.get(f"{base}.ffn.w1"), store.get(f"{base}.ffn.b1"),
-            store.get(f"{base}.ffn.w2"), store.get(f"{base}.ffn.b2")),
-        layer_index=layer, total_layers=total_layers, survival_end=survival_end,
-        gain=store.get(f"{base}.ffn.ln.gain"),
-        bias=store.get(f"{base}.ffn.ln.bias"), training=training, rng=rng,
-        dropout_rate=dropout_rate)
-    return out
+def _branch(kind: str, name: str, store: ParamStore, lengths: Sequence[int] | None,
+            num_heads: int, caps: CapsuleConfig) -> Callable[[Tensor], Tensor]:
+    """The function sublayer ``name`` applies to its normalized input."""
+    def get(*suffixes: str) -> list[Tensor]:
+        return [store.get(f"{name}.{suffix}") for suffix in suffixes]
+
+    if kind == "conv":
+        return lambda h: conv_pri_dig_layer(h, *get("dw", "pw", "caps"), caps, lengths)
+    if kind == "attn":
+        return lambda h: multi_head_self_attention(
+            h, lengths, num_heads, *get("wq", "wk", "wv", "wo"))
+    return lambda h: feed_forward(h, *get("w1", "b1", "w2", "b2"))
 
 
 def run_encoder_stack(x: Tensor, lengths: Sequence[int] | None, store: ParamStore,
@@ -389,21 +350,26 @@ def run_encoder_stack(x: Tensor, lengths: Sequence[int] | None, store: ParamStor
                       dropout_rate: float = 0.0, training: bool = False,
                       rng: np.random.Generator | None = None,
                       collect_blocks: bool = False):
-    """Apply the whole stack to a pack; sublayer indices count across all
-    blocks.  ``lengths`` are the pack's segment lengths (None: one segment).
+    """Apply the whole stack to a pack (``lengths``: its segment lengths,
+    None for one segment) in one loop over its sublayers.
 
-    With ``collect_blocks`` the per-block outputs come back as a list
-    (the contextual provider reads those as its layers).
+    A block starts after the previous block's FFN, with the positional
+    signal.  Each sublayer is one ``residual_sublayer``, indexed from 1
+    across all blocks.  Each FFN's output is its block's output, which
+    ``collect_blocks`` returns as a list (the contextual provider's layers).
     """
-    sublayers_per_block = block.num_conv_layers + 2
-    total_layers = block.num_blocks * sublayers_per_block
-    out = x
-    collected = []
-    for b in range(block.num_blocks):
-        out = encoder_block_forward(
-            out, lengths, store, f"{prefix}.block{b}", num_heads=num_heads,
-            block=block, caps=caps, survival_end=survival_end,
-            dropout_rate=dropout_rate, training=training, rng=rng,
-            layer_offset=b * sublayers_per_block, total_layers=total_layers)
-        collected.append(out)
+    sublayers = _sublayers(prefix, block)
+    out, collected, previous = x, [], "ffn"
+    for index, (kind, name) in enumerate(sublayers, start=1):
+        if previous == "ffn":
+            out = add_const(out, positional_encoding(*out.shape, lengths))
+        out = residual_sublayer(
+            out, _branch(kind, name, store, lengths, num_heads, caps),
+            layer_index=index, total_layers=len(sublayers),
+            survival_end=survival_end, gain=store.get(f"{name}.ln.gain"),
+            bias=store.get(f"{name}.ln.bias"), training=training, rng=rng,
+            dropout_rate=dropout_rate)
+        if kind == "ffn":
+            collected.append(out)
+        previous = kind
     return collected if collect_blocks else out

@@ -202,15 +202,14 @@ class Model:
             store.create(f"{base}.wg", (cfg.d, cfg.d), rng=rng)
             store.create(f"{base}.bg", (cfg.d,), zeros_init)
 
-        build_encoder_stack(store, "embenc", d=cfg.d, num_heads=cfg.num_heads,
-                            ffn_hidden=cfg.ffn_hidden,
+        build_encoder_stack(store, "embenc", d=cfg.d, ffn_hidden=cfg.ffn_hidden,
                             block=cfg.embedding_encoder, caps=cfg.capsules,
                             rng=rng)
 
         store.create("provider.table", (v_words, cfg.provider_width),
                      normal_init(0.5), rng=rng, trainable=False)
         build_encoder_stack(store, "provider.enc", d=cfg.provider_width,
-                            num_heads=2, ffn_hidden=cfg.provider_width,
+                            ffn_hidden=cfg.provider_width,
                             block=self._provider_block(), caps=cfg.capsules,
                             rng=rng, trainable=False)
         store.create("theta", (cfg.provider_layers,),
@@ -232,8 +231,8 @@ class Model:
         store.create("attn.w", (3 * cfg.selected_dim,), rng=rng)
         store.create("attn.out_proj", (cfg.fused_dim, cfg.d), rng=rng)
 
-        build_encoder_stack(store, "modenc", d=cfg.d, num_heads=cfg.num_heads,
-                            ffn_hidden=cfg.ffn_hidden, block=cfg.model_encoder,
+        build_encoder_stack(store, "modenc", d=cfg.d, ffn_hidden=cfg.ffn_hidden,
+                            block=cfg.model_encoder,
                             caps=cfg.capsules, rng=rng)
         store.create("span.w1", (2 * cfg.d, 1), rng=rng)
         store.create("span.w2", (2 * cfg.d, 1), rng=rng)

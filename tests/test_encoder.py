@@ -821,7 +821,7 @@ class TestResidualSublayer:
 
 
 def build_mini_stack(store, prefix, rng, block=MINI_BLOCK):
-    build_encoder_stack(store, prefix, d=8, num_heads=2, ffn_hidden=8,
+    build_encoder_stack(store, prefix, d=8, ffn_hidden=8,
                         block=block, caps=MINI_CAPS, rng=rng)
 
 
@@ -830,7 +830,7 @@ class TestEncoderStack:
         store = ParamStore()
         block = EncoderBlockConfig(num_conv_layers=5, kernel=7, num_blocks=1)
         caps = CapsuleConfig(16, 8, 16, 8, 3)
-        build_encoder_stack(store, "enc", d=128, num_heads=8, ffn_hidden=128,
+        build_encoder_stack(store, "enc", d=128, ffn_hidden=128,
                             block=block, caps=caps,
                             rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(9, 128)))
@@ -842,7 +842,7 @@ class TestEncoderStack:
         store = ParamStore()
         block = EncoderBlockConfig(num_conv_layers=2, kernel=5, num_blocks=4)
         caps = CapsuleConfig(16, 8, 16, 8, 3)
-        build_encoder_stack(store, "enc", d=128, num_heads=8, ffn_hidden=128,
+        build_encoder_stack(store, "enc", d=128, ffn_hidden=128,
                             block=block, caps=caps,
                             rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(5, 128)))
@@ -882,7 +882,7 @@ class TestEncoderStack:
         store = ParamStore()
         rng = np.random.default_rng(4)
         block = EncoderBlockConfig(num_conv_layers=2, kernel=3, num_blocks=3)
-        build_encoder_stack(store, "enc", d=8, num_heads=2, ffn_hidden=8,
+        build_encoder_stack(store, "enc", d=8, ffn_hidden=8,
                             block=block, caps=MINI_CAPS, rng=rng)
         x = Tensor(rng.normal(size=(4, 8)))
         run_encoder_stack(x, None, store, "enc", num_heads=2, block=block,
@@ -893,7 +893,7 @@ class TestEncoderStack:
         store = ParamStore()
         rng = np.random.default_rng(5)
         block = EncoderBlockConfig(num_conv_layers=1, kernel=3, num_blocks=4)
-        build_encoder_stack(store, "enc", d=8, num_heads=2, ffn_hidden=8,
+        build_encoder_stack(store, "enc", d=8, ffn_hidden=8,
                             block=block, caps=MINI_CAPS, rng=rng)
         x = Tensor(rng.normal(size=(3, 8)))
         outputs = run_encoder_stack(x, None, store, "enc", num_heads=2,

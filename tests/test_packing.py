@@ -75,7 +75,7 @@ def small_stack(rng, dtype):
     store = ParamStore(dtype)
     block = EncoderBlockConfig(num_conv_layers=1, kernel=5, num_blocks=2)
     caps = CapsuleConfig(2, 4, 2, 4, 1)
-    build_encoder_stack(store, "enc", d=8, num_heads=2, ffn_hidden=8, block=block,
+    build_encoder_stack(store, "enc", d=8, ffn_hidden=8, block=block,
                         caps=caps, rng=rng)
     params = tuple(t for _, t in store.trainable())
     return (lambda x, lengths: run_encoder_stack(
