@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def validate_example(example: Example) -> Example:
             raise DataError(
                 f"example {example.id!r}: {name} has {len(ids)} ids for "
                 f"{n} passage tokens")
-        if any(not isinstance(i, int) or i < 0 for i in ids):
+        if any(not _is_int(i) or i < 0 for i in ids):
             raise DataError(f"example {example.id!r}: {name} ids must be "
                             f"nonnegative integers")
     if not (0 <= example.answer_begin <= example.answer_end < n):
@@ -68,7 +68,7 @@ def validate_example(example: Example) -> Example:
             raise DataError(
                 f"example {example.id!r}: subtokens has {len(example.subtokens)} "
                 f"entries for {n} passage tokens")
-        if any(not isinstance(s, int) or s < 1 for s in example.subtokens):
+        if any(not _is_int(s) or s < 1 for s in example.subtokens):
             raise DataError(f"example {example.id!r}: subtoken counts must be "
                             f"positive integers")
     return example
@@ -78,30 +78,43 @@ _REQUIRED_FIELDS = ("id", "passage", "question", "pos", "ner", "rule",
                     "answer_begin", "answer_end", "answerable")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int; a bool is not, although it subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value, item: Callable[[object], bool]) -> bool:
+    return isinstance(value, list) and all(item(v) for v in value)
+
+
+# The JSON type of every field but the id: (check, what it must be).
+_STRINGS = (lambda v: _is_list(v, lambda t: isinstance(t, str)), "a list of strings")
+_INTS = (lambda v: _is_list(v, _is_int), "a list of integers")
+_FIELD_TYPES = {
+    "passage": _STRINGS, "question": _STRINGS,
+    "pos": _INTS, "ner": _INTS, "rule": _INTS,
+    "answer_begin": (_is_int, "an integer"), "answer_end": (_is_int, "an integer"),
+    "answerable": (lambda v: isinstance(v, bool), "true or false"),
+    "subtokens": (lambda v: v is None or _is_list(v, _is_int),
+                  "a list of integers or null"),
+}
+
+
 def example_from_dict(record: dict, where: str) -> Example:
+    """An Example from one JSON record, rejecting any field of another JSON
+    type than its own; ``where`` names the record in errors."""
     missing = [f for f in _REQUIRED_FIELDS if f not in record]
     if missing:
         raise DataError(f"{where}: missing field(s) {', '.join(missing)}")
-    unknown = set(record) - set(_REQUIRED_FIELDS) - {"subtokens"}
+    unknown = set(record) - {"id", *_FIELD_TYPES}
     if unknown:
         raise DataError(f"{where}: unknown field(s) {', '.join(sorted(unknown))}")
-    try:
-        example = Example(
-            id=str(record["id"]),
-            passage=[str(t) for t in record["passage"]],
-            question=[str(t) for t in record["question"]],
-            pos=list(record["pos"]),
-            ner=list(record["ner"]),
-            rule=list(record["rule"]),
-            answer_begin=int(record["answer_begin"]),
-            answer_end=int(record["answer_end"]),
-            answerable=bool(record["answerable"]),
-            subtokens=(None if record.get("subtokens") is None
-                       else list(record["subtokens"])),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: malformed field ({exc})") from exc
-    return validate_example(example)
+    for name, (check, expected) in _FIELD_TYPES.items():
+        if not check(record.get(name)):
+            raise DataError(f"{where}: {name} must be {expected}, "
+                            f"got {record[name]!r:.40}")
+    fields = {name: record.get(name) for name in _FIELD_TYPES}
+    return validate_example(Example(id=str(record["id"]), **fields))
 
 
 def load_jsonl(path: str) -> list[Example]:

@@ -94,6 +94,32 @@ class TestJsonl:
         with pytest.raises(DataError, match="bogus"):
             example_from_dict(record, "here")
 
+    @pytest.mark.parametrize("field,value", [
+        ("answer_begin", 1.9),
+        ("answer_end", "2"),
+        ("answerable", "false"),
+        ("passage", "abc"),
+        ("pos", [True, 1, 2]),
+        ("question", [1]),
+        ("ner", [0.0, 0, 1]),
+        ("subtokens", [True, 1, 1]),
+    ], ids=str)
+    def test_wrong_json_type_rejected_with_line(self, tmp_path, field, value):
+        """A field of another JSON type is an error naming path:line, not a
+        silent conversion (1.9 -> 1, "false" -> True, "abc" -> a, b, c)."""
+        record = {"id": "x1", "passage": ["a", "b", "c"], "question": ["b"],
+                  "pos": [0, 1, 2], "ner": [0, 0, 1], "rule": [0, 1, 0],
+                  "answer_begin": 1, "answer_end": 1, "answerable": True}
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(record) + "\n"
+                        + json.dumps({**record, field: value}) + "\n")
+        with pytest.raises(DataError, match=f"data.jsonl:2: {field} must be"):
+            load_jsonl(str(path))
+
+    def test_bool_tag_ids_rejected(self):
+        with pytest.raises(DataError, match="pos ids"):
+            validate_example(make_example(pos=[True, 1, 2]))
+
     def test_fuzzed_span_mutations_all_rejected(self, tmp_path):
         """Every mutation that breaks the span invariant is caught."""
         rng = np.random.default_rng(0)

@@ -15,6 +15,7 @@ from abanet.encoder import (
     build_encoder_stack,
     conv_pri_dig_layer,
     dynamic_routing,
+    feed_forward,
     multi_head_self_attention,
     positional_encoding,
     residual_sublayer,
@@ -28,6 +29,7 @@ from abanet.params import ParamStore
 from abanet.tensor import (
     Tape,
     Tensor,
+    add,
     add_const,
     concat,
     layer_norm,
@@ -919,3 +921,80 @@ class TestEncoderStack:
 
         report = grad_check(f, store, epsilon=1e-3, tolerance=1e-3)
         assert report.passed, report.lines()
+
+
+def written_out_stack(x, lengths, store, *, training, rng, dropout_rate):
+    """A 2-block stack of two conv sublayers, attention and FFN each,
+    written out as one ``residual_sublayer`` call per sublayer; returns
+    both block outputs."""
+    def sublayer(h, index, name, f):
+        return residual_sublayer(
+            h, f, layer_index=index, total_layers=8, survival_end=0.5,
+            gain=store.get(f"{name}.ln.gain"), bias=store.get(f"{name}.ln.bias"),
+            training=training, rng=rng, dropout_rate=dropout_rate)
+
+    def w(name):
+        return store.get(f"enc.{name}")
+
+    blocks = []
+    out = x
+    for b, first in ((0, 1), (1, 5)):
+        out = add_const(out, positional_encoding(*out.shape, lengths))
+        out = sublayer(out, first, f"enc.block{b}.conv0", lambda h: conv_pri_dig_layer(
+            h, w(f"block{b}.conv0.dw"), w(f"block{b}.conv0.pw"),
+            w(f"block{b}.conv0.caps"), MINI_CAPS, lengths))
+        out = sublayer(out, first + 1, f"enc.block{b}.conv1", lambda h: conv_pri_dig_layer(
+            h, w(f"block{b}.conv1.dw"), w(f"block{b}.conv1.pw"),
+            w(f"block{b}.conv1.caps"), MINI_CAPS, lengths))
+        out = sublayer(out, first + 2, f"enc.block{b}.attn",
+                       lambda h: multi_head_self_attention(
+                           h, lengths, 2, w(f"block{b}.attn.wq"), w(f"block{b}.attn.wk"),
+                           w(f"block{b}.attn.wv"), w(f"block{b}.attn.wo")))
+        out = sublayer(out, first + 3, f"enc.block{b}.ffn", lambda h: feed_forward(
+            h, w(f"block{b}.ffn.w1"), w(f"block{b}.ffn.b1"), w(f"block{b}.ffn.w2"),
+            w(f"block{b}.ffn.b2")))
+        blocks.append(out)
+    return blocks
+
+
+class TestStackMatchesWrittenOutBlocks:
+    """``run_encoder_stack``'s one loop against the blocks written out."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_outputs_and_gradients_are_equal(self, training):
+        store = ParamStore()
+        block = EncoderBlockConfig(num_conv_layers=2, kernel=3, num_blocks=2)
+        build_mini_stack(store, "enc", np.random.default_rng(11), block)
+        data = np.random.default_rng(12)
+        x = Tensor(data.normal(size=(5, 8)))
+        weights = [Tensor(data.normal(size=(5, 8))) for _ in range(2)]
+        lengths = (3, 2)
+        params = [tensor for _, tensor in store.items()]
+
+        def run(stack):
+            with Tape() as tape:
+                blocks = stack(np.random.default_rng(13))
+                loss = add(*(reduce_sum(mul(out, w)) for out, w in zip(blocks, weights)))
+            grads = tape.gradients(loss)
+            return blocks, [grads.get(id(t)) for t in (x, *params)]
+
+        got, got_grads = run(lambda rng: run_encoder_stack(
+            x, lengths, store, "enc", num_heads=2, block=block, caps=MINI_CAPS,
+            survival_end=0.5, dropout_rate=0.2, training=training, rng=rng,
+            collect_blocks=True))
+        want, want_grads = run(lambda rng: written_out_stack(
+            x, lengths, store, training=training, rng=rng, dropout_rate=0.2))
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.data, w.data)
+        final = run_encoder_stack(x, lengths, store, "enc", num_heads=2, block=block,
+                                  caps=MINI_CAPS, survival_end=0.5,
+                                  dropout_rate=0.2, training=training,
+                                  rng=np.random.default_rng(13))
+        np.testing.assert_array_equal(final.data, got[-1].data)
+        skipped = [g is None for g in got_grads]
+        assert skipped == [g is None for g in want_grads]
+        assert any(skipped) == training   # stochastic depth drops a sublayer
+        for g, w in zip(got_grads, want_grads):
+            if g is not None:
+                np.testing.assert_array_equal(g, w)

@@ -221,3 +221,43 @@ def test_detects_a_global_statement():
               "def set_width(width):\n    global _WIDTH\n    _WIDTH = width\n\n"
               "def enter(tape):\n    global _ACTIVE_TAPE\n    _ACTIVE_TAPE = tape\n")
     assert global_statements(source) == ["_WIDTH (line 5)"]
+
+
+# Parameters a function may leave unread, by (function, parameter): the
+# initializer protocol passes every init an rng, and a context manager's
+# ``__exit__`` receives the exception it does not inspect.
+ALLOWED_UNREAD = {("zeros_init", "rng"), ("ones_init", "rng"), ("__exit__", "exc")}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of named functions that their body never reads, other
+    than the allowed ones.  A read by a nested function or lambda counts."""
+    found = []
+    functions = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in sorted(functions, key=lambda node: node.lineno):
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = {name.id for statement in node.body for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [f"{node.name}({param}) (line {node.lineno})" for param in params
+                  if param not in read and (node.name, param) not in ALLOWED_UNREAD]
+    return found
+
+
+def test_every_parameter_is_read():
+    found = {path.name: names for path in PACKAGE
+             if (names := unread_parameters(path.read_text(encoding="utf-8")))}
+    assert not found, found
+
+
+def test_detects_an_unread_parameter():
+    source = ("def build(store, d, heads, *, rng, **extra):\n"
+              "    store.create(d, rng=rng)\n\n"
+              "class Ctx:\n    def __exit__(self, *exc):\n        pass\n\n"
+              "def zeros_init(rng, shape):\n    return shape\n\n"
+              "def outer(a, b):\n    return lambda: a\n")
+    assert unread_parameters(source) == [
+        "build(heads) (line 1)", "build(extra) (line 1)", "__exit__(self) (line 5)",
+        "outer(b) (line 11)"]

@@ -9,6 +9,8 @@ a training tape may hold, and the model without level mixing."""
 import ast
 import dataclasses
 import gc
+import hashlib
+import json
 import pathlib
 import weakref
 from collections import Counter
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from abanet import model as model_module
-from abanet.config import mini_profile
+from abanet.config import PROFILES, mini_profile
 from abanet.data import build_vocabs, gen_synthetic
 from abanet.errors import DataError, NumericsError
 from abanet.model import (
@@ -241,6 +243,27 @@ def test_both_widths_predict_in_turn_in_one_process():
 def mini_model(seed=0):
     examples = gen_synthetic("copy-locate", 4, seed)
     return Model(mini_profile(), *build_vocabs(examples), seed=seed), examples
+
+
+# sha256 of the ordered (name, shape, dtype) list of a model's parameters
+# at each profile, for the vocabularies of four copy-locate examples.
+STORE_LAYOUT_SHA256 = {
+    "mini": "255839f9338a9a20d0019d9153b637946fa4b4681cebe98ddb662742025f871e",
+    "paper": "a18ae3f75e9d54275d2d105e5258547a7fa7c6d73bf9c35f6db9a93be675d01a",
+}
+
+
+@pytest.mark.parametrize("profile", sorted(STORE_LAYOUT_SHA256))
+def test_parameter_layout_is_pinned(profile):
+    """Every parameter's name, place in the order, shape and width.  A
+    reorder alone would change the init draws and the order of Adam's
+    updates and of the l2 sum."""
+    examples = gen_synthetic("copy-locate", 4, 0)
+    model = Model(PROFILES[profile](), *build_vocabs(examples))
+    layout = json.dumps([[name, list(tensor.shape), str(tensor.data.dtype)]
+                         for name, tensor in model.store.items()])
+    assert (hashlib.sha256(layout.encode()).hexdigest()
+            == STORE_LAYOUT_SHA256[profile])
 
 
 class TestProviderCache:
