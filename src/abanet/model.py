@@ -283,17 +283,25 @@ class Model:
         return ids, chars
 
     def _sequence_repr(self, ids: np.ndarray, chars: np.ndarray,
-                       pos: np.ndarray, ner: np.ndarray, rule: np.ndarray,
+                       tags: tuple[np.ndarray, ...] | None,
                        subtokens, lengths: tuple[int, ...], training: bool,
                        rng: np.random.Generator | None) -> dict[str, Tensor]:
-        """The six granularity levels of one side of a pack."""
+        """The six granularity levels of one side of a pack.
+
+        ``tags`` are the POS, NER and rule ids; a side without them (the
+        questions) gets a constant zero feature block, so it trains no
+        row of the tag tables.
+        """
         cfg = self.config
         store = self.store
         word = embed_words(ids, store.get("word.table"))
         if training and cfg.dropout_word > 0.0:
             word = dropout(word, cfg.dropout_word, rng)
-        features = embed_features(pos, ner, rule, store.get("feat.pos"),
-                                  store.get("feat.ner"), store.get("feat.rule"))
+        if tags is None:
+            features = Tensor(np.zeros((len(ids), cfg.feature_dim), dtype=store.dtype))
+        else:
+            features = embed_features(*tags, store.get("feat.pos"),
+                                      store.get("feat.ner"), store.get("feat.rule"))
         word_level = concat([word, features], axis=1)
         char_level = embed_chars(chars, store.get("char.table"),
                                  store.get("char.filters"), kernel=cfg.char_kernel)
@@ -365,7 +373,6 @@ class Model:
         p_feats = tuple(np.concatenate([np.asarray(getattr(e, name), dtype=np.int64)
                                         for e in examples])
                         for name in ("pos", "ner", "rule"))
-        q_zero = np.zeros(len(q_ids), dtype=np.int64)
         subtokens = None
         if any(e.subtokens is not None for e in examples):
             subtokens = np.concatenate([
@@ -382,15 +389,15 @@ class Model:
             selected, levels = cached
             selected_p = Tensor(selected)
         else:
-            raw_p = self._sequence_repr(p_ids, p_chars, *p_feats, subtokens,
+            raw_p = self._sequence_repr(p_ids, p_chars, p_feats, subtokens,
                                         p_lengths, training, rng)
             selected_p, levels = self._select_levels(raw_p, "lambda.p")
             if key is not None:
                 selected_p.data.setflags(write=False)
                 self._passage_cache.put(key, (selected_p.data, levels),
                                         selected_p.data.nbytes)
-        raw_q = self._sequence_repr(q_ids, q_chars, q_zero, q_zero, q_zero,
-                                    None, q_lengths, training, rng)
+        raw_q = self._sequence_repr(q_ids, q_chars, None, None, q_lengths,
+                                    training, rng)
         selected_q, _ = self._select_levels(raw_q, "lambda.q")
 
         fused = bidirectional_attention(

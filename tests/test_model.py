@@ -614,6 +614,25 @@ def test_frozen_provider_stays_off_the_training_tape():
     assert not leaks, leaks[:5]
 
 
+def test_question_tokens_leave_tag_zero_rows_untrained():
+    """Questions carry no POS/NER/rule tags, so a backward on a pack whose
+    passages never use tag 0 leaves row 0 of each tag table without
+    gradient, while the rows the passages use get one."""
+    model, examples = mini_model()
+    untagged = [dataclasses.replace(e, pos=[1] * len(e.passage), ner=[2] * len(e.passage),
+                                    rule=[1] * len(e.passage)) for e in examples]
+    with Tape() as tape:
+        result = model.forward(untagged, training=True, rng=np.random.default_rng(0))
+        loss = batch_loss(span_nll(result.p_begin, result.p_end,
+                                   [e.answer_begin for e in untagged],
+                                   [e.answer_end for e in untagged], result.p_lengths))
+    grads = tape.gradients(loss)
+    for table, used in (("feat.pos", 1), ("feat.ner", 2), ("feat.rule", 1)):
+        grad = grads[id(model.store.get(table))]
+        assert np.abs(grad[used]).max() > 0.0, table
+        np.testing.assert_array_equal(grad[0], 0.0, table)
+
+
 # Every record name a model tape may hold: the tape ops of tensor.py
 # (``sum`` is reduce_sum; dropout records as mul_const) and the fused
 # records of the layers.
@@ -639,7 +658,8 @@ def package_record_names():
 def test_train_step_tape_holds_only_the_package_vocabulary(monkeypatch):
     """A packed mini train step records only tape ops and fused records,
     and each side's embedding tier is two highway records, one char CNN
-    record and one feature record, so no op chain creeps back in."""
+    record and, on the passage side only, one feature record, so no op
+    chain creeps back in."""
     assert package_record_names() == TAPE_OPS | FUSED_RECORDS
     model, examples = mini_model()
     tapes = []
@@ -658,8 +678,10 @@ def test_train_step_tape_holds_only_the_package_vocabulary(monkeypatch):
     assert p_rows != q_rows
     tier = Counter((name, out.shape[0]) for name, out, _, _ in records
                    if name in ("char_cnn", "features", "highway"))
-    assert tier == Counter({(name, n): count for n in (p_rows, q_rows) for name, count
-                            in (("highway", 2), ("char_cnn", 1), ("features", 1))})
+    want = Counter({(name, n): count for n in (p_rows, q_rows)
+                    for name, count in (("highway", 2), ("char_cnn", 1))})
+    want[("features", p_rows)] = 1
+    assert tier == want
 
 
 @pytest.mark.parametrize("selected", [(0, 1, 2), (3, 4, 5)])
