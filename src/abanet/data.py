@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def validate_example(example: Example) -> Example:
             raise DataError(
                 f"example {example.id!r}: {name} has {len(ids)} ids for "
                 f"{n} passage tokens")
-        if any(not _is_int(i) or i < 0 for i in ids):
+        if any(type(i) is not int or i < 0 for i in ids):   # bool is not int
             raise DataError(f"example {example.id!r}: {name} ids must be "
                             f"nonnegative integers")
     if not (0 <= example.answer_begin <= example.answer_end < n):
@@ -68,7 +68,7 @@ def validate_example(example: Example) -> Example:
             raise DataError(
                 f"example {example.id!r}: subtokens has {len(example.subtokens)} "
                 f"entries for {n} passage tokens")
-        if any(not _is_int(s) or s < 1 for s in example.subtokens):
+        if any(type(s) is not int or s < 1 for s in example.subtokens):
             raise DataError(f"example {example.id!r}: subtoken counts must be "
                             f"positive integers")
     return example
@@ -78,25 +78,21 @@ _REQUIRED_FIELDS = ("id", "passage", "question", "pos", "ner", "rule",
                     "answer_begin", "answer_end", "answerable")
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an int; a bool is not, although it subclasses int."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_list(value, kind: type) -> bool:
+    return type(value) is list and all(type(v) is kind for v in value)
 
 
-def _is_list(value, item: Callable[[object], bool]) -> bool:
-    return isinstance(value, list) and all(item(v) for v in value)
-
-
-# The JSON type of every field but the id: (check, what it must be).
-_STRINGS = (lambda v: _is_list(v, lambda t: isinstance(t, str)), "a list of strings")
-_INTS = (lambda v: _is_list(v, _is_int), "a list of integers")
+# The JSON type of every field but the id, as (check, what it must be).
+# Types must match exactly: a bool is not an int, although it subclasses int.
+_STRINGS = (lambda v: _is_list(v, str), "a list of strings")
+_INTS = (lambda v: _is_list(v, int), "a list of integers")
+_INT = (lambda v: type(v) is int, "an integer")
 _FIELD_TYPES = {
     "passage": _STRINGS, "question": _STRINGS,
     "pos": _INTS, "ner": _INTS, "rule": _INTS,
-    "answer_begin": (_is_int, "an integer"), "answer_end": (_is_int, "an integer"),
-    "answerable": (lambda v: isinstance(v, bool), "true or false"),
-    "subtokens": (lambda v: v is None or _is_list(v, _is_int),
-                  "a list of integers or null"),
+    "answer_begin": _INT, "answer_end": _INT,
+    "answerable": (lambda v: type(v) is bool, "true or false"),
+    "subtokens": (lambda v: v is None or _is_list(v, int), "a list of integers or null"),
 }
 
 
