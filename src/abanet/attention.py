@@ -20,6 +20,7 @@ from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
     dropout_mask,
+    dropout_scale,
     matmul,
     record_op,
     reshape,
@@ -128,17 +129,18 @@ def bidirectional_attention(hos_p: Tensor, hos_q: Tensor, w: Tensor,
     if training and dropout_rate > 0.0:
         if rng is None:
             raise ConfigError("training-mode bidirectional_attention needs an rng")
-        keep = dropout_mask((n, m), dropout_rate, rng, hos_p.data.dtype)
+        keep = dropout_mask((n, m), dropout_rate, rng)
+    dtype = hos_p.data.dtype
     w_p, w_q, w_pq = (w.data[k * width:(k + 1) * width] for k in range(3))
     pairs = [(slice(*ps), slice(*qs)) for ps, qs in zip(p_bounds, q_bounds)]
-    out = np.empty((n, 4 * width), dtype=hos_p.data.dtype)
+    out = np.empty((n, 4 * width), dtype=dtype)
     softmaxes = []
     for ps, qs in pairs:
         p, q = hos_p.data[ps], hos_q.data[qs]
         h = (p @ w_p[:, None] + (q @ w_q[:, None]).T
              + (p * w_pq) @ np.ascontiguousarray(q.T))
         if keep is not None:
-            h *= keep[ps, qs]
+            h *= dropout_scale(keep[ps, qs], dropout_rate, dtype)
         rows = np.exp(h - h.max(axis=1, keepdims=True))
         rows /= rows.sum(axis=1, keepdims=True)
         cols = np.exp(h - h.max(axis=0, keepdims=True))
@@ -174,7 +176,7 @@ def bidirectional_attention(hos_p: Tensor, hos_q: Tensor, w: Tensor,
             dh = (rows * (drows - (drows * rows).sum(axis=1, keepdims=True))
                   + cols * (dcols - (dcols * cols).sum(axis=0, keepdims=True)))
             if keep is not None:
-                dh *= keep[ps, qs]
+                dh *= dropout_scale(keep[ps, qs], dropout_rate, dtype)
             dh_rows, dh_cols, dh_q = dh.sum(axis=1), dh.sum(axis=0), dh @ q
             dp += dh_rows[:, None] * w_p + dh_q * w_pq
             dq += dh_cols[:, None] * w_q + dh.T @ (p * w_pq)

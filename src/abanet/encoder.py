@@ -31,12 +31,12 @@ from .tensor import (
     add,
     add_const,
     depthwise_conv1d,
-    dropout,
+    dropout_mask,
+    dropout_scale,
     layer_norm,
     matmul,
     mul_const,
     record_op,
-    relu,
     reshape,
     segment_bounds,
 )
@@ -209,8 +209,9 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
     ``lengths`` splits the n rows into segments (None: one segment), and
     no token attends across a boundary.  All heads and segments run as one
     ``self_attention`` record over [h, n, d_h] views of the projections:
-    each segment is a dense [h, n_s, n_s] block, and the backward keeps
-    only those blocks' probabilities.
+    each segment is a dense [h, n_s, n_s] block.  The backward keeps no
+    block: it recomputes each segment's probabilities from the queries
+    and keys, one segment at a time, with the forward's own ops.
     """
     n, d = x.shape
     if d % num_heads:
@@ -226,11 +227,8 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
         return a.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    out = np.empty((n, d), dtype=q.data.dtype)
-    out_h = heads(out)
-    blocks = []
-    for start, stop in bounds:
-        seg = slice(start, stop)
+
+    def probabilities(seg: slice) -> np.ndarray:
         # Softmax in place in one [h, n_s, n_s] buffer: large temporaries
         # cost page faults at passage lengths.
         probs = np.matmul(qh[:, seg], kh[:, seg].transpose(0, 2, 1))
@@ -238,15 +236,21 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        np.matmul(probs, vh[:, seg], out=out_h[:, seg])
-        blocks.append(probs)
+        return probs
+
+    out = np.empty((n, d), dtype=q.data.dtype)
+    out_h = heads(out)
+    for start, stop in bounds:
+        seg = slice(start, stop)
+        np.matmul(probabilities(seg), vh[:, seg], out=out_h[:, seg])
 
     def bw(g):
         gh = heads(g)
         dq, dk, dv = (np.empty((n, d), dtype=g.dtype) for _ in range(3))
         dq_h, dk_h, dv_h = heads(dq), heads(dk), heads(dv)
-        for (start, stop), probs in zip(bounds, blocks):
+        for start, stop in bounds:
             seg = slice(start, stop)
+            probs = probabilities(seg)
             np.matmul(probs.transpose(0, 2, 1), gh[:, seg], out=dv_h[:, seg])
             # dS = A * (dA - sum(dA * A)), built in the dA buffer.
             ds = np.matmul(gh[:, seg], vh[:, seg].transpose(0, 2, 1))
@@ -263,7 +267,17 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    return add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)
+    """relu(x w1 + b1) w2 + b2 as one record that keeps only the hidden
+    activation; the ReLU gradient passes where it is positive."""
+    hidden = np.maximum(x.data @ w1.data + b1.data, 0.0)
+
+    def bw(g):
+        dpre = (g @ w2.data.T) * (hidden > 0)
+        return (dpre @ w1.data.T, x.data.T @ dpre, dpre.sum(axis=0),
+                hidden.T @ g, g.sum(axis=0))
+
+    return record_op("feed_forward", hidden @ w2.data + b2.data,
+                     (x, w1, b1, w2, b2), bw)
 
 
 def survival_probability(layer_index: int, total_layers: int,
@@ -282,7 +296,8 @@ def residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
     """x + f(layernorm(x)), skipped stochastically during training.
 
     Training keeps the branch with probability p_l and applies dropout to
-    it; evaluation always adds the branch scaled by p_l.
+    it, recording x + dropout(branch) as one ``residual_dropout`` record;
+    evaluation always adds the branch scaled by p_l.
     """
     p = survival_probability(layer_index, total_layers, survival_end)
     if training:
@@ -291,9 +306,15 @@ def residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
         if rng.random() >= p:
             return x
         branch = f(layer_norm(x, gain, bias))
-        if dropout_rate > 0.0:
-            branch = dropout(branch, dropout_rate, rng)
-        return add(x, branch)
+        if dropout_rate <= 0.0:
+            return add(x, branch)
+        # The record keeps only the bool mask.
+        kept = dropout_mask(branch.shape, dropout_rate, rng)
+        dtype = branch.data.dtype
+        return record_op(
+            "residual_dropout",
+            x.data + branch.data * dropout_scale(kept, dropout_rate, dtype), (x, branch),
+            lambda g: (g, g * dropout_scale(kept, dropout_rate, dtype)))
     branch = f(layer_norm(x, gain, bias))
     return add(x, mul_const(branch, np.asarray(p)))
 

@@ -73,6 +73,11 @@ class Tape:
 
     Usable as a context manager; nesting restores the previous tape on
     exit.  A tape is meant to be built once and backpropagated once.
+    A live tape holds every record's output and whatever its backward
+    closes over, so each record keeps only the arrays its backward reads
+    and recomputes from its parents what is cheap to recompute (see
+    ``record_op``); at passage lengths this is most of a training step's
+    memory.
     """
 
     def __init__(self):
@@ -153,6 +158,12 @@ def record_op(name: str, out_data: np.ndarray, parents: Sequence[Tensor],
 
     ``backward`` maps the output gradient to one gradient (or None) per
     parent.  Other modules use this hook to define their own primitives.
+    The rule for a backward: keep only what it reads, and recompute what
+    is cheap.  The parents stay on the tape anyway, so a value rebuilt
+    from them with the forward's own ops (a layer norm's normalised rows,
+    a convolution's padded input, attention probabilities) costs no
+    memory and gives the same bits; a dropout mask is kept as bools, not
+    as its float scale.
     """
     out = Tensor(out_data)
     if _ACTIVE_TAPE is not None:
@@ -273,26 +284,32 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    return record_op("relu", out, (a,), lambda g: (g * (a.data > 0),))
-
-
-def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
-                 dtype) -> np.ndarray:
-    """Inverted-dropout scale, 0 or 1/(1 - rate) per element, from one
-    ``rng.random(shape)`` draw."""
+def dropout_mask(shape: tuple[int, ...], rate: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Which elements inverted dropout keeps: a bool array from one
+    ``rng.random(shape)`` draw.  ``dropout_scale`` turns it into the scale."""
     if rate >= 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(dtype) / keep
+    return rng.random(shape) < 1.0 - rate
+
+
+def dropout_scale(kept: np.ndarray, rate: float, dtype) -> np.ndarray:
+    """Inverted-dropout scale of a ``dropout_mask``: 0 or 1/(1 - rate).
+
+    A backward keeps the bool mask, an eighth of a float64 scale, and
+    rebuilds the scale from it.
+    """
+    return kept.astype(dtype) / (1.0 - rate)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate is 0."""
     if rate <= 0.0:
         return a
-    return mul_const(a, dropout_mask(a.shape, rate, rng, a.data.dtype))
+    kept = dropout_mask(a.shape, rate, rng)
+    dtype = a.data.dtype
+    return record_op("dropout", a.data * dropout_scale(kept, rate, dtype), (a,),
+                     lambda g: (g * dropout_scale(kept, rate, dtype),))
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +372,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match "
             f"feature width {x.shape[-1]}")
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    mean = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mean
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    normed = centered / std
-    out = normed * gain.data + bias.data
+    out = centered / std * gain.data + bias.data
 
     def bw(g):
+        # Only the [n, 1] mean and std are kept: normed is rebuilt from x.
+        normed = (x.data - mean) / std
         dn = g * gain.data
         dx = (dn - dn.mean(axis=-1, keepdims=True)
               - normed * (dn * normed).mean(axis=-1, keepdims=True)) / std
@@ -400,15 +419,21 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor,
         return np.concatenate([rows[first + at:first + at + stop - start]
                                for at, start, stop in placed])
 
-    xp = np.zeros((m + k - 1, d), dtype=x.data.dtype)
-    for at, start, stop in placed:
-        xp[pad + at:pad + at + stop - start] = x.data[start:stop]
+    def padded() -> np.ndarray:
+        xp = np.zeros((m + k - 1, d), dtype=x.data.dtype)
+        for at, start, stop in placed:
+            xp[pad + at:pad + at + stop - start] = x.data[start:stop]
+        return xp
+
+    xp = padded()
     full = np.zeros((m, d), dtype=x.data.dtype)
     for tau in range(k):
         full += xp[tau:tau + m] * kernel.data[tau]
     out = gather(full, 0)
 
     def bw(g):
+        # The padded input is rebuilt from x rather than kept.
+        xp = padded()
         dk = np.empty_like(kernel.data)
         gfull = np.zeros((m, d), dtype=g.dtype)
         for at, start, stop in placed:

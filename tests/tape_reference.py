@@ -1,9 +1,10 @@
 """Reference code the tests check the package against.
 
 Finite-difference gradient checking, the small tape ops that only
-reference chains use, and the op chains that the embedding tier's fused
-records replaced.  Every op here is built on ``record_op``, so it records
-on the same tape as the package's own primitives.
+reference chains use, the op chains that the embedding tier's fused
+records replaced, and the keep-everything records that the encoder's
+lean records replaced.  Every op here is built on ``record_op``, so it
+records on the same tape as the package's own primitives.
 """
 
 from __future__ import annotations
@@ -11,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import math
+
 import numpy as np
 
+from abanet.encoder import survival_probability
 from abanet.errors import ConfigError, ShapeError
 from abanet.params import ParamStore
 from abanet.tensor import (
@@ -23,8 +27,10 @@ from abanet.tensor import (
     add,
     concat,
     matmul,
+    mul_const,
     record_op,
     reshape,
+    segment_bounds,
 )
 
 # ---------------------------------------------------------------------------
@@ -199,6 +205,11 @@ def sigmoid(a: Tensor) -> Tensor:
     return record_op("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
+def relu(a: Tensor) -> Tensor:
+    out = np.maximum(a.data, 0.0)
+    return record_op("relu", out, (a,), lambda g: (g * (a.data > 0),))
+
+
 # ---------------------------------------------------------------------------
 # The op chains the embedding tier's fused records replaced
 # ---------------------------------------------------------------------------
@@ -237,3 +248,149 @@ def chain_highway(x: Tensor,
         carry = sub(Tensor(1.0, dtype=g.data.dtype), g)
         out = add(mul(g, t), mul(carry, out))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The keep-everything records the encoder's lean records replaced
+# ---------------------------------------------------------------------------
+# Each keeps every array its forward made, as the package did before its
+# backwards kept only what they read.  They draw from the rng in the same
+# order as the package, so seeded runs of both must agree bit for bit.
+
+def keep_all_dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout as one ``mul_const`` of a float mask."""
+    if rate <= 0.0:
+        return a
+    if rate >= 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    keep = 1.0 - rate
+    return mul_const(a, (rng.random(a.shape) < keep).astype(a.data.dtype) / keep)
+
+
+def keep_all_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+                        eps: float = 1e-6) -> Tensor:
+    """Layer norm that keeps the normalised [n, d] copy for its backward."""
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+    out = normed * gain.data + bias.data
+
+    def bw(g):
+        dn = g * gain.data
+        dx = (dn - dn.mean(axis=-1, keepdims=True)
+              - normed * (dn * normed).mean(axis=-1, keepdims=True)) / std
+        return (dx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape))
+
+    return record_op("layer_norm", out, (x, gain, bias), bw)
+
+
+def keep_all_depthwise_conv1d(x: Tensor, kernel: Tensor,
+                              lengths: Sequence[int] | None = None) -> Tensor:
+    """Per-segment depthwise convolution that keeps its zero-padded input."""
+    k, d = kernel.shape
+    n = x.shape[0]
+    pad = k // 2
+    placed = [(start + pad * s, start, stop)
+              for s, (start, stop) in enumerate(segment_bounds(lengths, n))]
+    m = n + pad * (len(placed) - 1)
+
+    def gather(rows: np.ndarray, first: int) -> np.ndarray:
+        if len(placed) == 1:
+            return rows[first:first + n]
+        return np.concatenate([rows[first + at:first + at + stop - start]
+                               for at, start, stop in placed])
+
+    xp = np.zeros((m + k - 1, d), dtype=x.data.dtype)
+    for at, start, stop in placed:
+        xp[pad + at:pad + at + stop - start] = x.data[start:stop]
+    full = np.zeros((m, d), dtype=x.data.dtype)
+    for tau in range(k):
+        full += xp[tau:tau + m] * kernel.data[tau]
+    out = gather(full, 0)
+
+    def bw(g):
+        dk = np.empty_like(kernel.data)
+        gfull = np.zeros((m, d), dtype=g.dtype)
+        for at, start, stop in placed:
+            gfull[at:at + stop - start] = g[start:stop]
+        gp = np.zeros_like(xp)
+        for tau in range(k):
+            dk[tau] = (xp[tau:tau + m] * gfull).sum(axis=0)
+            gp[tau:tau + m] += gfull * kernel.data[tau]
+        return (gather(gp, pad), dk)
+
+    return record_op("depthwise_conv1d", out, (x, kernel), bw)
+
+
+def keep_all_self_attention(x: Tensor, lengths: Sequence[int] | None,
+                            num_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
+                            wo: Tensor) -> Tensor:
+    """Packed self-attention whose record keeps every segment's
+    [h, n_s, n_s] probabilities for its backward."""
+    n, d = x.shape
+    bounds = segment_bounds(lengths, n)
+    head_dim = d // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+    q, k, v = matmul(x, wq), matmul(x, wk), matmul(x, wv)
+
+    def heads(a: np.ndarray) -> np.ndarray:
+        return a.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    out = np.empty((n, d), dtype=q.data.dtype)
+    out_h = heads(out)
+    blocks = []
+    for start, stop in bounds:
+        seg = slice(start, stop)
+        probs = np.matmul(qh[:, seg], kh[:, seg].transpose(0, 2, 1))
+        probs *= scale
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        np.matmul(probs, vh[:, seg], out=out_h[:, seg])
+        blocks.append(probs)
+
+    def bw(g):
+        gh = heads(g)
+        dq, dk, dv = (np.empty((n, d), dtype=g.dtype) for _ in range(3))
+        dq_h, dk_h, dv_h = heads(dq), heads(dk), heads(dv)
+        for (start, stop), probs in zip(bounds, blocks):
+            seg = slice(start, stop)
+            np.matmul(probs.transpose(0, 2, 1), gh[:, seg], out=dv_h[:, seg])
+            ds = np.matmul(gh[:, seg], vh[:, seg].transpose(0, 2, 1))
+            ds -= (ds * probs).sum(axis=-1, keepdims=True)
+            ds *= probs
+            np.matmul(ds, kh[:, seg], out=dq_h[:, seg])
+            np.matmul(ds.transpose(0, 2, 1), qh[:, seg], out=dk_h[:, seg])
+        dq *= scale
+        dk *= scale
+        return dq, dk, dv
+
+    attended = record_op("self_attention", out, (q, k, v), bw)
+    return matmul(attended, wo)
+
+
+def chain_feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                       b2: Tensor) -> Tensor:
+    """The feed-forward layer as five tape ops."""
+    return add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)
+
+
+def keep_all_residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
+                               layer_index: int, total_layers: int,
+                               survival_end: float, gain: Tensor, bias: Tensor,
+                               training: bool,
+                               rng: np.random.Generator | None = None,
+                               dropout_rate: float = 0.0) -> Tensor:
+    """x + f(layernorm(x)) under stochastic depth, with dropout as its own
+    ``mul_const`` record and the residual as an ``add``."""
+    p = survival_probability(layer_index, total_layers, survival_end)
+    if training:
+        if rng.random() >= p:
+            return x
+        branch = f(keep_all_layer_norm(x, gain, bias))
+        if dropout_rate > 0.0:
+            branch = keep_all_dropout(branch, dropout_rate, rng)
+        return add(x, branch)
+    branch = f(keep_all_layer_norm(x, gain, bias))
+    return add(x, mul_const(branch, np.asarray(p)))

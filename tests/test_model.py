@@ -634,14 +634,14 @@ def test_question_tokens_leave_tag_zero_rows_untrained():
 
 
 # Every record name a model tape may hold: the tape ops of tensor.py
-# (``sum`` is reduce_sum; dropout records as mul_const) and the fused
-# records of the layers.
+# (``sum`` is reduce_sum) and the fused records of the layers.
 TAPE_OPS = {"add", "add_const", "mul_const", "matmul", "reshape", "concat", "stack",
-            "sum", "relu", "softmax", "segment_softmax", "layer_norm",
+            "sum", "dropout", "softmax", "segment_softmax", "layer_norm",
             "depthwise_conv1d"}
 FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "squash",
-                 "dynamic_routing", "self_attention", "select_top3",
-                 "bidirectional_attention", "span_nll", "l2_penalty"}
+                 "dynamic_routing", "self_attention", "feed_forward",
+                 "residual_dropout", "select_top3", "bidirectional_attention",
+                 "span_nll", "l2_penalty"}
 
 
 def package_record_names():

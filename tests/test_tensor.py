@@ -22,7 +22,6 @@ from abanet.tensor import (
     no_grad,
     recording,
     reduce_sum,
-    relu,
     reshape,
     softmax,
     stack,
@@ -36,6 +35,7 @@ from tape_reference import (
     log,
     mul,
     reduce_max,
+    relu,
     sigmoid,
     slice_axis,
     sub,
