@@ -31,6 +31,18 @@ def ones_init(rng, shape) -> np.ndarray:
     return np.ones(shape)
 
 
+class _NoRng:
+    """Stands in for a missing rng: an initialiser that draws from it
+    raises instead of silently sharing one fixed stream."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr: str):
+        raise ConfigError(f"parameter {self.name!r} draws its initial values "
+                          f"(rng.{attr}) but was created without an rng")
+
+
 @dataclass
 class _Entry:
     tensor: Tensor
@@ -57,7 +69,7 @@ class ParamStore:
             raise ConfigError(f"parameter {name!r} already registered")
         if init is None:
             init = xavier_uniform
-        data = init(rng if rng is not None else np.random.default_rng(0), tuple(shape))
+        data = init(rng if rng is not None else _NoRng(name), tuple(shape))
         tensor = Tensor(data, dtype=self.dtype)
         self._entries[name] = _Entry(tensor, trainable)
         return tensor

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abanet.errors import ConfigError, ShapeError
-from abanet.params import ParamStore
+from abanet.params import ParamStore, normal_init, ones_init, zeros_init
 from abanet.tensor import (
     Tape,
     Tensor,
@@ -461,6 +461,24 @@ class TestParamStore:
         store.create("w", (1,), rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
             store.create("w", (1,), rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("init", [None, normal_init(0.2)], ids=["xavier", "normal"])
+    def test_drawing_without_an_rng_names_the_parameter(self, init):
+        """Without an rng a drawing initialiser raises; it must not fall
+        back to one fixed stream, which tied same-shaped parameters."""
+        store = ParamStore()
+        with pytest.raises(ConfigError, match="'w' draws .* without an rng"):
+            store.create("w", (3, 3), init)
+        assert list(store.items()) == []
+
+    def test_constant_initialisers_need_no_rng(self):
+        store = ParamStore()
+        store.create("zeros", (2,), zeros_init)
+        store.create("ones", (2,), ones_init)
+        store.create("eye", (2, 2), lambda r, s: np.eye(2))
+        np.testing.assert_array_equal(store.get("zeros").data, np.zeros(2))
+        np.testing.assert_array_equal(store.get("ones").data, np.ones(2))
+        np.testing.assert_array_equal(store.get("eye").data, np.eye(2))
 
     def test_register_rejects_another_width(self):
         store = ParamStore(np.float32)
