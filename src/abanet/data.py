@@ -82,12 +82,13 @@ def _is_list(value, kind: type) -> bool:
     return type(value) is list and all(type(v) is kind for v in value)
 
 
-# The JSON type of every field but the id, as (check, what it must be).
+# The JSON type of every field, as (check, what it must be).
 # Types must match exactly: a bool is not an int, although it subclasses int.
 _STRINGS = (lambda v: _is_list(v, str), "a list of strings")
 _INTS = (lambda v: _is_list(v, int), "a list of integers")
 _INT = (lambda v: type(v) is int, "an integer")
 _FIELD_TYPES = {
+    "id": (lambda v: type(v) is str, "a string"),
     "passage": _STRINGS, "question": _STRINGS,
     "pos": _INTS, "ner": _INTS, "rule": _INTS,
     "answer_begin": _INT, "answer_end": _INT,
@@ -102,15 +103,14 @@ def example_from_dict(record: dict, where: str) -> Example:
     missing = [f for f in _REQUIRED_FIELDS if f not in record]
     if missing:
         raise DataError(f"{where}: missing field(s) {', '.join(missing)}")
-    unknown = set(record) - {"id", *_FIELD_TYPES}
+    unknown = set(record) - set(_FIELD_TYPES)
     if unknown:
         raise DataError(f"{where}: unknown field(s) {', '.join(sorted(unknown))}")
     for name, (check, expected) in _FIELD_TYPES.items():
         if not check(record.get(name)):
             raise DataError(f"{where}: {name} must be {expected}, "
                             f"got {record[name]!r:.40}")
-    fields = {name: record.get(name) for name in _FIELD_TYPES}
-    return validate_example(Example(id=str(record["id"]), **fields))
+    return validate_example(Example(**{name: record.get(name) for name in _FIELD_TYPES}))
 
 
 def load_jsonl(path: str) -> list[Example]:

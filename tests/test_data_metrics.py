@@ -103,10 +103,14 @@ class TestJsonl:
         ("question", [1]),
         ("ner", [0.0, 0, 1]),
         ("subtokens", [True, 1, 1]),
+        ("id", None),
+        ("id", [1, 2]),
+        ("id", 7),
     ], ids=str)
     def test_wrong_json_type_rejected_with_line(self, tmp_path, field, value):
         """A field of another JSON type is an error naming path:line, not a
-        silent conversion (1.9 -> 1, "false" -> True, "abc" -> a, b, c)."""
+        silent conversion (1.9 -> 1, "false" -> True, "abc" -> a, b, c,
+        null -> "None")."""
         record = {"id": "x1", "passage": ["a", "b", "c"], "question": ["b"],
                   "pos": [0, 1, 2], "ner": [0, 0, 1], "rule": [0, 1, 0],
                   "answer_begin": 1, "answer_end": 1, "answerable": True}
