@@ -308,7 +308,6 @@ def residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
         branch = f(layer_norm(x, gain, bias))
         if dropout_rate <= 0.0:
             return add(x, branch)
-        # The record keeps only the bool mask.
         kept = dropout_mask(branch.shape, dropout_rate, rng)
         dtype = branch.data.dtype
         return record_op(

@@ -134,7 +134,8 @@ class TestRecordsMatchKeepAll:
         results = []
         for sublayer in (residual_sublayer, keep_all_residual_sublayer):
             def op():
-                return sublayer(x, lambda h: matmul(h, w), layer_index=0 if training else 1,
+                return sublayer(x, lambda h: matmul(h, w),
+                                layer_index=0 if training else 1,
                                 total_layers=1, survival_end=0.5, gain=gain, bias=bias,
                                 training=training, rng=np.random.default_rng(8),
                                 dropout_rate=rate)
@@ -213,7 +214,6 @@ def test_training_and_predict_match_keep_all(monkeypatch, profile):
 # attention probabilities reads 156.6 MB, and putting back float64 dropout
 # scales in place of the bool masks 144.8 MB.  The bound, 66% of the
 # keep-everything figure, lies between the lean figure and both of those.
-KEEP_ALL_TAPE_MB = 210.8
 TAPE_BOUND_MB = 138.5
 
 
@@ -221,9 +221,9 @@ def memory_pack():
     """Two examples of 120 passage tokens and 10 question tokens each."""
     rng = np.random.default_rng(0)
     pool = [f"w{i}" for i in range(400)]
+    n = 120
     examples = []
     for index in range(2):
-        n = 120
         examples.append(Example(
             id=f"mem-{index}", passage=[pool[i] for i in rng.integers(0, 400, n)],
             question=[pool[i] for i in rng.integers(0, 400, 10)],
