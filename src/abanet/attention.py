@@ -25,7 +25,7 @@ from .tensor import (
     record_op,
     reshape,
     segment_bounds,
-    softmax,
+    segment_softmax,
     stack,
 )
 
@@ -77,7 +77,7 @@ def select_top3(hos: Tensor, alpha: Tensor) -> tuple[Tensor, tuple[int, ...]]:
         raise ConfigError(f"need at least 3 levels to select from, got {levels}")
     if alpha.shape != (levels,):
         raise ShapeError(f"alpha shape {alpha.shape} does not match {levels} levels")
-    weights = softmax(alpha)
+    weights = segment_softmax(alpha)
     w = weights.data
     ranked = np.argsort(-w, kind="stable")
     chosen = tuple(sorted(int(i) for i in ranked[:3]))

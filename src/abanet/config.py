@@ -98,9 +98,12 @@ class ModelConfig:
 
     def validate(self) -> None:
         caps = self.capsules
-        for name in ("num_heads", "provider_layers"):
+        for name in ("num_heads", "provider_layers", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("l2_decay", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.d % self.num_heads:
             raise ConfigError(
                 f"width d={self.d} not divisible by num_heads={self.num_heads}")

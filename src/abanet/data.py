@@ -40,18 +40,27 @@ class Example:
         return " ".join(self.passage[self.answer_begin:self.answer_end + 1])
 
 
+def check_passage_lengths(example: Example) -> None:
+    """Raise DataError unless pos, ner, rule and, when given, subtokens
+    have one entry per passage token."""
+    n = len(example.passage)
+    for name in ("pos", "ner", "rule", "subtokens"):
+        ids = getattr(example, name)
+        if ids is not None and len(ids) != n:
+            raise DataError(
+                f"example {example.id!r}: {name} has {len(ids)} entries for "
+                f"{n} passage tokens")
+
+
 def validate_example(example: Example) -> Example:
     n = len(example.passage)
     if n == 0:
         raise DataError(f"example {example.id!r}: empty passage")
     if len(example.question) == 0:
         raise DataError(f"example {example.id!r}: empty question")
+    check_passage_lengths(example)
     for name in ("pos", "ner", "rule"):
         ids = getattr(example, name)
-        if len(ids) != n:
-            raise DataError(
-                f"example {example.id!r}: {name} has {len(ids)} ids for "
-                f"{n} passage tokens")
         if any(type(i) is not int or i < 0 for i in ids):   # bool is not int
             raise DataError(f"example {example.id!r}: {name} ids must be "
                             f"nonnegative integers")
@@ -64,10 +73,6 @@ def validate_example(example: Example) -> Example:
             f"example {example.id!r}: unanswerable examples must point at "
             f"the last token ({n - 1}, {n - 1})")
     if example.subtokens is not None:
-        if len(example.subtokens) != n:
-            raise DataError(
-                f"example {example.id!r}: subtokens has {len(example.subtokens)} "
-                f"entries for {n} passage tokens")
         if any(type(s) is not int or s < 1 for s in example.subtokens):
             raise DataError(f"example {example.id!r}: subtoken counts must be "
                             f"positive integers")

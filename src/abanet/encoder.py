@@ -28,14 +28,12 @@ from .errors import ConfigError, ShapeError
 from .params import ParamStore, normal_init, ones_init, zeros_init
 from .tensor import (
     Tensor,
-    add,
     add_const,
     depthwise_conv1d,
     dropout_mask,
     dropout_scale,
     layer_norm,
     matmul,
-    mul_const,
     record_op,
     reshape,
     segment_bounds,
@@ -295,9 +293,11 @@ def residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
                       dropout_rate: float = 0.0) -> Tensor:
     """x + f(layernorm(x)), skipped stochastically during training.
 
-    Training keeps the branch with probability p_l and applies dropout to
-    it, recording x + dropout(branch) as one ``residual_dropout`` record;
-    evaluation always adds the branch scaled by p_l.
+    Every mode records one ``residual`` record, x + branch * s, whose
+    backward is (g, g * s).  Training keeps the branch with probability
+    p_l, and s is the inverted-dropout scale of the branch (1 with no
+    dropout), rebuilt in the backward from the kept bool mask; evaluation
+    always keeps the branch, with s = p_l.
     """
     p = survival_probability(layer_index, total_layers, survival_end)
     if training:
@@ -305,17 +305,19 @@ def residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
             raise ConfigError("training-mode residual_sublayer needs an rng")
         if rng.random() >= p:
             return x
-        branch = f(layer_norm(x, gain, bias))
-        if dropout_rate <= 0.0:
-            return add(x, branch)
-        kept = dropout_mask(branch.shape, dropout_rate, rng)
-        dtype = branch.data.dtype
-        return record_op(
-            "residual_dropout",
-            x.data + branch.data * dropout_scale(kept, dropout_rate, dtype), (x, branch),
-            lambda g: (g, g * dropout_scale(kept, dropout_rate, dtype)))
+        p = 1.0   # a kept branch counts in full
     branch = f(layer_norm(x, gain, bias))
-    return add(x, mul_const(branch, np.asarray(p)))
+    dtype = branch.data.dtype
+    kept = (dropout_mask(branch.shape, dropout_rate, rng)
+            if training and dropout_rate > 0.0 else None)
+
+    def scale():
+        if kept is None:
+            return np.asarray(p, dtype=dtype)
+        return dropout_scale(kept, dropout_rate, dtype)
+
+    return record_op("residual", x.data + branch.data * scale(), (x, branch),
+                     lambda g: (g, g * scale()))
 
 
 # ---------------------------------------------------------------------------

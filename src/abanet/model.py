@@ -27,7 +27,7 @@ from .attention import (
     select_top3,
 )
 from .config import EncoderBlockConfig, ModelConfig
-from .data import Example, char_id_matrix
+from .data import Example, char_id_matrix, check_passage_lengths
 from .embedding import (
     ContextualProvider,
     Vocabulary,
@@ -46,16 +46,13 @@ from .params import ParamStore, normal_init, zeros_init
 from .tensor import (
     Tape,
     Tensor,
-    add,
     backward,
     concat,
     dropout,
     matmul,
-    mul_const,
     no_grad,
     record_op,
     recording,
-    reduce_sum,
     reshape,
     segment_bounds,
     segment_softmax,
@@ -349,7 +346,9 @@ class Model:
         distribution per passage segment in pack order, the segment
         lengths and the selected passage levels.  In training mode
         stochastic depth draws once per sublayer per pack, and dropout
-        masks cover the packed shape.
+        masks cover the packed shape.  An example whose pos, ner, rule or
+        sub-token counts do not have one entry per passage token raises a
+        DataError naming it.
 
         The passage side up to attention (the six granularity levels, λ
         mixing and top-3 selection) does not depend on the question.  In
@@ -363,6 +362,8 @@ class Model:
             raise DataError("forward needs a nonempty pack of examples")
         if training and rng is None:
             raise ConfigError("training-mode forward needs an rng")
+        for example in examples:
+            check_passage_lengths(example)
 
         p_lengths = tuple(len(e.passage) for e in examples)
         q_lengths = tuple(len(e.question) for e in examples)
@@ -497,15 +498,18 @@ def l2_penalty(store: ParamStore, decay: float) -> Tensor | None:
 
 def batch_loss(nlls: Tensor, store: ParamStore | None = None,
                decay: float = 0.0) -> Tensor:
-    """Mean over the [B] example losses plus the L2 weight-decay term."""
+    """Mean over the [B] example losses plus the L2 weight-decay term, as
+    one ``batch_loss`` record whose parents are the losses and the penalty."""
     if nlls.ndim != 1 or nlls.shape[0] == 0:
         raise DataError(f"batch_loss needs a nonempty [B] vector, got {nlls.shape}")
-    loss = mul_const(reduce_sum(nlls), 1.0 / nlls.shape[0])
-    if store is not None:
-        penalty = l2_penalty(store, decay)
-        if penalty is not None:
-            loss = add(loss, penalty)
-    return loss
+    inverse = np.asarray(1.0 / nlls.shape[0], dtype=nlls.data.dtype)
+    out = nlls.data.sum() * inverse
+    parents = (nlls,)
+    penalty = None if store is None else l2_penalty(store, decay)
+    if penalty is not None:
+        out, parents = out + penalty.data, (nlls, penalty)
+    return record_op("batch_loss", out, parents,
+                     lambda g: (np.full(nlls.shape, g * inverse), g)[:len(parents)])
 
 
 def decode_span(p_begin: np.ndarray, p_end: np.ndarray, max_len: int,

@@ -7,8 +7,8 @@ topological traversal.  With no tape active the same functions evaluate
 eagerly with zero recording overhead, which is what evaluation mode uses.
 
 A tensor keeps the float width of the array it wraps; anything else
-(ints, bools, Python lists of numbers) becomes float64, and constants
-passed to ``add_const`` and ``mul_const`` take the width of the tensor.
+(ints, bools, Python lists of numbers) becomes float64, and a constant
+passed to ``add_const`` takes the width of the tensor.
 So a model built in float32 runs in float32 end to end, and one in
 float64 (used for all verification work) in float64, side by side in one
 process.
@@ -189,41 +189,16 @@ def backward(tape: Tape, loss: Tensor, params=None) -> dict[int, np.ndarray]:
 # Primitive operations
 # ---------------------------------------------------------------------------
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-    return record_op("add", out, (a, b), lambda g: (
-        _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
 def add_const(a: Tensor, c: np.ndarray) -> Tensor:
     """a + c where c carries no gradient (positional tables, offsets).
 
     c is cast to a's dtype, so float64 tables keep float32 inputs float32.
+    c must broadcast into a's shape, so the gradient passes through as is.
     """
     c = np.asarray(c, dtype=a.data.dtype)
-    return record_op("add_const", a.data + c, (a,),
-                     lambda g: (_unbroadcast(g, a.shape),))
-
-
-def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """a * c where c carries no gradient (dropout masks, fixed scales).
-
-    c is cast to a's dtype, as in ``add_const``.
-    """
-    c = np.asarray(c, dtype=a.data.dtype)
-    return record_op("mul_const", a.data * c, (a,),
-                     lambda g: (_unbroadcast(g * c, a.shape),))
+    if np.broadcast_shapes(a.shape, c.shape) != a.shape:
+        raise ShapeError(f"add_const: constant {c.shape} widens input {a.shape}")
+    return record_op("add_const", a.data + c, (a,), lambda g: (g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -260,18 +235,6 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
     """
     return record_op("stack", np.stack([p.data for p in parts]), parts,
                      lambda g: tuple(row if row.any() else None for row in g))
-
-
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return record_op("sum", out, (a,), bw)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -353,25 +316,12 @@ def segment_softmax(x: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
     return record_op("segment_softmax", out, (x,), bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return record_op("softmax", out, (x,), bw)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-row standardisation over the last axis, then affine gain/bias."""
-    if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
+    """Per-row standardisation of an [n, d] input, then affine gain/bias."""
+    if x.ndim != 2 or gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match "
-            f"feature width {x.shape[-1]}")
+            f"[n, d] input {x.shape}")
     mean = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mean
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
@@ -383,7 +333,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         dn = g * gain.data
         dx = (dn - dn.mean(axis=-1, keepdims=True)
               - normed * (dn * normed).mean(axis=-1, keepdims=True)) / std
-        return (dx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape))
+        return (dx, (g * normed).sum(axis=0), g.sum(axis=0))
 
     return record_op("layer_norm", out, (x, gain, bias), bw)
 

@@ -1,10 +1,13 @@
 """Reference code the tests check the package against.
 
-Finite-difference gradient checking, the small tape ops that only
-reference chains use, the op chains that the embedding tier's fused
-records replaced, and the keep-everything records that the encoder's
-lean records replaced.  Every op here is built on ``record_op``, so it
-records on the same tape as the package's own primitives.
+Finite-difference gradient checking; the small tape ops that only
+reference chains and tests use, among them the broadcasting ``add``,
+``mul_const``, ``reduce_sum`` and ``softmax`` that the package's fused
+``residual`` and ``batch_loss`` records and ``segment_softmax`` replaced;
+the op chains that the embedding tier's fused records replaced; and the
+keep-everything records that the encoder's lean records replaced.  Every
+op here is built on ``record_op``, so it records on the same tape as the
+package's own primitives.
 """
 
 from __future__ import annotations
@@ -23,11 +26,8 @@ from abanet.tensor import (
     Tape,
     Tensor,
     _sigmoid,
-    _unbroadcast,
-    add,
     concat,
     matmul,
-    mul_const,
     record_op,
     reshape,
     segment_bounds,
@@ -123,6 +123,55 @@ def grad_check(f: Callable[[], Tensor], params: ParamStore, *,
 # ---------------------------------------------------------------------------
 # Small tape ops
 # ---------------------------------------------------------------------------
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to ``shape``."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    out = a.data + b.data
+    return record_op("add", out, (a, b), lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+
+def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
+    """a * c where c carries no gradient; c is cast to a's dtype."""
+    c = np.asarray(c, dtype=a.data.dtype)
+    return record_op("mul_const", a.data * c, (a,),
+                     lambda g: (_unbroadcast(g * c, a.shape),))
+
+
+def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def bw(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.shape).copy(),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.shape).copy(),)
+
+    return record_op("sum", out, (a,), bw)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``."""
+    z = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - inner),)
+
+    return record_op("softmax", out, (x,), bw)
+
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from abanet import attention
 from abanet import model as model_module
 from abanet.attention import (
     COMPONENT_NAMES,
@@ -20,18 +21,24 @@ from abanet.params import ParamStore
 from abanet.tensor import (
     Tape,
     Tensor,
-    add,
     add_const,
     concat,
     dropout,
     matmul,
-    reduce_sum,
     reshape,
-    softmax,
     stack,
 )
 
-from tape_reference import fd_gradient, grad_check, mul, slice_axis, transpose
+from tape_reference import (
+    add,
+    fd_gradient,
+    grad_check,
+    mul,
+    reduce_sum,
+    slice_axis,
+    softmax,
+    transpose,
+)
 
 PAPER_WIDTHS = {"word": 328, "char": 64, "embed": 128, "contextual": 128,
                 "block": 128, "bilstm": 256}
@@ -265,6 +272,28 @@ class TestSelectTop3:
         (g,) = tape_grads(build, [alpha])
         f = fd_gradient(build, alpha, 1e-6)
         np.testing.assert_allclose(g, f, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_softmax_weights(self, dtype, monkeypatch):
+        """Weights from segment_softmax give the output and the gradients
+        that the plain softmax gave, bit for bit."""
+        rng = np.random.default_rng(9)
+        hos = Tensor(rng.normal(size=(6, 5, 4)).astype(dtype))
+        alpha = Tensor(rng.normal(size=6).astype(dtype))
+        probe = Tensor(rng.normal(size=(5, 12)).astype(dtype))
+        results = []
+        for weights_of in (attention.segment_softmax, softmax):
+            monkeypatch.setattr(attention, "segment_softmax", weights_of)
+            with Tape() as tape:
+                selected, chosen = attention.select_top3(hos, alpha)
+                loss = reduce_sum(mul(selected, probe))
+            grads = tape.gradients(loss)
+            results.append((chosen, (selected.data, grads[id(hos)], grads[id(alpha)])))
+        (chosen, arrays), (ref_chosen, ref_arrays) = results
+        assert chosen == ref_chosen
+        assert arrays[0].dtype == dtype
+        for actual, expected in zip(arrays, ref_arrays):
+            np.testing.assert_array_equal(actual, expected)
 
 
 class TestStackedLevels:

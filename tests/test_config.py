@@ -38,6 +38,9 @@ def test_profiles_are_valid(name):
     ({"provider_width": 7}, "provider_width must be even"),
     ({"num_heads": 0}, "num_heads must be >= 1"),
     ({"provider_layers": 0}, "provider_layers must be >= 1"),
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+    ({"l2_decay": -1e-7}, "l2_decay must be >= 0"),
+    ({"warmup_steps": -1}, "warmup_steps must be >= 0"),
 ])
 def test_each_constraint_is_rejected(changes, message):
     config = dataclasses.replace(mini_profile(), **changes)

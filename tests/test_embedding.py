@@ -22,14 +22,16 @@ from abanet.embedding import (
     lstm_run,
 )
 from abanet.errors import ConfigError, DataError, ShapeError
-from abanet.tensor import Tape, Tensor, add, concat, matmul, reduce_sum
+from abanet.tensor import Tape, Tensor, concat, matmul
 
 from tape_reference import (
+    add,
     chain_embed_chars,
     chain_embed_features,
     chain_highway,
     fd_gradient,
     mul,
+    reduce_sum,
     sigmoid,
     slice_axis,
     tanh,

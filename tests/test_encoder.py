@@ -29,24 +29,24 @@ from abanet.params import ParamStore
 from abanet.tensor import (
     Tape,
     Tensor,
-    add,
     add_const,
     concat,
     layer_norm,
     matmul,
-    mul_const,
     record_op,
-    reduce_sum,
-    softmax,
     stack,
 )
 
 from tape_reference import (
+    add,
     fd_gradient,
     grad_check,
     mul,
+    mul_const,
+    reduce_sum,
     relative_error,
     slice_axis,
+    softmax,
     transpose,
 )
 

@@ -32,7 +32,6 @@ from abanet.tensor import (
     dropout,
     layer_norm,
     matmul,
-    reduce_sum,
 )
 
 from tape_reference import (
@@ -43,6 +42,7 @@ from tape_reference import (
     keep_all_residual_sublayer,
     keep_all_self_attention,
     mul,
+    reduce_sum,
 )
 from test_encoder import MINI_CAPS, build_mini_stack
 

@@ -3,8 +3,9 @@ float32 purity of a whole model step, float32 serving of a float64-trained
 model, models of both widths in one process, the provider and passage caches,
 the rebind-only parameter contract, full-model gradients, the Adam update,
 the freeing backward sweep, the training step's garbage-collection state,
-determinism and learning, the one-record weight decay, the record names
-a training tape may hold, and the model without level mixing."""
+determinism and learning, the one-record weight decay and batch loss, the
+passage-length check of a forward, the record names a training tape may
+hold, and the model without level mixing."""
 
 import ast
 import dataclasses
@@ -34,9 +35,9 @@ from abanet.model import (
     train_step,
 )
 from abanet.params import ParamStore
-from abanet.tensor import Tape, Tensor, add, mul_const, reduce_sum
+from abanet.tensor import Tape, Tensor
 
-from tape_reference import mul, relative_error
+from tape_reference import add, mul, mul_const, reduce_sum, relative_error
 
 
 def loop_decode_span(p_begin, p_end, max_len, unanswerable_mode=False):
@@ -635,13 +636,12 @@ def test_question_tokens_leave_tag_zero_rows_untrained():
 
 # Every record name a model tape may hold: the tape ops of tensor.py
 # (``sum`` is reduce_sum) and the fused records of the layers.
-TAPE_OPS = {"add", "add_const", "mul_const", "matmul", "reshape", "concat", "stack",
-            "sum", "dropout", "softmax", "segment_softmax", "layer_norm",
-            "depthwise_conv1d"}
+TAPE_OPS = {"add_const", "matmul", "reshape", "concat", "stack", "dropout",
+            "segment_softmax", "layer_norm", "depthwise_conv1d"}
 FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "squash",
                  "dynamic_routing", "self_attention", "feed_forward",
-                 "residual_dropout", "select_top3", "bidirectional_attention",
-                 "span_nll", "l2_penalty"}
+                 "residual", "select_top3", "bidirectional_attention",
+                 "span_nll", "l2_penalty", "batch_loss"}
 
 
 def package_record_names():
@@ -950,6 +950,64 @@ def test_l2_penalty_is_one_record_matching_the_chain():
     for key in trainable:
         np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12, atol=0.0)
     assert l2_penalty(store, 0.0) is None
+
+
+def chain_batch_loss(nlls, store=None, decay=0.0):
+    """The sum/scale/add chain that the one batch_loss record replaced."""
+    loss = mul_const(reduce_sum(nlls), 1.0 / nlls.shape[0])
+    penalty = None if store is None else l2_penalty(store, decay)
+    return loss if penalty is None else add(loss, penalty)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("with_store,decay", [(False, 0.0), (True, 0.0), (True, 3e-4)])
+def test_batch_loss_is_one_record_equal_to_the_chain(dtype, with_store, decay):
+    """Value and the gradients of the losses and of every weight equal the
+    chain's bit for bit, with and without a penalty."""
+    config = dataclasses.replace(mini_profile(), dtype=dtype)
+    examples = gen_synthetic("copy-locate", 4, 0)
+    store = Model(config, *build_vocabs(examples)).store if with_store else None
+    nlls = Tensor(np.random.default_rng(3).random(5).astype(dtype))
+    results = []
+    for loss_of in (batch_loss, chain_batch_loss):
+        with Tape() as tape:
+            loss = loss_of(nlls, store, decay)
+        results.append((loss.data, tape.gradients(loss), tape._records[-1][0]))
+    (value, grads, name), (ref_value, ref_grads, _) = results
+    assert name == "batch_loss"
+    assert value.dtype == ref_value.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(value, ref_value)
+    assert grads.keys() == ref_grads.keys()
+    for key, ref_grad in ref_grads.items():
+        np.testing.assert_array_equal(grads[key], ref_grad)
+
+
+class TestForwardChecksPassageLengths:
+    """A forward names the example whose per-token entries do not match
+    its passage, in a pack whose totals still add up and on its own."""
+
+    @staticmethod
+    def entries(example, name):
+        values = getattr(example, name)
+        return [1] * len(example.passage) if values is None else values
+
+    @pytest.mark.parametrize("name", ["pos", "ner", "rule", "subtokens"])
+    def test_entry_shifted_to_the_next_example(self, name):
+        model, examples = mini_model()
+        first, second = examples[:2]
+        head, tail = self.entries(first, name), self.entries(second, name)
+        pack = [dataclasses.replace(first, **{name: head[:-1]}),
+                dataclasses.replace(second, **{name: head[-1:] + tail})]
+        with pytest.raises(DataError, match=f"{first.id}.*{name} has"):
+            model.forward(pack)
+
+    @pytest.mark.parametrize("name", ["pos", "ner", "rule", "subtokens"])
+    def test_lone_example(self, name):
+        model, examples = mini_model()
+        example = examples[0]
+        short = dataclasses.replace(example, **{name: self.entries(example, name)[1:]})
+        with pytest.raises(DataError, match=f"{example.id}.*{name} has"):
+            model.forward([short], training=True, rng=np.random.default_rng(0))
 
 
 class TestWithoutAdaptiveScale:

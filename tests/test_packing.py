@@ -29,12 +29,11 @@ from abanet.tensor import (
     Tensor,
     add_const,
     depthwise_conv1d,
-    reduce_sum,
     reshape,
     segment_softmax,
 )
 
-from tape_reference import fd_gradient, mul, relative_error
+from tape_reference import fd_gradient, mul, reduce_sum, relative_error
 
 PASSAGE_LENGTHS = (1, 7, 3, 12)
 QUESTION_LENGTHS = (1, 1, 2, 1)

@@ -10,7 +10,6 @@ from abanet.params import ParamStore, normal_init, ones_init, zeros_init
 from abanet.tensor import (
     Tape,
     Tensor,
-    add,
     add_const,
     backward,
     concat,
@@ -18,26 +17,27 @@ from abanet.tensor import (
     dropout,
     layer_norm,
     matmul,
-    mul_const,
     no_grad,
     recording,
-    reduce_sum,
     reshape,
-    softmax,
     stack,
 )
 
 from tape_reference import (
+    add,
     exp,
     fd_gradient,
     gather_rows,
     grad_check,
     log,
     mul,
+    mul_const,
     reduce_max,
+    reduce_sum,
     relu,
     sigmoid,
     slice_axis,
+    softmax,
     sub,
     tanh,
     transpose,
@@ -431,6 +431,10 @@ class TestWidth:
         for c in (1, 0.5, np.float64(3.0), np.ones(2)):
             assert add_const(t, c).data.dtype == dtype
             assert mul_const(t, c).data.dtype == dtype
+
+    def test_add_const_refuses_a_widening_constant(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) widens input \(3,\)"):
+            add_const(Tensor(np.zeros(3)), np.zeros((2, 3)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_store_creates_in_its_width(self, dtype):
