@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .config import ModelConfig
 from .embedding import PAD_ID, Vocabulary
 from .errors import ConfigError, DataError
 
@@ -40,30 +42,34 @@ class Example:
         return " ".join(self.passage[self.answer_begin:self.answer_end + 1])
 
 
-def check_passage_lengths(example: Example) -> None:
-    """Raise DataError unless pos, ner, rule and, when given, subtokens
-    have one entry per passage token."""
+def check_passage_lengths(example: Example, config: ModelConfig | None = None) -> None:
+    """Raise a DataError naming the example and the field unless the
+    passage and question are nonempty and pos, ner, rule and, when given,
+    subtokens hold one integer per passage token: tag ids from 0 and below
+    the ``config``'s vocabulary size, sub-token counts from 1."""
+    where = f"example {example.id!r}"
+    for name in ("passage", "question"):
+        if len(getattr(example, name)) == 0:
+            raise DataError(f"{where}: empty {name}")
     n = len(example.passage)
     for name in ("pos", "ner", "rule", "subtokens"):
-        ids = getattr(example, name)
-        if ids is not None and len(ids) != n:
-            raise DataError(
-                f"example {example.id!r}: {name} has {len(ids)} entries for "
-                f"{n} passage tokens")
+        values = getattr(example, name)
+        if values is None:
+            continue
+        if len(values) != n:
+            raise DataError(f"{where}: {name} has {len(values)} entries for "
+                            f"{n} passage tokens")
+        low, high = ((1, math.inf) if name == "subtokens" else
+                     (0, getattr(config, f"{name}_vocab") if config else math.inf))
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+               or not low <= v < high for v in values):
+            kind = "counts" if name == "subtokens" else "ids"
+            raise DataError(f"{where}: {name} {kind} must be integers in [{low}, {high})")
 
 
 def validate_example(example: Example) -> Example:
-    n = len(example.passage)
-    if n == 0:
-        raise DataError(f"example {example.id!r}: empty passage")
-    if len(example.question) == 0:
-        raise DataError(f"example {example.id!r}: empty question")
     check_passage_lengths(example)
-    for name in ("pos", "ner", "rule"):
-        ids = getattr(example, name)
-        if any(type(i) is not int or i < 0 for i in ids):   # bool is not int
-            raise DataError(f"example {example.id!r}: {name} ids must be "
-                            f"nonnegative integers")
+    n = len(example.passage)
     if not (0 <= example.answer_begin <= example.answer_end < n):
         raise DataError(
             f"example {example.id!r}: span ({example.answer_begin}, "
@@ -72,10 +78,6 @@ def validate_example(example: Example) -> Example:
         raise DataError(
             f"example {example.id!r}: unanswerable examples must point at "
             f"the last token ({n - 1}, {n - 1})")
-    if example.subtokens is not None:
-        if any(type(s) is not int or s < 1 for s in example.subtokens):
-            raise DataError(f"example {example.id!r}: subtoken counts must be "
-                            f"positive integers")
     return example
 
 

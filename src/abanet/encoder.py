@@ -13,6 +13,9 @@ A stack runs on a pack: sequences joined into one [n, d] input, with
 their lengths.  Only the positional signal, the depthwise convolution and
 self-attention look across tokens, and each of them stays within its
 segment; every other op works per token.
+
+On the tape a kept sublayer is ``layer_norm``, one ``capsule``,
+``self_attention`` or ``feed_forward`` record, and ``residual``.
 """
 
 from __future__ import annotations
@@ -29,13 +32,10 @@ from .params import ParamStore, normal_init, ones_init, zeros_init
 from .tensor import (
     Tensor,
     add_const,
-    depthwise_conv1d,
     dropout_mask,
     dropout_scale,
     layer_norm,
-    matmul,
     record_op,
-    reshape,
     segment_bounds,
 )
 
@@ -75,10 +75,9 @@ def _sinusoid_table(rows: int, d: int) -> np.ndarray:
 
 
 def _squash(s: np.ndarray, eps: float = 1e-12):
-    """Numpy squash of ``s`` along the last axis, plus its gradient map.
-
-    Returns ``(v, grad)`` where ``grad`` maps dL/dv to dL/ds.
-    """
+    """Scale vectors along the last axis to norm |s|^2/(1+|s|^2), keeping
+    their direction; eps keeps the gradient finite at 0.  Returns ``(v,
+    grad)``, where ``grad`` maps dL/dv to dL/ds."""
     sq = (s * s).sum(axis=-1, keepdims=True)
     scale = np.sqrt(sq + eps) / (sq + 1.0)
 
@@ -90,26 +89,64 @@ def _squash(s: np.ndarray, eps: float = 1e-12):
     return s * scale, grad
 
 
-def squash(v: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale vectors along the last axis to norm |v|^2/(1+|v|^2).
-
-    Direction is preserved and the zero vector maps to zero; eps keeps
-    the gradient finite there.
+def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,
+                     lengths: Sequence[int] | None = None):
+    """Per-channel 1-D convolution of [n, d] ``x`` with same-length zero
+    padding; ``kernel`` is [k, d] with k odd.  With ``lengths`` each segment
+    of the pack is convolved on its own: the padded buffer holds the
+    segments with k // 2 zero rows before, between and after them.
+    Returns ``(out, backward)``; ``backward`` maps dL/dout to (dL/dx,
+    dL/dkernel) and rebuilds the padded buffer from x rather than keep it.
     """
-    out, grad = _squash(v.data, eps)
-    return record_op("squash", out, (v,), lambda g: (grad(g),))
+    k, d = kernel.shape
+    if k % 2 == 0:
+        raise ConfigError(f"depthwise_conv1d: kernel size must be odd, got {k}")
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ShapeError(
+            f"depthwise_conv1d: input {x.shape} does not match kernel {kernel.shape}")
+    n = x.shape[0]
+    pad = k // 2
+    # Segment s starts at row start + pad * (s + 1) of the padded buffer
+    # and at row start + pad * s of the m output rows, which cover the
+    # segments and the gaps between them.
+    placed = [(start + pad * s, start, stop)
+              for s, (start, stop) in enumerate(segment_bounds(lengths, n))]
+    m = n + pad * (len(placed) - 1)
+
+    def padded(a: np.ndarray) -> np.ndarray:
+        ap = np.zeros((m + k - 1, d), dtype=a.dtype)
+        for at, start, stop in placed:
+            ap[pad + at:pad + at + stop - start] = a[start:stop]
+        return ap
+
+    def convolve(ap: np.ndarray, flip: bool = False) -> np.ndarray:
+        # The segments' rows of sum_tau ap[t:t + m] * kernel[tau], t = tau or k - 1 - tau.
+        full = np.zeros((m, d), dtype=ap.dtype)
+        for tau in range(k):
+            t = k - 1 - tau if flip else tau
+            full += ap[t:t + m] * kernel[tau]
+        if len(placed) == 1:
+            return full
+        return np.concatenate([full[at:at + stop - start] for at, start, stop in placed])
+
+    def backward(g: np.ndarray):
+        # dL/dx is g under the flipped kernel, summed in the order of a scatter.
+        xp, gp = padded(x), padded(g)
+        return convolve(gp, flip=True), np.stack(
+            [(xp[tau:tau + m] * gp[pad:pad + m]).sum(axis=0) for tau in range(k)])
+
+    return convolve(padded(x)), backward
 
 
-def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
-                    coupling_log: list | None = None) -> Tensor:
+def dynamic_routing(primary: np.ndarray, transform: np.ndarray, iterations: int,
+                    coupling_log: list | None = None):
     """Routing-by-agreement from primary to digit capsules, per position.
 
     Prediction vectors are u_hat[n,i,j,:] = transform[i,j] @ primary[n,i,:].
-    Every iteration runs outside the tape.  The backward pass treats the
-    last iteration's couplings c as constants: it differentiates
-    v = squash(sum_i c_ij * u_hat_ij) through the prediction vectors and
-    that final squash only.  The gradient is therefore exact only at
-    ``iterations=1``; with more, the dependence of c on u_hat is dropped.
+    Returns ``(v, backward)``; ``backward`` maps dL/dv to (dL/dprimary,
+    dL/dtransform) with the last couplings c held constant: it differentiates
+    v = squash(sum_i c_ij * u_hat_ij) through the prediction vectors and that
+    final squash only, so it is exact only at ``iterations=1``.
 
     Layouts: the transform is read as rows W[i, p, j*q]; u_hat is built
     as one GEMM per primary capsule, [i, n, p] @ [i, p, j*q], and read
@@ -134,17 +171,17 @@ def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
             f"dynamic_routing: primary {primary.shape} does not match "
             f"transform {transform.shape}")
     n = primary.shape[0]
-    dtype = np.result_type(primary.data, transform.data)
+    dtype = np.result_type(primary, transform)
     uniform = 1.0 / dc
-    rows = transform.data.transpose(0, 2, 1, 3).reshape(pc, pd, dc * dd)
-    s = np.matmul(primary.data.reshape(n, pc * pd), rows.reshape(pc * pd, dc * dd))
+    rows = transform.transpose(0, 2, 1, 3).reshape(pc, pd, dc * dd)
+    s = np.matmul(primary.reshape(n, pc * pd), rows.reshape(pc * pd, dc * dd))
     s *= uniform
     couplings = np.broadcast_to(dtype.type(uniform), (n, dc, pc))
     if coupling_log is not None:
         coupling_log.append(couplings.transpose(0, 2, 1).copy())
     v, squash_grad = _squash(s.reshape(n, dc, dd))
     if iterations > 1:
-        u_hat = (np.matmul(primary.data.transpose(1, 0, 2), rows)
+        u_hat = (np.matmul(primary.transpose(1, 0, 2), rows)
                  .reshape(pc, n, dc, dd).transpose(1, 2, 0, 3))
         logits = np.zeros((n, dc, pc), dtype=dtype)
         agreement = np.empty((n, dc, pc, 1), dtype=dtype)
@@ -166,7 +203,7 @@ def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
             s = np.matmul(couplings[:, :, None, :], u_hat)[:, :, 0]
             v, squash_grad = _squash(s)
 
-    def bw(g):
+    def backward(g: np.ndarray):
         # du_hat laid out [i, n, j*q]: both gradients are then batched over i.
         # The product is written straight into a C-contiguous [i, n, j, q]
         # buffer, so the flattening reshape is a view, not a copy.
@@ -174,42 +211,52 @@ def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
         buf = np.empty((pc, n, dc, dd), dtype=np.result_type(couplings, ds))
         np.multiply(couplings.transpose(2, 0, 1)[..., None], ds[None], out=buf)
         du_hat = buf.reshape(pc, n, dc * dd)
-        t_rows = transform.data.transpose(0, 1, 3, 2).reshape(pc, dc * dd, pd)
+        t_rows = transform.transpose(0, 1, 3, 2).reshape(pc, dc * dd, pd)
         dprimary = np.matmul(du_hat, t_rows).transpose(1, 0, 2)
-        dtransform = np.matmul(primary.data.transpose(1, 2, 0), du_hat)
-        return (dprimary,
-                dtransform.reshape(pc, pd, dc, dd).transpose(0, 2, 1, 3))
+        dtransform = np.matmul(primary.transpose(1, 2, 0), du_hat)
+        return dprimary, dtransform.reshape(pc, pd, dc, dd).transpose(0, 2, 1, 3)
 
-    return record_op("dynamic_routing", v, (primary, transform), bw)
+    return v, backward
 
 
 def conv_pri_dig_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor,
                        transform: Tensor, caps: CapsuleConfig,
                        lengths: Sequence[int] | None = None) -> Tensor:
-    """Separable convolution (per segment), primary capsules, routing,
-    flattened digits."""
+    """Separable convolution (per segment), primary capsules, routing and
+    flattened digits as one ``capsule`` record, whose backward chains the
+    pieces' backwards and rebuilds the depthwise output from x."""
     n, width = x.shape
     if caps.primary_count * caps.primary_dim != width:
         raise ShapeError(
             f"width {width} does not tile into {caps.primary_count} capsules "
             f"of dim {caps.primary_dim}")
-    convolved = matmul(depthwise_conv1d(x, depthwise, lengths), pointwise)
-    primary = squash(reshape(convolved, (n, caps.primary_count, caps.primary_dim)))
-    digits = dynamic_routing(primary, transform, caps.routing_iterations)
-    return reshape(digits, (n, caps.digit_count * caps.digit_dim))
+    convolved, _ = depthwise_conv1d(x.data, depthwise.data, lengths)
+    primary, squash_grad = _squash(
+        (convolved @ pointwise.data).reshape(n, caps.primary_count, caps.primary_dim))
+    digits, routing_bw = dynamic_routing(primary, transform.data, caps.routing_iterations)
+
+    def backward(g):
+        dprimary, dtransform = routing_bw(g.reshape(digits.shape))
+        dprojected = squash_grad(dprimary).reshape(n, width)
+        convolved, conv_backward = depthwise_conv1d(x.data, depthwise.data, lengths)
+        dx, ddepthwise = conv_backward(dprojected @ pointwise.data.T)
+        return dx, ddepthwise, convolved.T @ dprojected, dtransform
+
+    return record_op("capsule", digits.reshape(n, -1), (x, depthwise, pointwise, transform),
+                     backward)
 
 
 def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
                               num_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
                               wo: Tensor) -> Tensor:
-    """Scaled dot-product self-attention within each segment of a pack.
+    """Scaled dot-product self-attention within each segment of a pack, as
+    one ``self_attention`` record over x, wq, wk, wv and wo.
 
     ``lengths`` splits the n rows into segments (None: one segment), and
-    no token attends across a boundary.  All heads and segments run as one
-    ``self_attention`` record over [h, n, d_h] views of the projections:
-    each segment is a dense [h, n_s, n_s] block.  The backward keeps no
-    block: it recomputes each segment's probabilities from the queries
-    and keys, one segment at a time, with the forward's own ops.
+    no token attends across a boundary.  One GEMM with [wq | wk | wv]
+    projects; each segment is a dense [h, n_s, n_s] block over [h, n, d_h]
+    views.  The backward keeps no block and no attended values: it
+    recomputes both, one segment at a time, with the forward's own ops.
     """
     n, d = x.shape
     if d % num_heads:
@@ -217,14 +264,15 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
     bounds = segment_bounds(lengths, n)
     head_dim = d // num_heads
     scale = 1.0 / math.sqrt(head_dim)   # a Python float keeps float32 inputs float32
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    v = matmul(x, wv)
 
-    def heads(a: np.ndarray) -> np.ndarray:
-        return a.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
+    def w_qkv() -> np.ndarray:
+        return np.concatenate([wq.data, wk.data, wv.data], axis=1)
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    def heads(a: np.ndarray) -> np.ndarray:   # [n, c*d] -> [c, h, n, d_h]
+        return a.reshape(n, -1, num_heads, head_dim).transpose(1, 2, 0, 3)
+
+    qkv = x.data @ w_qkv()
+    qh, kh, vh = heads(qkv)
 
     def probabilities(seg: slice) -> np.ndarray:
         # Softmax in place in one [h, n_s, n_s] buffer: large temporaries
@@ -236,19 +284,22 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
         probs /= probs.sum(axis=-1, keepdims=True)
         return probs
 
-    out = np.empty((n, d), dtype=q.data.dtype)
-    out_h = heads(out)
+    attended = np.empty((n, d), dtype=qkv.dtype)
+    attended_h = heads(attended)[0]
     for start, stop in bounds:
         seg = slice(start, stop)
-        np.matmul(probabilities(seg), vh[:, seg], out=out_h[:, seg])
+        np.matmul(probabilities(seg), vh[:, seg], out=attended_h[:, seg])
 
-    def bw(g):
-        gh = heads(g)
-        dq, dk, dv = (np.empty((n, d), dtype=g.dtype) for _ in range(3))
-        dq_h, dk_h, dv_h = heads(dq), heads(dk), heads(dv)
+    def backward(g):
+        gh = heads(g @ wo.data.T)[0]
+        attended = np.empty((n, d), dtype=qkv.dtype)
+        attended_h = heads(attended)[0]
+        dqkv = np.empty((n, 3 * d), dtype=g.dtype)
+        dq_h, dk_h, dv_h = heads(dqkv)
         for start, stop in bounds:
             seg = slice(start, stop)
             probs = probabilities(seg)
+            np.matmul(probs, vh[:, seg], out=attended_h[:, seg])
             np.matmul(probs.transpose(0, 2, 1), gh[:, seg], out=dv_h[:, seg])
             # dS = A * (dA - sum(dA * A)), built in the dA buffer.
             ds = np.matmul(gh[:, seg], vh[:, seg].transpose(0, 2, 1))
@@ -256,12 +307,13 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
             ds *= probs
             np.matmul(ds, kh[:, seg], out=dq_h[:, seg])
             np.matmul(ds.transpose(0, 2, 1), qh[:, seg], out=dk_h[:, seg])
-        dq *= scale
-        dk *= scale
-        return dq, dk, dv
+        dqkv[:, :2 * d] *= scale
+        dw = x.data.T @ dqkv
+        return (dqkv @ w_qkv().T, dw[:, :d], dw[:, d:2 * d], dw[:, 2 * d:],
+                attended.T @ g)
 
-    attended = record_op("self_attention", out, (q, k, v), bw)
-    return matmul(attended, wo)
+    return record_op("self_attention", attended @ wo.data, (x, wq, wk, wv, wo),
+                     backward)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

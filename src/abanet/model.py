@@ -346,9 +346,8 @@ class Model:
         distribution per passage segment in pack order, the segment
         lengths and the selected passage levels.  In training mode
         stochastic depth draws once per sublayer per pack, and dropout
-        masks cover the packed shape.  An example whose pos, ner, rule or
-        sub-token counts do not have one entry per passage token raises a
-        DataError naming it.
+        masks cover the packed shape.  An example that
+        ``check_passage_lengths`` rejects raises a DataError naming it.
 
         The passage side up to attention (the six granularity levels, λ
         mixing and top-3 selection) does not depend on the question.  In
@@ -363,7 +362,7 @@ class Model:
         if training and rng is None:
             raise ConfigError("training-mode forward needs an rng")
         for example in examples:
-            check_passage_lengths(example)
+            check_passage_lengths(example, cfg)
 
         p_lengths = tuple(len(e.passage) for e in examples)
         q_lengths = tuple(len(e.question) for e in examples)

@@ -5,6 +5,9 @@ active appends one record (output, parents, backward rule).  Records are
 appended in creation order, so a single reverse sweep is a valid
 topological traversal.  With no tape active the same functions evaluate
 eagerly with zero recording overhead, which is what evaluation mode uses.
+Besides this module's tape ops (``add_const``, ``matmul``, ``reshape``,
+``concat``, ``stack``, ``dropout``, ``segment_softmax`` and ``layer_norm``)
+the layers record fused records of their own through ``record_op``.
 
 A tensor keeps the float width of the array it wraps; anything else
 (ints, bools, Python lists of numbers) becomes float64, and a constant
@@ -336,62 +339,3 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         return (dx, (g * normed).sum(axis=0), g.sum(axis=0))
 
     return record_op("layer_norm", out, (x, gain, bias), bw)
-
-
-def depthwise_conv1d(x: Tensor, kernel: Tensor,
-                     lengths: Sequence[int] | None = None) -> Tensor:
-    """Per-channel 1-D convolution with same-length zero padding.
-
-    ``x`` is [n, d], ``kernel`` is [k, d] with k odd; output is [n, d].
-    With ``lengths`` every segment of the pack is convolved on its own:
-    the padded buffer holds the segments with k // 2 zero rows before,
-    between and after them, so no tap reaches across a boundary.  For one
-    segment this is the plain same-padded layout.
-    """
-    k, d = kernel.shape
-    if k % 2 == 0:
-        raise ConfigError(f"depthwise_conv1d: kernel size must be odd, got {k}")
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ShapeError(
-            f"depthwise_conv1d: input {x.shape} does not match kernel {kernel.shape}")
-    n = x.shape[0]
-    pad = k // 2
-    # Segment s starts at row start + pad * (s + 1) of the padded buffer
-    # and at row start + pad * s of the m output rows, which cover the
-    # segments and the gaps between them.
-    placed = [(start + pad * s, start, stop)
-              for s, (start, stop) in enumerate(segment_bounds(lengths, n))]
-    m = n + pad * (len(placed) - 1)
-
-    def gather(rows: np.ndarray, first: int) -> np.ndarray:
-        if len(placed) == 1:
-            return rows[first:first + n]
-        return np.concatenate([rows[first + at:first + at + stop - start]
-                               for at, start, stop in placed])
-
-    def padded() -> np.ndarray:
-        xp = np.zeros((m + k - 1, d), dtype=x.data.dtype)
-        for at, start, stop in placed:
-            xp[pad + at:pad + at + stop - start] = x.data[start:stop]
-        return xp
-
-    xp = padded()
-    full = np.zeros((m, d), dtype=x.data.dtype)
-    for tau in range(k):
-        full += xp[tau:tau + m] * kernel.data[tau]
-    out = gather(full, 0)
-
-    def bw(g):
-        # The padded input is rebuilt from x rather than kept.
-        xp = padded()
-        dk = np.empty_like(kernel.data)
-        gfull = np.zeros((m, d), dtype=g.dtype)
-        for at, start, stop in placed:
-            gfull[at:at + stop - start] = g[start:stop]
-        gp = np.zeros_like(xp)
-        for tau in range(k):
-            dk[tau] = (xp[tau:tau + m] * gfull).sum(axis=0)
-            gp[tau:tau + m] += gfull * kernel.data[tau]
-        return (gather(gp, pad), dk)
-
-    return record_op("depthwise_conv1d", out, (x, kernel), bw)

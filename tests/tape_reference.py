@@ -4,7 +4,8 @@ Finite-difference gradient checking; the small tape ops that only
 reference chains and tests use, among them the broadcasting ``add``,
 ``mul_const``, ``reduce_sum`` and ``softmax`` that the package's fused
 ``residual`` and ``batch_loss`` records and ``segment_softmax`` replaced;
-the op chains that the embedding tier's fused records replaced; and the
+the op chains that the embedding tier's fused records and the encoder's
+``capsule`` and ``self_attention`` records replaced; and the
 keep-everything records that the encoder's lean records replaced.  Every
 op here is built on ``record_op``, so it records on the same tape as the
 package's own primitives.
@@ -19,6 +20,8 @@ import math
 
 import numpy as np
 
+import abanet.encoder as encoder
+from abanet.config import CapsuleConfig
 from abanet.encoder import survival_probability
 from abanet.errors import ConfigError, ShapeError
 from abanet.params import ParamStore
@@ -300,82 +303,50 @@ def chain_highway(x: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# The keep-everything records the encoder's lean records replaced
+# The op chains the encoder's capsule and self-attention records replaced
 # ---------------------------------------------------------------------------
-# Each keeps every array its forward made, as the package did before its
-# backwards kept only what they read.  They draw from the rng in the same
-# order as the package, so seeded runs of both must agree bit for bit.
+# The encoder's numpy helpers, each recorded as a tape op of its own.  They
+# call the helpers through the module, so a test that patches one there
+# reaches these too.
 
-def keep_all_dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout as one ``mul_const`` of a float mask."""
-    if rate <= 0.0:
-        return a
-    if rate >= 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = 1.0 - rate
-    return mul_const(a, (rng.random(a.shape) < keep).astype(a.data.dtype) / keep)
+def squash(v: Tensor, eps: float = 1e-12) -> Tensor:
+    out, grad = encoder._squash(v.data, eps)
+    return record_op("squash", out, (v,), lambda g: (grad(g),))
 
 
-def keep_all_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-                        eps: float = 1e-6) -> Tensor:
-    """Layer norm that keeps the normalised [n, d] copy for its backward."""
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    normed = centered / std
-    out = normed * gain.data + bias.data
-
-    def bw(g):
-        dn = g * gain.data
-        dx = (dn - dn.mean(axis=-1, keepdims=True)
-              - normed * (dn * normed).mean(axis=-1, keepdims=True)) / std
-        return (dx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape))
-
-    return record_op("layer_norm", out, (x, gain, bias), bw)
+def depthwise_conv1d(x: Tensor, kernel: Tensor,
+                     lengths: Sequence[int] | None = None) -> Tensor:
+    out, backward = encoder.depthwise_conv1d(x.data, kernel.data, lengths)
+    return record_op("depthwise_conv1d", out, (x, kernel), backward)
 
 
-def keep_all_depthwise_conv1d(x: Tensor, kernel: Tensor,
-                              lengths: Sequence[int] | None = None) -> Tensor:
-    """Per-segment depthwise convolution that keeps its zero-padded input."""
-    k, d = kernel.shape
+def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
+                    coupling_log: list | None = None) -> Tensor:
+    v, backward = encoder.dynamic_routing(primary.data, transform.data, iterations,
+                                          coupling_log)
+    return record_op("dynamic_routing", v, (primary, transform), backward)
+
+
+def chain_conv_pri_dig_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor,
+                             transform: Tensor, caps: CapsuleConfig,
+                             lengths: Sequence[int] | None = None) -> Tensor:
+    """The capsule sublayer as six records: the depthwise convolution, the
+    pointwise matmul, a reshape, the primary squash, the routing and a
+    reshape."""
     n = x.shape[0]
-    pad = k // 2
-    placed = [(start + pad * s, start, stop)
-              for s, (start, stop) in enumerate(segment_bounds(lengths, n))]
-    m = n + pad * (len(placed) - 1)
-
-    def gather(rows: np.ndarray, first: int) -> np.ndarray:
-        if len(placed) == 1:
-            return rows[first:first + n]
-        return np.concatenate([rows[first + at:first + at + stop - start]
-                               for at, start, stop in placed])
-
-    xp = np.zeros((m + k - 1, d), dtype=x.data.dtype)
-    for at, start, stop in placed:
-        xp[pad + at:pad + at + stop - start] = x.data[start:stop]
-    full = np.zeros((m, d), dtype=x.data.dtype)
-    for tau in range(k):
-        full += xp[tau:tau + m] * kernel.data[tau]
-    out = gather(full, 0)
-
-    def bw(g):
-        dk = np.empty_like(kernel.data)
-        gfull = np.zeros((m, d), dtype=g.dtype)
-        for at, start, stop in placed:
-            gfull[at:at + stop - start] = g[start:stop]
-        gp = np.zeros_like(xp)
-        for tau in range(k):
-            dk[tau] = (xp[tau:tau + m] * gfull).sum(axis=0)
-            gp[tau:tau + m] += gfull * kernel.data[tau]
-        return (gather(gp, pad), dk)
-
-    return record_op("depthwise_conv1d", out, (x, kernel), bw)
+    convolved = matmul(depthwise_conv1d(x, depthwise, lengths), pointwise)
+    primary = squash(reshape(convolved, (n, caps.primary_count, caps.primary_dim)))
+    digits = dynamic_routing(primary, transform, caps.routing_iterations)
+    return reshape(digits, (n, caps.digit_count * caps.digit_dim))
 
 
-def keep_all_self_attention(x: Tensor, lengths: Sequence[int] | None,
-                            num_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
-                            wo: Tensor) -> Tensor:
-    """Packed self-attention whose record keeps every segment's
-    [h, n_s, n_s] probabilities for its backward."""
+def chain_self_attention(x: Tensor, lengths: Sequence[int] | None,
+                         num_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
+                         wo: Tensor) -> Tensor:
+    """Packed self-attention as five records: the three projection
+    matmuls, a ``self_attention`` record over q, k and v that keeps every
+    segment's [h, n_s, n_s] probabilities for its backward, and the output
+    matmul."""
     n, d = x.shape
     bounds = segment_bounds(lengths, n)
     head_dim = d // num_heads
@@ -417,6 +388,128 @@ def keep_all_self_attention(x: Tensor, lengths: Sequence[int] | None,
 
     attended = record_op("self_attention", out, (q, k, v), bw)
     return matmul(attended, wo)
+
+
+# ---------------------------------------------------------------------------
+# The keep-everything records the encoder's lean records replaced
+# ---------------------------------------------------------------------------
+# Each keeps every array its forward made, as the package did before its
+# backwards kept only what they read.  They draw from the rng in the same
+# order as the package, so seeded runs of both must agree bit for bit.
+
+def keep_all_dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout as one ``mul_const`` of a float mask."""
+    if rate <= 0.0:
+        return a
+    if rate >= 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    keep = 1.0 - rate
+    return mul_const(a, (rng.random(a.shape) < keep).astype(a.data.dtype) / keep)
+
+
+def keep_all_layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+                        eps: float = 1e-6) -> Tensor:
+    """Layer norm that keeps the normalised [n, d] copy for its backward."""
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered / std
+    out = normed * gain.data + bias.data
+
+    def bw(g):
+        dn = g * gain.data
+        dx = (dn - dn.mean(axis=-1, keepdims=True)
+              - normed * (dn * normed).mean(axis=-1, keepdims=True)) / std
+        return (dx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape))
+
+    return record_op("layer_norm", out, (x, gain, bias), bw)
+
+
+def keep_all_depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,
+                              lengths: Sequence[int] | None = None):
+    """``encoder.depthwise_conv1d`` whose backward keeps the zero-padded
+    input and scatters the gradient through the kernel, tap by tap."""
+    k, d = kernel.shape
+    n = x.shape[0]
+    pad = k // 2
+    placed = [(start + pad * s, start, stop)
+              for s, (start, stop) in enumerate(segment_bounds(lengths, n))]
+    m = n + pad * (len(placed) - 1)
+
+    def gather(rows: np.ndarray, first: int) -> np.ndarray:
+        if len(placed) == 1:
+            return rows[first:first + n]
+        return np.concatenate([rows[first + at:first + at + stop - start]
+                               for at, start, stop in placed])
+
+    xp = np.zeros((m + k - 1, d), dtype=x.dtype)
+    for at, start, stop in placed:
+        xp[pad + at:pad + at + stop - start] = x[start:stop]
+    full = np.zeros((m, d), dtype=x.dtype)
+    for tau in range(k):
+        full += xp[tau:tau + m] * kernel[tau]
+
+    def bw(g):
+        dk = np.empty_like(kernel)
+        gfull = np.zeros((m, d), dtype=g.dtype)
+        for at, start, stop in placed:
+            gfull[at:at + stop - start] = g[start:stop]
+        gp = np.zeros_like(xp)
+        for tau in range(k):
+            dk[tau] = (xp[tau:tau + m] * gfull).sum(axis=0)
+            gp[tau:tau + m] += gfull * kernel[tau]
+        return gather(gp, pad), dk
+
+    return gather(full, 0), bw
+
+
+def keep_all_self_attention(x: Tensor, lengths: Sequence[int] | None,
+                            num_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
+                            wo: Tensor) -> Tensor:
+    """Packed self-attention as one record over x and the projections,
+    whose backward keeps the concatenated [d, 3d] projection, every
+    segment's [h, n_s, n_s] probabilities and the attended values."""
+    n, d = x.shape
+    bounds = segment_bounds(lengths, n)
+    head_dim = d // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+
+    def heads(a: np.ndarray) -> np.ndarray:
+        return a.reshape(n, -1, num_heads, head_dim).transpose(1, 2, 0, 3)
+
+    qkv = x.data @ w_qkv
+    qh, kh, vh = heads(qkv)
+    attended = np.empty((n, d), dtype=qkv.dtype)
+    attended_h = heads(attended)[0]
+    blocks = []
+    for start, stop in bounds:
+        seg = slice(start, stop)
+        probs = np.matmul(qh[:, seg], kh[:, seg].transpose(0, 2, 1))
+        probs *= scale
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        np.matmul(probs, vh[:, seg], out=attended_h[:, seg])
+        blocks.append(probs)
+
+    def bw(g):
+        gh = heads(g @ wo.data.T)[0]
+        dqkv = np.empty((n, 3 * d), dtype=g.dtype)
+        dq_h, dk_h, dv_h = heads(dqkv)
+        for (start, stop), probs in zip(bounds, blocks):
+            seg = slice(start, stop)
+            np.matmul(probs.transpose(0, 2, 1), gh[:, seg], out=dv_h[:, seg])
+            ds = np.matmul(gh[:, seg], vh[:, seg].transpose(0, 2, 1))
+            ds -= (ds * probs).sum(axis=-1, keepdims=True)
+            ds *= probs
+            np.matmul(ds, kh[:, seg], out=dq_h[:, seg])
+            np.matmul(ds.transpose(0, 2, 1), qh[:, seg], out=dk_h[:, seg])
+        dqkv[:, :2 * d] *= scale
+        dw = x.data.T @ dqkv
+        return (dqkv @ w_qkv.T, dw[:, :d], dw[:, d:2 * d], dw[:, 2 * d:],
+                attended.T @ g)
+
+    return record_op("self_attention", attended @ wo.data, (x, wq, wk, wv, wo), bw)
 
 
 def chain_feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,

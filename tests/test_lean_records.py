@@ -28,10 +28,10 @@ from abanet.params import ParamStore
 from abanet.tensor import (
     Tape,
     Tensor,
-    depthwise_conv1d,
     dropout,
     layer_norm,
     matmul,
+    record_op,
 )
 
 from tape_reference import (
@@ -95,10 +95,14 @@ class TestRecordsMatchKeepAll:
     @pytest.mark.parametrize("lengths", [LENGTHS, None])
     def test_depthwise_conv1d(self, dtype, kernel, lengths):
         rng = np.random.default_rng(2)
-        inputs = tensors(rng, dtype, (N, 6), (kernel, 6))
-        assert_same(run(lambda: depthwise_conv1d(*inputs, lengths), inputs, 1),
-                    run(lambda: keep_all_depthwise_conv1d(*inputs, lengths), inputs, 1),
-                    dtype)
+        x, k = inputs = tensors(rng, dtype, (N, 6), (kernel, 6))
+
+        def conv(helper):
+            out, backward = helper(x.data, k.data, lengths)
+            return record_op("depthwise_conv1d", out, inputs, backward)
+
+        assert_same(run(lambda: conv(encoder.depthwise_conv1d), inputs, 1),
+                    run(lambda: conv(keep_all_depthwise_conv1d), inputs, 1), dtype)
 
     def test_layer_norm(self, dtype):
         rng = np.random.default_rng(3)
@@ -210,11 +214,14 @@ def test_training_and_predict_match_keep_all(monkeypatch, profile):
 
 # Live bytes that a paper float64 training forward leaves behind for the
 # pack below, measured with tracemalloc: 210.8 MB with the keep-everything
-# records, 132.7 MB with the lean ones.  Putting back the [h, n_s, n_s]
-# attention probabilities reads 156.6 MB, and putting back float64 dropout
-# scales in place of the bool masks 144.8 MB.  The bound, 66% of the
-# keep-everything figure, lies between the lean figure and both of those.
-TAPE_BOUND_MB = 138.5
+# records, 132.7 MB with lean records under the six-record capsule chain
+# and the five-record attention chain, and 122.1 MB with one lean record
+# per sublayer.  Putting back the capsule chain, which keeps the depthwise
+# output, reads 129.0 MB; the keep-everything attention record, which keeps
+# the [h, n_s, n_s] probabilities, 154.3 MB; float64 dropout scales in
+# place of the bool masks, with keep-everything layer norms, 160.1 MB.  The
+# bound lies between the lean figure and all of those.
+TAPE_BOUND_MB = 127.5
 
 
 def memory_pack():

@@ -637,9 +637,9 @@ def test_question_tokens_leave_tag_zero_rows_untrained():
 # Every record name a model tape may hold: the tape ops of tensor.py
 # (``sum`` is reduce_sum) and the fused records of the layers.
 TAPE_OPS = {"add_const", "matmul", "reshape", "concat", "stack", "dropout",
-            "segment_softmax", "layer_norm", "depthwise_conv1d"}
-FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "squash",
-                 "dynamic_routing", "self_attention", "feed_forward",
+            "segment_softmax", "layer_norm"}
+FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "capsule",
+                 "self_attention", "feed_forward",
                  "residual", "select_top3", "bidirectional_attention",
                  "span_nll", "l2_penalty", "batch_loss"}
 
@@ -984,7 +984,8 @@ def test_batch_loss_is_one_record_equal_to_the_chain(dtype, with_store, decay):
 
 class TestForwardChecksPassageLengths:
     """A forward names the example whose per-token entries do not match
-    its passage, in a pack whose totals still add up and on its own."""
+    its passage, in a pack whose totals still add up and on its own, and
+    the malformed example in the middle of a pack, with the field."""
 
     @staticmethod
     def entries(example, name):
@@ -1008,6 +1009,22 @@ class TestForwardChecksPassageLengths:
         short = dataclasses.replace(example, **{name: self.entries(example, name)[1:]})
         with pytest.raises(DataError, match=f"{example.id}.*{name} has"):
             model.forward([short], training=True, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name,bad", [
+        ("passage", lambda e, cfg: dict(passage=[], pos=[], ner=[], rule=[])),
+        ("question", lambda e, cfg: dict(question=[])),
+        ("pos", lambda e, cfg: dict(pos=e.pos[:-1] + [cfg.pos_vocab])),
+        ("ner", lambda e, cfg: dict(ner=[-1] + e.ner[1:])),
+        ("rule", lambda e, cfg: dict(rule=e.rule[:-1] + [cfg.rule_vocab])),
+        ("subtokens", lambda e, cfg: dict(subtokens=[1] * (len(e.passage) - 1) + [0])),
+    ])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_malformed_example_in_the_middle_is_named(self, name, bad, training):
+        model, examples = mini_model()
+        first, middle, last = examples[:3]
+        pack = [first, dataclasses.replace(middle, **bad(middle, model.config)), last]
+        with pytest.raises(DataError, match=f"'{middle.id}': .*{name}"):
+            model.forward(pack, training=training, rng=np.random.default_rng(0))
 
 
 class TestWithoutAdaptiveScale:

@@ -28,12 +28,11 @@ from abanet.tensor import (
     Tape,
     Tensor,
     add_const,
-    depthwise_conv1d,
     reshape,
     segment_softmax,
 )
 
-from tape_reference import fd_gradient, mul, reduce_sum, relative_error
+from tape_reference import depthwise_conv1d, fd_gradient, mul, reduce_sum, relative_error
 
 PASSAGE_LENGTHS = (1, 7, 3, 12)
 QUESTION_LENGTHS = (1, 1, 2, 1)
@@ -336,8 +335,11 @@ TRACED = {
 
 def test_traced_functions_are_reached_through_their_attribute(monkeypatch):
     """One packed mini train step and one predict call every traced function
-    through its module attribute; encoder stacks get their prefix as the
-    fourth positional argument, which the trace names spans by."""
+    through its module attribute, and each of them calls every traced
+    encoder function, so a fused path that called a local copy could not
+    zero ``encoder.routing_ms`` on any workload.  Encoder stacks get their
+    prefix as the fourth positional argument, which the trace names spans
+    by."""
     calls = Counter()
     prefixes = set()
     for module, names in TRACED.items():
@@ -351,10 +353,18 @@ def test_traced_functions_are_reached_through_their_attribute(monkeypatch):
             monkeypatch.setattr(module, name, counted)
     examples = gen_synthetic("copy-locate", 4, 0)
     model = Model(mini_profile(), *build_vocabs(examples), seed=0)
-    train_step(model, examples[:3], Adam(model.store, 1e-3), np.random.default_rng(0))
-    model.predict(examples[3])
-    missing = [key for module, names in TRACED.items()
-               for key in ((module.__name__, name) for name in names)
-               if not calls[key]]
-    assert not missing, missing
+    reached = []
+    for operation in (
+            lambda: train_step(model, examples[:3], Adam(model.store, 1e-3),
+                               np.random.default_rng(0)),
+            lambda: model.predict(examples[3])):
+        calls.clear()
+        operation()
+        reached.append({key for key, count in calls.items() if count})
+    traced = {(module.__name__, name) for module, names in TRACED.items()
+              for name in names}
+    assert not traced - set.union(*reached), traced - set.union(*reached)
+    encoder_names = {(encoder_module.__name__, name) for name in TRACED[encoder_module]}
+    for keys in reached:
+        assert not encoder_names - keys, encoder_names - keys
     assert prefixes == {"embenc", "modenc", "provider.enc"}

@@ -13,7 +13,6 @@ from abanet.tensor import (
     add_const,
     backward,
     concat,
-    depthwise_conv1d,
     dropout,
     layer_norm,
     matmul,
@@ -25,6 +24,7 @@ from abanet.tensor import (
 
 from tape_reference import (
     add,
+    depthwise_conv1d,
     exp,
     fd_gradient,
     gather_rows,
