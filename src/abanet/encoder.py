@@ -7,15 +7,13 @@ feed-forward layer P.block{b}.ffn (.w1, .b1, .w2, .b2).  ``_sublayers``
 lists this layout.  Every sublayer S runs as S(layernorm(x)) + x, with
 gain and bias S.ln.gain and S.ln.bias, under stochastic depth; the
 survival probability decays linearly with the global sublayer index
-across the whole stack.
+across the whole stack.  On the tape a kept sublayer is one record, named
+by its branch: ``capsule``, ``self_attention`` or ``feed_forward``.
 
 A stack runs on a pack: sequences joined into one [n, d] input, with
 their lengths.  Only the positional signal, the depthwise convolution and
 self-attention look across tokens, and each of them stays within its
 segment; every other op works per token.
-
-On the tape a kept sublayer is ``layer_norm``, one ``capsule``,
-``self_attention`` or ``feed_forward`` record, and ``residual``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .tensor import (
     add_const,
     dropout_mask,
     dropout_scale,
-    layer_norm,
     record_op,
     segment_bounds,
 )
@@ -96,7 +93,7 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,
     of the pack is convolved on its own: the padded buffer holds the
     segments with k // 2 zero rows before, between and after them.
     Returns ``(out, backward)``; ``backward`` maps dL/dout to (dL/dx,
-    dL/dkernel) and rebuilds the padded buffer from x rather than keep it.
+    dL/dkernel) from the padded buffer the forward built.
     """
     k, d = kernel.shape
     if k % 2 == 0:
@@ -129,13 +126,15 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,
             return full
         return np.concatenate([full[at:at + stop - start] for at, start, stop in placed])
 
+    xp = padded(x)
+
     def backward(g: np.ndarray):
         # dL/dx is g under the flipped kernel, summed in the order of a scatter.
-        xp, gp = padded(x), padded(g)
+        gp = padded(g)
         return convolve(gp, flip=True), np.stack(
             [(xp[tau:tau + m] * gp[pad:pad + m]).sum(axis=0) for tau in range(k)])
 
-    return convolve(padded(x)), backward
+    return convolve(xp), backward
 
 
 def dynamic_routing(primary: np.ndarray, transform: np.ndarray, iterations: int,
@@ -143,10 +142,11 @@ def dynamic_routing(primary: np.ndarray, transform: np.ndarray, iterations: int,
     """Routing-by-agreement from primary to digit capsules, per position.
 
     Prediction vectors are u_hat[n,i,j,:] = transform[i,j] @ primary[n,i,:].
-    Returns ``(v, backward)``; ``backward`` maps dL/dv to (dL/dprimary,
-    dL/dtransform) with the last couplings c held constant: it differentiates
-    v = squash(sum_i c_ij * u_hat_ij) through the prediction vectors and that
-    final squash only, so it is exact only at ``iterations=1``.
+    Returns ``(v, backward)``; ``backward(g, primary)`` maps dL/dv to
+    (dL/dprimary, dL/dtransform) with the last couplings c held constant: it
+    differentiates v = squash(sum_i c_ij * u_hat_ij) through the prediction
+    vectors and that final squash only, so it is exact only at ``iterations=1``.
+    ``coupling_log`` receives each iteration's couplings as [n, i, j].
 
     Layouts: the transform is read as rows W[i, p, j*q]; u_hat is built
     as one GEMM per primary capsule, [i, n, p] @ [i, p, j*q], and read
@@ -160,8 +160,6 @@ def dynamic_routing(primary: np.ndarray, transform: np.ndarray, iterations: int,
     one largest value when the logits span less than log(eps / tiny) of
     the dtype, so each weight within eps of its row's largest stays a
     normal number; wider logits are shifted by each (n, i) maximum over j.
-
-    ``coupling_log`` receives each iteration's couplings as [n, i, j].
     """
     if iterations < 1:
         raise ConfigError(f"routing needs at least one iteration, got {iterations}")
@@ -203,7 +201,7 @@ def dynamic_routing(primary: np.ndarray, transform: np.ndarray, iterations: int,
             s = np.matmul(couplings[:, :, None, :], u_hat)[:, :, 0]
             v, squash_grad = _squash(s)
 
-    def backward(g: np.ndarray):
+    def backward(g: np.ndarray, primary: np.ndarray):
         # du_hat laid out [i, n, j*q]: both gradients are then batched over i.
         # The product is written straight into a C-contiguous [i, n, j, q]
         # buffer, so the flattening reshape is a view, not a copy.
@@ -219,38 +217,37 @@ def dynamic_routing(primary: np.ndarray, transform: np.ndarray, iterations: int,
     return v, backward
 
 
-def conv_pri_dig_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor,
-                       transform: Tensor, caps: CapsuleConfig,
-                       lengths: Sequence[int] | None = None) -> Tensor:
+def conv_pri_dig_layer(x: np.ndarray, depthwise: np.ndarray, pointwise: np.ndarray,
+                       transform: np.ndarray, caps: CapsuleConfig,
+                       lengths: Sequence[int] | None = None):
     """Separable convolution (per segment), primary capsules, routing and
-    flattened digits as one ``capsule`` record, whose backward chains the
-    pieces' backwards and rebuilds the depthwise output from x."""
+    flattened digits, as a branch helper that keeps the pre-squash
+    projection and rebuilds the primary capsules and depthwise output."""
     n, width = x.shape
     if caps.primary_count * caps.primary_dim != width:
         raise ShapeError(
             f"width {width} does not tile into {caps.primary_count} capsules "
             f"of dim {caps.primary_dim}")
-    convolved, _ = depthwise_conv1d(x.data, depthwise.data, lengths)
-    primary, squash_grad = _squash(
-        (convolved @ pointwise.data).reshape(n, caps.primary_count, caps.primary_dim))
-    digits, routing_bw = dynamic_routing(primary, transform.data, caps.routing_iterations)
+    convolved, _ = depthwise_conv1d(x, depthwise, lengths)
+    projected = (convolved @ pointwise).reshape(n, caps.primary_count, caps.primary_dim)
+    digits, routing_bw = dynamic_routing(_squash(projected)[0], transform,
+                                         caps.routing_iterations)
 
-    def backward(g):
-        dprimary, dtransform = routing_bw(g.reshape(digits.shape))
+    def backward(g, x):
+        primary, squash_grad = _squash(projected)
+        dprimary, dtransform = routing_bw(g.reshape(n, caps.digit_count, -1), primary)
         dprojected = squash_grad(dprimary).reshape(n, width)
-        convolved, conv_backward = depthwise_conv1d(x.data, depthwise.data, lengths)
-        dx, ddepthwise = conv_backward(dprojected @ pointwise.data.T)
+        convolved, conv_backward = depthwise_conv1d(x, depthwise, lengths)
+        dx, ddepthwise = conv_backward(dprojected @ pointwise.T)
         return dx, ddepthwise, convolved.T @ dprojected, dtransform
 
-    return record_op("capsule", digits.reshape(n, -1), (x, depthwise, pointwise, transform),
-                     backward)
+    return digits.reshape(n, -1), backward
 
 
-def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
-                              num_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
-                              wo: Tensor) -> Tensor:
-    """Scaled dot-product self-attention within each segment of a pack, as
-    one ``self_attention`` record over x, wq, wk, wv and wo.
+def multi_head_self_attention(x: np.ndarray, lengths: Sequence[int] | None,
+                              num_heads: int, wq: np.ndarray, wk: np.ndarray,
+                              wv: np.ndarray, wo: np.ndarray):
+    """Scaled dot-product self-attention per segment, as a branch helper.
 
     ``lengths`` splits the n rows into segments (None: one segment), and
     no token attends across a boundary.  One GEMM with [wq | wk | wv]
@@ -266,12 +263,12 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
     scale = 1.0 / math.sqrt(head_dim)   # a Python float keeps float32 inputs float32
 
     def w_qkv() -> np.ndarray:
-        return np.concatenate([wq.data, wk.data, wv.data], axis=1)
+        return np.concatenate([wq, wk, wv], axis=1)
 
     def heads(a: np.ndarray) -> np.ndarray:   # [n, c*d] -> [c, h, n, d_h]
         return a.reshape(n, -1, num_heads, head_dim).transpose(1, 2, 0, 3)
 
-    qkv = x.data @ w_qkv()
+    qkv = x @ w_qkv()
     qh, kh, vh = heads(qkv)
 
     def probabilities(seg: slice) -> np.ndarray:
@@ -290,8 +287,8 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
         seg = slice(start, stop)
         np.matmul(probabilities(seg), vh[:, seg], out=attended_h[:, seg])
 
-    def backward(g):
-        gh = heads(g @ wo.data.T)[0]
+    def backward(g, x):
+        gh = heads(g @ wo.T)[0]
         attended = np.empty((n, d), dtype=qkv.dtype)
         attended_h = heads(attended)[0]
         dqkv = np.empty((n, 3 * d), dtype=g.dtype)
@@ -308,26 +305,46 @@ def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
             np.matmul(ds, kh[:, seg], out=dq_h[:, seg])
             np.matmul(ds.transpose(0, 2, 1), qh[:, seg], out=dk_h[:, seg])
         dqkv[:, :2 * d] *= scale
-        dw = x.data.T @ dqkv
+        dw = x.T @ dqkv
         return (dqkv @ w_qkv().T, dw[:, :d], dw[:, d:2 * d], dw[:, 2 * d:],
                 attended.T @ g)
 
-    return record_op("self_attention", attended @ wo.data, (x, wq, wk, wv, wo),
-                     backward)
+    return attended @ wo, backward
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """relu(x w1 + b1) w2 + b2 as one record that keeps only the hidden
-    activation; the ReLU gradient passes where it is positive."""
-    hidden = np.maximum(x.data @ w1.data + b1.data, 0.0)
+def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                 b2: np.ndarray):
+    """relu(x w1 + b1) w2 + b2 as a branch helper that keeps only the
+    hidden activation; the ReLU gradient passes where it is positive."""
+    hidden = np.maximum(x @ w1 + b1, 0.0)
 
-    def bw(g):
-        dpre = (g @ w2.data.T) * (hidden > 0)
-        return (dpre @ w1.data.T, x.data.T @ dpre, dpre.sum(axis=0),
+    def backward(g, x):
+        dpre = (g @ w2.T) * (hidden > 0)
+        return (dpre @ w1.T, x.T @ dpre, dpre.sum(axis=0),
                 hidden.T @ g, g.sum(axis=0))
 
-    return record_op("feed_forward", hidden @ w2.data + b2.data,
-                     (x, w1, b1, w2, b2), bw)
+    return hidden @ w2 + b2, backward
+
+
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-6):
+    """Per-row standardisation of an [n, d] input, then affine gain/bias.
+    Returns ``(out, normalise, backward)`` and keeps only the [n, 1] mean
+    and std: ``normalise(x)`` rebuilds the standardised rows, and
+    ``backward(g, normed)`` maps dL/dout to (dL/dx, dL/dgain, dL/dbias)."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+
+    def normalise(x):
+        return (x - mean) / std
+
+    def backward(g, normed):
+        dn = g * gain
+        dx = (dn - dn.mean(axis=-1, keepdims=True)
+              - normed * (dn * normed).mean(axis=-1, keepdims=True)) / std
+        return dx, (g * normed).sum(axis=0), g.sum(axis=0)
+
+    return centered / std * gain + bias, normalise, backward
 
 
 def survival_probability(layer_index: int, total_layers: int,
@@ -338,18 +355,20 @@ def survival_probability(layer_index: int, total_layers: int,
     return 1.0 - (layer_index / total_layers) * (1.0 - survival_end)
 
 
-def residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
+def residual_sublayer(x: Tensor, name: str, f: Callable, weights: Sequence[Tensor], *,
                       layer_index: int, total_layers: int, survival_end: float,
                       gain: Tensor, bias: Tensor, training: bool,
                       rng: np.random.Generator | None = None,
                       dropout_rate: float = 0.0) -> Tensor:
-    """x + f(layernorm(x)), skipped stochastically during training.
+    """x + f(layernorm(x)) * s as one record ``name`` over x, gain, bias
+    and ``weights``, skipped stochastically during training.
 
-    Every mode records one ``residual`` record, x + branch * s, whose
-    backward is (g, g * s).  Training keeps the branch with probability
-    p_l, and s is the inverted-dropout scale of the branch (1 with no
-    dropout), rebuilt in the backward from the kept bool mask; evaluation
-    always keeps the branch, with s = p_l.
+    ``f(h, *arrays)`` is a branch helper: it returns ``(out, backward)``,
+    and ``backward(g, h)`` takes h back, not to keep it, and returns dL/dh,
+    then one gradient per weight.  The record's backward rebuilds the
+    normalised rows once, for h and for the layer norm.  Training keeps
+    the branch with probability p_l, and s is its inverted-dropout scale
+    (1 with no dropout), rebuilt from the kept bool mask; in evaluation s = p_l.
     """
     p = survival_probability(layer_index, total_layers, survival_end)
     if training:
@@ -358,18 +377,23 @@ def residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
         if rng.random() >= p:
             return x
         p = 1.0   # a kept branch counts in full
-    branch = f(layer_norm(x, gain, bias))
-    dtype = branch.data.dtype
+    h, normalise, norm_backward = layer_norm(x.data, gain.data, bias.data)
+    branch, branch_backward = f(h, *(w.data for w in weights))
+    dtype = branch.dtype
     kept = (dropout_mask(branch.shape, dropout_rate, rng)
             if training and dropout_rate > 0.0 else None)
 
     def scale():
-        if kept is None:
-            return np.asarray(p, dtype=dtype)
-        return dropout_scale(kept, dropout_rate, dtype)
+        return (np.asarray(p, dtype=dtype) if kept is None
+                else dropout_scale(kept, dropout_rate, dtype))
 
-    return record_op("residual", x.data + branch.data * scale(), (x, branch),
-                     lambda g: (g, g * scale()))
+    def backward(g):
+        normed = normalise(x.data)
+        dh, *dweights = branch_backward(g * scale(), normed * gain.data + bias.data)
+        dx, dgain, dbias = norm_backward(dh, normed)
+        return (g + dx, dgain, dbias, *dweights)
+
+    return record_op(name, x.data + branch * scale(), (x, gain, bias, *weights), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +429,17 @@ def build_encoder_stack(store: ParamStore, prefix: str, *, d: int,
 
 
 def _branch(kind: str, name: str, store: ParamStore, lengths: Sequence[int] | None,
-            num_heads: int, caps: CapsuleConfig) -> Callable[[Tensor], Tensor]:
-    """The function sublayer ``name`` applies to its normalized input."""
-    def get(*suffixes: str) -> list[Tensor]:
-        return [store.get(f"{name}.{suffix}") for suffix in suffixes]
-
-    if kind == "conv":
-        return lambda h: conv_pri_dig_layer(h, *get("dw", "pw", "caps"), caps, lengths)
-    if kind == "attn":
-        return lambda h: multi_head_self_attention(
-            h, lengths, num_heads, *get("wq", "wk", "wv", "wo"))
-    return lambda h: feed_forward(h, *get("w1", "b1", "w2", "b2"))
+            num_heads: int, caps: CapsuleConfig) -> tuple[str, Callable, list[Tensor]]:
+    """Sublayer ``name``'s record name, branch helper and weights."""
+    record, f, suffixes = {
+        "conv": ("capsule", lambda h, *w: conv_pri_dig_layer(h, *w, caps, lengths),
+                 ("dw", "pw", "caps")),
+        "attn": ("self_attention",
+                 lambda h, *w: multi_head_self_attention(h, lengths, num_heads, *w),
+                 ("wq", "wk", "wv", "wo")),
+        "ffn": ("feed_forward", feed_forward, ("w1", "b1", "w2", "b2")),
+    }[kind]
+    return record, f, [store.get(f"{name}.{suffix}") for suffix in suffixes]
 
 
 def run_encoder_stack(x: Tensor, lengths: Sequence[int] | None, store: ParamStore,
@@ -438,7 +462,7 @@ def run_encoder_stack(x: Tensor, lengths: Sequence[int] | None, store: ParamStor
         if previous == "ffn":
             out = add_const(out, positional_encoding(*out.shape, lengths))
         out = residual_sublayer(
-            out, _branch(kind, name, store, lengths, num_heads, caps),
+            out, *_branch(kind, name, store, lengths, num_heads, caps),
             layer_index=index, total_layers=len(sublayers),
             survival_end=survival_end, gain=store.get(f"{name}.ln.gain"),
             bias=store.get(f"{name}.ln.bias"), training=training, rng=rng,

@@ -6,8 +6,8 @@ appended in creation order, so a single reverse sweep is a valid
 topological traversal.  With no tape active the same functions evaluate
 eagerly with zero recording overhead, which is what evaluation mode uses.
 Besides this module's tape ops (``add_const``, ``matmul``, ``reshape``,
-``concat``, ``stack``, ``dropout``, ``segment_softmax`` and ``layer_norm``)
-the layers record fused records of their own through ``record_op``.
+``concat``, ``stack``, ``dropout`` and ``segment_softmax``) the layers
+record fused records of their own through ``record_op``.
 
 A tensor keeps the float width of the array it wraps; anything else
 (ints, bools, Python lists of numbers) becomes float64, and a constant
@@ -75,12 +75,10 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     Usable as a context manager; nesting restores the previous tape on
-    exit.  A tape is meant to be built once and backpropagated once.
-    A live tape holds every record's output and whatever its backward
-    closes over, so each record keeps only the arrays its backward reads
-    and recomputes from its parents what is cheap to recompute (see
-    ``record_op``); at passage lengths this is most of a training step's
-    memory.
+    exit.  A tape is meant to be built once and backpropagated once.  A
+    live tape holds every record's output and whatever its backward closes
+    over, at passage lengths most of a training step's memory, so each
+    record keeps only what its backward reads (see ``record_op``).
     """
 
     def __init__(self):
@@ -160,13 +158,12 @@ def record_op(name: str, out_data: np.ndarray, parents: Sequence[Tensor],
     """Create the output tensor of a primitive and record it if a tape is live.
 
     ``backward`` maps the output gradient to one gradient (or None) per
-    parent.  Other modules use this hook to define their own primitives.
-    The rule for a backward: keep only what it reads, and recompute what
-    is cheap.  The parents stay on the tape anyway, so a value rebuilt
-    from them with the forward's own ops (a layer norm's normalised rows,
-    a convolution's padded input, attention probabilities) costs no
-    memory and gives the same bits; a dropout mask is kept as bools, not
-    as its float scale.
+    parent; other modules define their own primitives through this hook.
+    A backward keeps only what it reads and recomputes what is cheap: a
+    value rebuilt from the parents, which stay on the tape anyway, with the
+    forward's own ops (normalised rows, a padded input, attention
+    probabilities) costs no memory and gives the same bits; a dropout mask
+    is kept as bools, not as its float scale.
     """
     out = Tensor(out_data)
     if _ACTIVE_TAPE is not None:
@@ -318,24 +315,3 @@ def segment_softmax(x: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
 
     return record_op("segment_softmax", out, (x,), bw)
 
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-row standardisation of an [n, d] input, then affine gain/bias."""
-    if x.ndim != 2 or gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
-        raise ShapeError(
-            f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match "
-            f"[n, d] input {x.shape}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    out = centered / std * gain.data + bias.data
-
-    def bw(g):
-        # Only the [n, 1] mean and std are kept: normed is rebuilt from x.
-        normed = (x.data - mean) / std
-        dn = g * gain.data
-        dx = (dn - dn.mean(axis=-1, keepdims=True)
-              - normed * (dn * normed).mean(axis=-1, keepdims=True)) / std
-        return (dx, (g * normed).sum(axis=0), g.sum(axis=0))
-
-    return record_op("layer_norm", out, (x, gain, bias), bw)

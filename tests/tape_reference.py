@@ -3,12 +3,14 @@
 Finite-difference gradient checking; the small tape ops that only
 reference chains and tests use, among them the broadcasting ``add``,
 ``mul_const``, ``reduce_sum`` and ``softmax`` that the package's fused
-``residual`` and ``batch_loss`` records and ``segment_softmax`` replaced;
-the op chains that the embedding tier's fused records and the encoder's
-``capsule`` and ``self_attention`` records replaced; and the
-keep-everything records that the encoder's lean records replaced.  Every
-op here is built on ``record_op``, so it records on the same tape as the
-package's own primitives.
+sublayer and ``batch_loss`` records and ``segment_softmax`` replaced;
+each of the encoder's numpy helpers recorded as a tape op of its own; the
+op chains that the embedding tier's fused records and the encoder's
+``capsule`` and ``self_attention`` branches replaced; and the
+keep-everything records that the encoder's lean records replaced, among
+them the ``layer_norm`` → branch → residual sublayer that one record per
+sublayer replaced.  Every op here is built on ``record_op``, so it records
+on the same tape as the package's own primitives.
 """
 
 from __future__ import annotations
@@ -303,11 +305,13 @@ def chain_highway(x: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# The op chains the encoder's capsule and self-attention records replaced
+# The encoder's numpy helpers as tape ops, and the op chains the encoder's
+# capsule and self-attention branches replaced
 # ---------------------------------------------------------------------------
 # The encoder's numpy helpers, each recorded as a tape op of its own.  They
 # call the helpers through the module, so a test that patches one there
-# reaches these too.
+# reaches these too.  A branch helper's backward takes its input back, as
+# the package's sublayer record hands it over.
 
 def squash(v: Tensor, eps: float = 1e-12) -> Tensor:
     out, grad = encoder._squash(v.data, eps)
@@ -324,7 +328,38 @@ def dynamic_routing(primary: Tensor, transform: Tensor, iterations: int,
                     coupling_log: list | None = None) -> Tensor:
     v, backward = encoder.dynamic_routing(primary.data, transform.data, iterations,
                                           coupling_log)
-    return record_op("dynamic_routing", v, (primary, transform), backward)
+    return record_op("dynamic_routing", v, (primary, transform),
+                     lambda g: backward(g, primary.data))
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    out, normalise, backward = encoder.layer_norm(x.data, gain.data, bias.data, eps)
+    return record_op("layer_norm", out, (x, gain, bias),
+                     lambda g: backward(g, normalise(x.data)))
+
+
+def conv_pri_dig_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor,
+                       transform: Tensor, caps: CapsuleConfig,
+                       lengths: Sequence[int] | None = None) -> Tensor:
+    out, backward = encoder.conv_pri_dig_layer(x.data, depthwise.data, pointwise.data,
+                                               transform.data, caps, lengths)
+    return record_op("capsule", out, (x, depthwise, pointwise, transform),
+                     lambda g: backward(g, x.data))
+
+
+def multi_head_self_attention(x: Tensor, lengths: Sequence[int] | None,
+                              num_heads: int, wq: Tensor, wk: Tensor, wv: Tensor,
+                              wo: Tensor) -> Tensor:
+    out, backward = encoder.multi_head_self_attention(
+        x.data, lengths, num_heads, wq.data, wk.data, wv.data, wo.data)
+    return record_op("self_attention", out, (x, wq, wk, wv, wo),
+                     lambda g: backward(g, x.data))
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    out, backward = encoder.feed_forward(x.data, w1.data, b1.data, w2.data, b2.data)
+    return record_op("feed_forward", out, (x, w1, b1, w2, b2),
+                     lambda g: backward(g, x.data))
 
 
 def chain_conv_pri_dig_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor,
@@ -536,3 +571,30 @@ def keep_all_residual_sublayer(x: Tensor, f: Callable[[Tensor], Tensor], *,
         return add(x, branch)
     branch = f(keep_all_layer_norm(x, gain, bias))
     return add(x, mul_const(branch, np.asarray(p)))
+
+
+# The package's own ``_branch``: tests put ``keep_all_branch`` in its place.
+_package_branch = encoder._branch
+
+
+def keep_all_branch(kind: str, name: str, store: ParamStore,
+                    lengths: Sequence[int] | None, num_heads: int,
+                    caps: CapsuleConfig):
+    """``encoder._branch`` with a Tensor-level reference branch f(h,
+    *weights) in place of the numpy helper: the capsule chain, the
+    keep-everything attention record or the feed-forward chain."""
+    record, _, weights = _package_branch(kind, name, store, lengths, num_heads, caps)
+    branch = {
+        "capsule": lambda h, *w: chain_conv_pri_dig_layer(h, *w, caps, lengths),
+        "self_attention": lambda h, *w: keep_all_self_attention(h, lengths, num_heads, *w),
+        "feed_forward": chain_feed_forward,
+    }[record]
+    return record, branch, weights
+
+
+def keep_all_sublayer(x: Tensor, record: str, f: Callable[..., Tensor],
+                      weights: Sequence[Tensor], **options) -> Tensor:
+    """``keep_all_residual_sublayer`` called the way ``encoder.residual_sublayer``
+    is, with the branch and weights of ``keep_all_branch``; the reference
+    records no ``record`` of its own, so the fused record's name goes unused."""
+    return keep_all_residual_sublayer(x, lambda h: f(h, *weights), **options)

@@ -13,9 +13,6 @@ from abanet.data import Example, build_vocabs
 from abanet.encoder import (
     _squash,
     build_encoder_stack,
-    conv_pri_dig_layer,
-    feed_forward,
-    multi_head_self_attention,
     positional_encoding,
     residual_sublayer,
     run_encoder_stack,
@@ -29,7 +26,6 @@ from abanet.tensor import (
     Tensor,
     add_const,
     concat,
-    layer_norm,
     matmul,
     record_op,
     stack,
@@ -37,11 +33,14 @@ from abanet.tensor import (
 
 from tape_reference import (
     add,
+    conv_pri_dig_layer,
     dynamic_routing,
     fd_gradient,
     grad_check,
+    layer_norm,
     mul,
     mul_const,
+    multi_head_self_attention,
     reduce_sum,
     relative_error,
     slice_axis,
@@ -244,7 +243,7 @@ def full_u_hat_routing(primary: np.ndarray, transform: np.ndarray, iterations: i
         if step + 1 < iterations:
             logits = logits + np.matmul(u_hat, v[..., None])[..., 0]
 
-    def bw(g):
+    def bw(g, primary):
         # du_hat laid out [i, n, j*q]: both gradients are then batched over i.
         # The product is written straight into a C-contiguous [i, n, j, q]
         # buffer, so the flattening reshape is a view, not a copy.
@@ -268,7 +267,8 @@ def routing_run(routing, primary, transform, iterations, g):
     with Tape() as tape:
         v, backward = routing(primary.data, transform.data, iterations,
                               coupling_log=log)
-        out = record_op("dynamic_routing", v, (primary, transform), backward)
+        out = record_op("dynamic_routing", v, (primary, transform),
+                        lambda grad: backward(grad, primary.data))
         loss = reduce_sum(mul(out, Tensor(g)))
     grads = tape.gradients(loss)
     return out.data, log, grads[id(primary)], grads[id(transform)]
@@ -793,9 +793,9 @@ class TestResidualSublayer:
     def test_zero_branch_is_identity_both_modes(self):
         gain, bias = self._norm(4)
         x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        zero = lambda h: mul(h, Tensor(np.zeros((3, 4))))
+        zero = lambda h: (h * np.zeros((3, 4)), lambda g, h: (g * np.zeros((3, 4)),))
         for training, rng in ((False, None), (True, _FixedRng(0.0))):
-            out = residual_sublayer(x, zero, layer_index=1, total_layers=2,
+            out = residual_sublayer(x, "zero", zero, [], layer_index=1, total_layers=2,
                                     survival_end=0.9, gain=gain, bias=bias,
                                     training=training, rng=rng)
             np.testing.assert_allclose(out.data, x.data, atol=1e-12)
@@ -803,11 +803,11 @@ class TestResidualSublayer:
     def test_training_skip_and_keep(self):
         gain, bias = self._norm(4)
         x = Tensor(np.random.default_rng(1).normal(size=(2, 4)))
-        bump = lambda h: add_const(h, 1.0)
-        kept = residual_sublayer(x, bump, layer_index=2, total_layers=2,
+        bump = lambda h: (h + 1.0, lambda g, h: (g,))
+        kept = residual_sublayer(x, "bump", bump, [], layer_index=2, total_layers=2,
                                  survival_end=0.9, gain=gain, bias=bias,
                                  training=True, rng=_FixedRng(0.5))
-        skipped = residual_sublayer(x, bump, layer_index=2, total_layers=2,
+        skipped = residual_sublayer(x, "bump", bump, [], layer_index=2, total_layers=2,
                                     survival_end=0.9, gain=gain, bias=bias,
                                     training=True, rng=_FixedRng(0.95))
         assert not np.allclose(kept.data, x.data)
@@ -817,8 +817,9 @@ class TestResidualSublayer:
         gain, bias = self._norm(4)
         x = Tensor(np.random.default_rng(2).normal(size=(2, 4)))
         constant = np.full((2, 4), 3.0)
-        out = residual_sublayer(x, lambda h: add_const(mul(h, Tensor(np.zeros((2, 4)))),
-                                                       constant),
+        out = residual_sublayer(x, "constant",
+                                lambda h: (h * np.zeros((2, 4)) + constant,
+                                           lambda g, h: (g * 0.0,)), [],
                                 layer_index=2, total_layers=2, survival_end=0.9,
                                 gain=gain, bias=bias, training=False)
         np.testing.assert_allclose(out.data - x.data, 0.9 * 3.0, atol=1e-12)
@@ -929,32 +930,29 @@ def written_out_stack(x, lengths, store, *, training, rng, dropout_rate):
     """A 2-block stack of two conv sublayers, attention and FFN each,
     written out as one ``residual_sublayer`` call per sublayer; returns
     both block outputs."""
-    def sublayer(h, index, name, f):
+    def sublayer(h, index, name, record, f, *suffixes):
         return residual_sublayer(
-            h, f, layer_index=index, total_layers=8, survival_end=0.5,
+            h, record, f, [store.get(f"{name}.{suffix}") for suffix in suffixes],
+            layer_index=index, total_layers=8, survival_end=0.5,
             gain=store.get(f"{name}.ln.gain"), bias=store.get(f"{name}.ln.bias"),
             training=training, rng=rng, dropout_rate=dropout_rate)
 
-    def w(name):
-        return store.get(f"enc.{name}")
+    def capsule(h, *weights):
+        return encoder.conv_pri_dig_layer(h, *weights, MINI_CAPS, lengths)
 
     blocks = []
     out = x
     for b, first in ((0, 1), (1, 5)):
         out = add_const(out, positional_encoding(*out.shape, lengths))
-        out = sublayer(out, first, f"enc.block{b}.conv0", lambda h: conv_pri_dig_layer(
-            h, w(f"block{b}.conv0.dw"), w(f"block{b}.conv0.pw"),
-            w(f"block{b}.conv0.caps"), MINI_CAPS, lengths))
-        out = sublayer(out, first + 1, f"enc.block{b}.conv1", lambda h: conv_pri_dig_layer(
-            h, w(f"block{b}.conv1.dw"), w(f"block{b}.conv1.pw"),
-            w(f"block{b}.conv1.caps"), MINI_CAPS, lengths))
-        out = sublayer(out, first + 2, f"enc.block{b}.attn",
-                       lambda h: multi_head_self_attention(
-                           h, lengths, 2, w(f"block{b}.attn.wq"), w(f"block{b}.attn.wk"),
-                           w(f"block{b}.attn.wv"), w(f"block{b}.attn.wo")))
-        out = sublayer(out, first + 3, f"enc.block{b}.ffn", lambda h: feed_forward(
-            h, w(f"block{b}.ffn.w1"), w(f"block{b}.ffn.b1"), w(f"block{b}.ffn.w2"),
-            w(f"block{b}.ffn.b2")))
+        out = sublayer(out, first, f"enc.block{b}.conv0", "capsule", capsule,
+                       "dw", "pw", "caps")
+        out = sublayer(out, first + 1, f"enc.block{b}.conv1", "capsule", capsule,
+                       "dw", "pw", "caps")
+        out = sublayer(out, first + 2, f"enc.block{b}.attn", "self_attention",
+                       lambda h, *weights: encoder.multi_head_self_attention(
+                           h, lengths, 2, *weights), "wq", "wk", "wv", "wo")
+        out = sublayer(out, first + 3, f"enc.block{b}.ffn", "feed_forward",
+                       encoder.feed_forward, "w1", "b1", "w2", "b2")
         blocks.append(out)
     return blocks
 

@@ -17,31 +17,30 @@ import abanet.encoder as encoder
 import abanet.model as model_module
 from abanet.config import PROFILES, EncoderBlockConfig
 from abanet.data import Example, build_vocabs, gen_synthetic
-from abanet.encoder import (
-    feed_forward,
-    multi_head_self_attention,
-    residual_sublayer,
-    run_encoder_stack,
-)
+from abanet.encoder import residual_sublayer, run_encoder_stack
 from abanet.model import Adam, Model, train_step
 from abanet.params import ParamStore
 from abanet.tensor import (
     Tape,
     Tensor,
     dropout,
-    layer_norm,
     matmul,
     record_op,
 )
 
 from tape_reference import (
     chain_feed_forward,
+    feed_forward,
+    keep_all_branch,
     keep_all_depthwise_conv1d,
     keep_all_dropout,
     keep_all_layer_norm,
     keep_all_residual_sublayer,
     keep_all_self_attention,
+    keep_all_sublayer,
+    layer_norm,
     mul,
+    multi_head_self_attention,
     reduce_sum,
 )
 from test_encoder import MINI_CAPS, build_mini_stack
@@ -135,26 +134,29 @@ class TestRecordsMatchKeepAll:
         branch in training, and evaluation scales it by 0.5."""
         rng = np.random.default_rng(6)
         x, w, gain, bias = inputs = tensors(rng, dtype, (N, 6), (6, 6), (6,), (6,))
-        results = []
-        for sublayer in (residual_sublayer, keep_all_residual_sublayer):
-            def op():
-                return sublayer(x, lambda h: matmul(h, w),
-                                layer_index=0 if training else 1,
-                                total_layers=1, survival_end=0.5, gain=gain, bias=bias,
-                                training=training, rng=np.random.default_rng(8),
-                                dropout_rate=rate)
-            results.append(run(op, inputs, 5))
-        assert_same(*results, dtype)
+        options = dict(layer_index=0 if training else 1, total_layers=1,
+                       survival_end=0.5, gain=gain, bias=bias, training=training,
+                       dropout_rate=rate)
+        assert_same(
+            run(lambda: residual_sublayer(
+                x, "matmul", lambda h, w: (h @ w, lambda g, h: (g @ w.T, h.T @ g)), [w],
+                rng=np.random.default_rng(8), **options), inputs, 5),
+            run(lambda: keep_all_residual_sublayer(
+                x, lambda h: matmul(h, w), rng=np.random.default_rng(8), **options),
+                inputs, 5),
+            dtype)
 
 
 def with_references(monkeypatch):
-    """Route the encoder and the model's dropout through the references."""
+    """Route the encoder and the model's dropout through the references:
+    every sublayer runs as a keep-everything layer norm, the branch's
+    reference records (the capsule chain with its keep-everything
+    convolution, the keep-everything attention record, the feed-forward
+    chain) and an ``add``."""
     for module, name, reference in (
-            (encoder, "layer_norm", keep_all_layer_norm),
+            (encoder, "_branch", keep_all_branch),
+            (encoder, "residual_sublayer", keep_all_sublayer),
             (encoder, "depthwise_conv1d", keep_all_depthwise_conv1d),
-            (encoder, "multi_head_self_attention", keep_all_self_attention),
-            (encoder, "feed_forward", chain_feed_forward),
-            (encoder, "residual_sublayer", keep_all_residual_sublayer),
             (model_module, "dropout", keep_all_dropout)):
         monkeypatch.setattr(module, name, reference)
 
@@ -215,13 +217,14 @@ def test_training_and_predict_match_keep_all(monkeypatch, profile):
 # Live bytes that a paper float64 training forward leaves behind for the
 # pack below, measured with tracemalloc: 210.8 MB with the keep-everything
 # records, 132.7 MB with lean records under the six-record capsule chain
-# and the five-record attention chain, and 122.1 MB with one lean record
-# per sublayer.  Putting back the capsule chain, which keeps the depthwise
-# output, reads 129.0 MB; the keep-everything attention record, which keeps
-# the [h, n_s, n_s] probabilities, 154.3 MB; float64 dropout scales in
-# place of the bool masks, with keep-everything layer norms, 160.1 MB.  The
-# bound lies between the lean figure and all of those.
-TAPE_BOUND_MB = 127.5
+# and the five-record attention chain, 122.1 MB with one lean record per
+# sublayer branch between its layer norm and residual records, and 86.7 MB
+# with one record per sublayer.  Putting back, in that layout, the primary
+# capsules or the depthwise output in the capsule record reads 93.9 MB;
+# the layer norm's output in the sublayer record, 99.9 MB; the [h, n_s,
+# n_s] probabilities in the attention record, 110.7 MB.  The bound lies
+# between the lean figure and all of those.
+TAPE_BOUND_MB = 90.5
 
 
 def memory_pack():

@@ -637,21 +637,30 @@ def test_question_tokens_leave_tag_zero_rows_untrained():
 # Every record name a model tape may hold: the tape ops of tensor.py
 # (``sum`` is reduce_sum) and the fused records of the layers.
 TAPE_OPS = {"add_const", "matmul", "reshape", "concat", "stack", "dropout",
-            "segment_softmax", "layer_norm"}
+            "segment_softmax"}
 FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "capsule",
-                 "self_attention", "feed_forward",
-                 "residual", "select_top3", "bidirectional_attention",
-                 "span_nll", "l2_penalty", "batch_loss"}
+                 "self_attention", "feed_forward", "select_top3",
+                 "bidirectional_attention", "span_nll", "l2_penalty", "batch_loss"}
 
 
 def package_record_names():
-    """The names that the package's ``record_op`` calls record under."""
+    """The names that the package's ``record_op`` calls record under: each
+    literal first argument and, for ``residual_sublayer``'s call, which
+    records under the ``name`` it is given, the record names of
+    ``encoder._branch``'s table, each the first entry of a row."""
     names = set()
     for path in (pathlib.Path(__file__).resolve().parents[1] / "src" / "abanet").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "record_op"):
-                names.add(node.args[0].value)
+                first = node.args[0]
+                if isinstance(first, ast.Constant):
+                    names.add(first.value)
+                else:
+                    assert first.id == "name", ast.dump(first)
+            if isinstance(node, ast.FunctionDef) and node.name == "_branch":
+                names |= {row.elts[0].value for table in ast.walk(node)
+                          if isinstance(table, ast.Dict) for row in table.values}
     return names
 
 

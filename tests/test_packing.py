@@ -17,7 +17,6 @@ from abanet.data import Example, build_vocabs, gen_synthetic
 from abanet.embedding import bilstm_encode, lstm_run
 from abanet.encoder import (
     build_encoder_stack,
-    multi_head_self_attention,
     positional_encoding,
     run_encoder_stack,
 )
@@ -32,7 +31,14 @@ from abanet.tensor import (
     segment_softmax,
 )
 
-from tape_reference import depthwise_conv1d, fd_gradient, mul, reduce_sum, relative_error
+from tape_reference import (
+    depthwise_conv1d,
+    fd_gradient,
+    mul,
+    multi_head_self_attention,
+    reduce_sum,
+    relative_error,
+)
 
 PASSAGE_LENGTHS = (1, 7, 3, 12)
 QUESTION_LENGTHS = (1, 1, 2, 1)

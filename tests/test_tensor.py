@@ -14,7 +14,6 @@ from abanet.tensor import (
     backward,
     concat,
     dropout,
-    layer_norm,
     matmul,
     no_grad,
     recording,
@@ -29,6 +28,7 @@ from tape_reference import (
     fd_gradient,
     gather_rows,
     grad_check,
+    layer_norm,
     log,
     mul,
     mul_const,
