@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -61,8 +62,9 @@ def check_passage_lengths(example: Example, config: ModelConfig | None = None) -
                             f"{n} passage tokens")
         low, high = ((1, math.inf) if name == "subtokens" else
                      (0, getattr(config, f"{name}_vocab") if config else math.inf))
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
-               or not low <= v < high for v in values):
+        if any(issubclass(t, bool) or not issubclass(t, (int, np.integer))
+               for t in set(map(type, values))) or not (
+                   low <= min(values) and max(values) < high):
             kind = "counts" if name == "subtokens" else "ids"
             raise DataError(f"{where}: {name} {kind} must be integers in [{low}, {high})")
 
@@ -213,15 +215,11 @@ def gen_synthetic(task: str, size: int, seed: int) -> list[Example]:
 # ---------------------------------------------------------------------------
 
 def build_vocabs(examples: Sequence[Example]) -> tuple[Vocabulary, Vocabulary]:
-    """Word and character vocabularies over passages and questions."""
-    words = Vocabulary()
-    chars = Vocabulary()
-    for example in examples:
-        for token in list(example.passage) + list(example.question):
-            words.add(token)
-            for ch in token:
-                chars.add(ch)
-    return words, chars
+    """Word and character vocabularies over passages and questions, with
+    ids in order of first occurrence."""
+    words = dict.fromkeys(chain.from_iterable(
+        side for example in examples for side in (example.passage, example.question)))
+    return Vocabulary(words), Vocabulary(dict.fromkeys("".join(words)))
 
 
 def char_id_matrix(tokens: Sequence[str], chars: Vocabulary,

@@ -128,7 +128,10 @@ class _LRUCache:
 
     def put(self, key, value, nbytes: int) -> None:
         """Add ``value`` as the most recent entry, then drop the oldest
-        entries while the byte total is over budget."""
+        entries while the byte total is over budget.  A value larger than
+        the whole budget is not stored and evicts nothing."""
+        if nbytes > self.budget:
+            return
         self.entries[key] = (value, nbytes)
         self.nbytes += nbytes
         while self.nbytes > self.budget:
@@ -537,7 +540,8 @@ def decode_span(p_begin: np.ndarray, p_end: np.ndarray, max_len: int,
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adaptive-moment optimizer with linear learning-rate warmup."""
+    """Adaptive-moment optimizer with linear learning-rate warmup.  It holds
+    no moments until ``step`` finds a parameter's first gradient."""
 
     def __init__(self, store: ParamStore, learning_rate: float,
                  warmup_steps: int = 0, beta1: float = 0.9,
@@ -547,12 +551,14 @@ class Adam:
         self.warmup_steps = warmup_steps
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in store.trainable()}
-        self._v = {name: np.zeros_like(t.data) for name, t in store.trainable()}
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
         """Update every parameter with a gradient, then clear all gradients.
 
+        A parameter's first gradient creates its moments as zeros: the
+        bits of moments held at zero from the optimizer's start.
         The moments are updated in place and both bias corrections fold
         into two scalars:
         rate * m_hat / (sqrt(v_hat) + eps)
@@ -573,6 +579,9 @@ class Adam:
             grad = tensor.grad
             if grad is None:
                 continue
+            if name not in self._m:
+                self._m[name] = np.zeros_like(tensor.data)
+                self._v[name] = np.zeros_like(tensor.data)
             m, v = self._m[name], self._v[name]
             update = np.multiply(grad, 1.0 - beta2)
             update *= grad

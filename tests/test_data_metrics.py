@@ -1,6 +1,7 @@
 """Dataset loading/validation, synthetic generators, EM/F1 metrics."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from abanet.data import (
     Example,
     build_vocabs,
     char_id_matrix,
+    check_passage_lengths,
     example_from_dict,
     gen_synthetic,
     load_jsonl,
     save_jsonl,
     validate_example,
 )
-from abanet.embedding import PAD_ID, UNK_ID
+from abanet.config import mini_profile
+from abanet.embedding import PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, Vocabulary
 from abanet.errors import ConfigError, DataError
 from abanet.metrics import evaluate_pairs, exact_match, f1_score, normalize_answer
 
@@ -50,10 +53,62 @@ class TestValidation:
         validate_example(make_example(answerable=False, answer_begin=2,
                                       answer_end=2))
 
-    def test_subtoken_validation(self):
-        with pytest.raises(DataError, match="subtoken"):
-            validate_example(make_example(subtokens=[1, 0, 1]))
+    @pytest.mark.parametrize("bad", [0, -1, True, np.bool_(True), 1.0,
+                                     np.float64(1.0), "1"],
+                             ids=["zero", "negative", "bool", "np.bool_", "float",
+                                  "np.float64", "str"])
+    def test_subtoken_validation(self, bad):
+        with pytest.raises(DataError, match=r"subtokens counts must be integers in \[1, inf\)"):
+            validate_example(make_example(subtokens=[1, bad, 1]))
         validate_example(make_example(subtokens=[1, 3, 2]))
+        validate_example(make_example(subtokens=[np.int64(1), 3, np.int64(2)]))
+
+
+# Each field's lowest valid value; ``high`` gives its first value out of
+# range, which is infinite for sub-token counts and for tag ids without a config.
+LOW = {"pos": 0, "ner": 0, "rule": 0, "subtokens": 1}
+BAD_VALUES = {"bool": True, "np.bool_": np.bool_(True), "float": 1.0,
+              "np.float64": np.float64(1.0), "str": "1"}
+
+
+def checked_example(field, value):
+    """``make_example`` with ``value`` in the middle of ``field``."""
+    values = [LOW[field], value, LOW[field]]
+    return make_example(**{field: values})
+
+
+def high(field, config):
+    return getattr(config, f"{field}_vocab") if config and field != "subtokens" else math.inf
+
+
+def check_cases():
+    for field in LOW:
+        for with_config in (False, True):
+            config = mini_profile() if with_config else None
+            bad = {**BAD_VALUES, "below": LOW[field] - 1}
+            if high(field, config) != math.inf:
+                bad["at-high"] = high(field, config)
+            for kind, value in bad.items():
+                yield pytest.param(field, value, config,
+                                   id=f"{field}-{kind}-{'config' if config else 'none'}")
+
+
+@pytest.mark.parametrize("field,value,config", check_cases())
+def test_check_passage_lengths_rejects_with_its_message(field, value, config):
+    kind = "counts" if field == "subtokens" else "ids"
+    with pytest.raises(DataError) as info:
+        check_passage_lengths(checked_example(field, value), config)
+    assert str(info.value) == (f"example 'x1': {field} {kind} must be integers in "
+                               f"[{LOW[field]}, {high(field, config)})")
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+@pytest.mark.parametrize("field", list(LOW))
+def test_check_passage_lengths_accepts_numpy_integers(field, with_config):
+    config = mini_profile() if with_config else None
+    top = high(field, config) - 1 if high(field, config) != math.inf else 10**9
+    check_passage_lengths(checked_example(field, np.int64(top)), config)
+    check_passage_lengths(make_example(**{field: list(np.full(3, LOW[field]))}), config)
 
 
 class TestJsonl:
@@ -120,9 +175,11 @@ class TestJsonl:
         with pytest.raises(DataError, match=f"data.jsonl:2: {field} must be"):
             load_jsonl(str(path))
 
-    def test_bool_tag_ids_rejected(self):
-        with pytest.raises(DataError, match="pos ids"):
-            validate_example(make_example(pos=[True, 1, 2]))
+    @pytest.mark.parametrize("value", [True, np.bool_(True)], ids=["True", "np.bool_"])
+    @pytest.mark.parametrize("field", ["pos", "ner", "rule"])
+    def test_bool_tag_ids_rejected(self, field, value):
+        with pytest.raises(DataError, match=f"{field} ids"):
+            validate_example(make_example(**{field: [value, 1, 0]}))
 
     def test_fuzzed_span_mutations_all_rejected(self, tmp_path):
         """Every mutation that breaks the span invariant is caught."""
@@ -186,7 +243,62 @@ class TestSynthetic:
             gen_synthetic("mystery", 5, seed=0)
 
 
+def loop_build_vocabs(examples):
+    """The per-character loop that the bulk build replaced."""
+    words = Vocabulary()
+    chars = Vocabulary()
+    for example in examples:
+        for token in list(example.passage) + list(example.question):
+            words.add(token)
+            for ch in token:
+                chars.add(ch)
+    return words, chars
+
+
+def squad_shaped(seed, passages=4, questions=5):
+    """Passages of 80-200 tokens drawn with Zipf-like frequencies from
+    pseudo-words, ``questions`` per passage, each repeating passage tokens."""
+    rng = np.random.default_rng(seed)
+    letters = list("abcdefghijklmnopqrstuvwxyzéß-0123456789")
+    pool = ["".join(rng.choice(letters, size=int(rng.integers(1, 9))))
+            for _ in range(300)]
+    weights = 1.0 / np.arange(1, len(pool) + 1)
+    weights /= weights.sum()
+    examples = []
+    for p in range(passages):
+        n = int(rng.integers(80, 201))
+        passage = [pool[i] for i in rng.choice(len(pool), size=n, p=weights)]
+        for q in range(questions):
+            question = ([passage[i] for i in rng.integers(0, n, size=4)]
+                        + [pool[i] for i in rng.choice(len(pool), size=3, p=weights)])
+            examples.append(Example(id=f"sq-{p}-{q}", passage=passage, question=question,
+                                    pos=[0] * n, ner=[0] * n, rule=[0] * n,
+                                    answer_begin=0, answer_end=0))
+    return examples
+
+
+VOCAB_CASES = {
+    "copy-locate": lambda: gen_synthetic("copy-locate", 20, seed=1),
+    "marker-span": lambda: gen_synthetic("marker-span", 20, seed=2),
+    "squad-shaped": lambda: squad_shaped(3),
+    "reserved": lambda: [make_example(passage=["ab", UNK_TOKEN, "", "ba"],
+                                      question=[PAD_TOKEN, "ab"], pos=[0] * 4,
+                                      ner=[0] * 4, rule=[0] * 4)],
+}
+
+
 class TestVocabHelpers:
+    @pytest.mark.parametrize("case", VOCAB_CASES)
+    def test_build_vocabs_matches_the_per_character_loop(self, case):
+        """Ids in first-occurrence order, as the loop gave them; repeated
+        tokens add no word and no character."""
+        examples = VOCAB_CASES[case]()
+        tokens = [t for e in examples for t in [*e.passage, *e.question]]
+        got, want = build_vocabs(examples), loop_build_vocabs(examples)
+        assert len(tokens) > len(set(tokens))
+        assert got[0].tokens == want[0].tokens
+        assert got[1].tokens == want[1].tokens
+
     def test_build_vocabs_covers_both_sides(self):
         examples = [make_example(passage=["cat", "dog"], question=["bird"],
                                  pos=[0, 0], ner=[0, 0], rule=[0, 0],

@@ -1,11 +1,12 @@
 """Span head (per-segment distributions, gold-span likelihood, decoding),
 float32 purity of a whole model step, float32 serving of a float64-trained
 model, models of both widths in one process, the provider and passage caches,
-the rebind-only parameter contract, full-model gradients, the Adam update,
-the freeing backward sweep, the training step's garbage-collection state,
-determinism and learning, the one-record weight decay and batch loss, the
-passage-length check of a forward, the record names a training tape may
-hold, and the model without level mixing."""
+the rebind-only parameter contract, full-model gradients, the Adam update
+and its moments created on first use, the freeing backward sweep, the
+training step's garbage-collection state, determinism and learning, the
+one-record weight decay and batch loss, the passage-length check of a
+forward, the record names a training tape may hold, and the model without
+level mixing."""
 
 import ast
 import dataclasses
@@ -13,6 +14,7 @@ import gc
 import hashlib
 import json
 import pathlib
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -295,6 +297,22 @@ class TestProviderCache:
         assert self.model._provider_run(a) is first
         self.model._provider_run(c)
         assert self.cached() == [4, 6]
+
+    def test_entry_over_budget_is_not_stored(self):
+        """An entry larger than the whole budget is returned but not
+        stored, and the entries already cached stay."""
+        cache = self.model._provider_cache
+        cache.budget = self.budget
+        for key in self.keys[:2]:
+            self.model._provider_run(key)
+        cache.put(b"too large", [], self.budget + 1)
+        assert self.cached() == [4, 5] and cache.nbytes == self.budget
+        cache.budget = self.budget // 4
+        layers = self.model._provider_run(self.keys[2])
+        assert self.cached() == [4, 5] and cache.nbytes == self.budget
+        for got, want in zip(layers, mini_model()[0]._provider_run(self.keys[2]),
+                             strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_invalidate_empties(self):
         """A rebound frozen array empties the cache at its next lookup."""
@@ -745,6 +763,7 @@ def test_adam_two_steps_with_warmup_match_hand_computation():
     frozen = store.register("frozen", Tensor(np.array([3.0])), trainable=False)
     idle = store.register("idle", Tensor(np.array([4.0])))
     adam = Adam(store, learning_rate=0.1, warmup_steps=2)
+    assert adam._m == {} and adam._v == {}
 
     g1 = np.array([0.5, -1.0])
     p.grad = g1
@@ -755,6 +774,8 @@ def test_adam_two_steps_with_warmup_match_hand_computation():
     np.testing.assert_allclose(p.data, p1, rtol=1e-12)
     assert p.grad is None and frozen.grad is None
     assert frozen.data[0] == 3.0 and idle.data[0] == 4.0
+    # Moments exist for the parameter that had a gradient, and only for it.
+    assert set(adam._m) == set(adam._v) == {"p"}
 
     p.grad = np.array([0.25, 0.5])
     adam.step()
@@ -769,7 +790,8 @@ def test_adam_two_steps_with_warmup_match_hand_computation():
 
 class ArrayRebindingAdam(Adam):
     """The update before in-place moments: new m, v, bias-corrected and
-    update arrays for every parameter on every step."""
+    update arrays for every parameter on every step.  Moments start from
+    zero at a parameter's first gradient, as in ``Adam``."""
 
     def step(self) -> None:
         self.step_count += 1
@@ -780,6 +802,8 @@ class ArrayRebindingAdam(Adam):
             grad = tensor.grad
             if grad is None:
                 continue
+            if name not in self._m:
+                self._m[name] = self._v[name] = np.zeros_like(tensor.data)
             m = self._m[name] = (self.beta1 * self._m[name]
                                  + (1.0 - self.beta1) * grad)
             v = self._v[name] = (self.beta2 * self._v[name]
@@ -822,6 +846,73 @@ def test_adam_matches_array_rebinding_update_over_five_steps():
     assert in_place.step_count == 5
     assert sum(not np.array_equal(tensor.data, initial[name])
                for name, tensor in trainable.items()) > 50
+
+
+class ZeroStartAdam(Adam):
+    """The optimizer before lazy moments: zero moments for every trainable
+    parameter from construction on."""
+
+    def __init__(self, store, *args, **kwargs):
+        super().__init__(store, *args, **kwargs)
+        for name, tensor in store.trainable():
+            self._m[name] = np.zeros_like(tensor.data)
+            self._v[name] = np.zeros_like(tensor.data)
+
+
+def test_adam_late_first_gradient_matches_zero_start_bit_for_bit():
+    """A parameter whose first gradient arrives at step 3 gets the bits of
+    moments held at zero since construction, warmup and bias corrections
+    included; a parameter that never gets a gradient never gets moments."""
+    rng = np.random.default_rng(0)
+    init = {name: rng.standard_normal(shape) for name, shape in
+            (("early", (3, 4)), ("late", (5,)), ("never", (2,)))}
+    optimizers = []
+    for kind in (Adam, ZeroStartAdam):
+        store = ParamStore()
+        for name, data in init.items():
+            store.register(name, Tensor(data.copy()))
+        optimizers.append(kind(store, 1e-2, warmup_steps=2))
+    lazy, reference = optimizers
+    for step in range(1, 7):
+        grads = {"early": rng.standard_normal((3, 4))}
+        if step >= 3:
+            grads["late"] = rng.standard_normal(5)
+        for optimizer in optimizers:
+            for name, grad in grads.items():
+                optimizer.store.get(name).grad = grad.copy()
+            optimizer.step()
+        assert set(lazy._m) == set(lazy._v) == set(grads)
+        for name in init:
+            assert (lazy.store.get(name).data.tobytes()
+                    == reference.store.get(name).data.tobytes()), (step, name)
+    for name in ("early", "late"):
+        assert lazy._m[name].tobytes() == reference._m[name].tobytes()
+        assert lazy._v[name].tobytes() == reference._v[name].tobytes()
+    assert lazy.store.get("never").data.tobytes() == init["never"].tobytes()
+
+
+def test_adam_set_up_allocates_no_moments():
+    """Building an optimizer for a ``paper`` model allocates under 1 MB
+    (the zero-start moments took about 26 MB), and one training step
+    creates moments of twice the bytes of the parameters it updated."""
+    examples = gen_synthetic("copy-locate", 4, 0)
+    model = Model(PROFILES["paper"](), *build_vocabs(examples), seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        optimizer = Adam(model.store, 1e-3)
+        set_up_mb = (tracemalloc.get_traced_memory()[0] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert set_up_mb < 1.0, set_up_mb
+    before = {name: tensor.data for name, tensor in model.store.trainable()}
+    train_step(model, examples[:2], optimizer, np.random.default_rng(0))
+    # Adam rebinds exactly the parameters that had a gradient.
+    updated = {name: tensor.data for name, tensor in model.store.trainable()
+               if tensor.data is not before[name]}
+    assert len(updated) > 50 and set(optimizer._m) == set(optimizer._v) == set(updated)
+    moment_bytes = sum(m.nbytes for m in [*optimizer._m.values(), *optimizer._v.values()])
+    assert moment_bytes == 2 * sum(data.nbytes for data in updated.values())
 
 
 def keep_all_gradients(tape, loss):
