@@ -305,54 +305,25 @@ class ContextualProvider:
     run: Callable[[np.ndarray], list[np.ndarray]]
 
 
-def expand_subtokens(token_ids: np.ndarray,
-                     subtoken_counts: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Repeat each token id S times; also return the [n] counts S."""
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    n = token_ids.shape[0]
-    if subtoken_counts is None:
-        counts = np.ones(n, dtype=np.int64)
-    else:
-        counts = np.asarray(subtoken_counts, dtype=np.int64)
-        if counts.shape != (n,) or (counts < 1).any():
-            raise DataError(
-                f"subtoken counts must be {n} positive integers, got {counts!r}")
-    return np.repeat(token_ids, counts), counts
-
-
 def contextual_mix(provider: ContextualProvider, token_ids: np.ndarray,
-                   theta: Tensor,
-                   subtoken_counts: Sequence[int] | None = None,
+                   theta: Tensor, subtoken_counts: np.ndarray,
                    lengths: Sequence[int] | None = None) -> Tensor:
     """Trainable per-layer mixture of frozen provider states.
 
-    The provider runs once per segment of the pack (``lengths``, None for
-    one segment).  Each segment's sub-token hidden states are averaged back
-    to one row per word, and then all layers are combined over the whole
-    pack with weights theta (one scalar per layer).  ``subtoken_counts``
-    cover the whole pack.
+    ``subtoken_counts`` is an int64 array of one positive count per token
+    of the pack, checked where examples enter the model
+    (``check_passage_lengths``).  The provider runs once per segment of
+    the pack (``lengths``, None for one segment) on the segment's ids,
+    each repeated its count times.  Each word's sub-token hidden states
+    are averaged back to one row, and then all layers are combined over
+    the whole pack with weights theta (one scalar per layer).
     """
-    token_ids = np.asarray(token_ids, dtype=np.int64)
     n = token_ids.shape[0]
-    if subtoken_counts is not None and len(subtoken_counts) != n:
-        raise DataError(
-            f"subtoken counts must be {n} positive integers, got {subtoken_counts!r}")
     count = provider.num_layers
     pooled = []
     for start, stop in segment_bounds(lengths, n):
-        expanded, counts = expand_subtokens(
-            token_ids[start:stop],
-            None if subtoken_counts is None else subtoken_counts[start:stop])
-        layers = provider.run(expanded)
-        if len(layers) != count:
-            raise ShapeError(
-                f"provider returned {len(layers)} layers, expected {count}")
-        expected = (expanded.shape[0], provider.width)
-        for index, layer in enumerate(layers):
-            if layer.shape != expected:
-                raise ShapeError(
-                    f"provider layer {index} has shape {layer.shape}, "
-                    f"expected {expected}")
+        counts = subtoken_counts[start:stop]
+        layers = provider.run(np.repeat(token_ids[start:stop], counts))
         # Each word's sub-token rows are summed, then divided by their
         # count, in the layer's own width.
         starts = np.cumsum(counts) - counts

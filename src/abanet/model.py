@@ -62,15 +62,15 @@ from .tensor import (
 # rule, but with margins, so selection is stable under tiny perturbations.
 _ALPHA_INIT = np.linspace(0.25, 0.0, len(COMPONENT_NAMES))
 
-# Byte budget of the provider cache; least recently used entries go first.
-# An entry takes 4 KB per sub-token at the paper profile, so this holds
-# about ten 200-word passages of two sub-tokens per word.
-PROVIDER_CACHE_BYTES = 16 * 2**20
-
-# Byte budget of the passage cache; least recently used entries go first.
-# An entry takes 3 KB per passage token at the paper profile in float64,
-# so this holds about six 200-token passages.
-PASSAGE_CACHE_BYTES = 4 * 2**20
+# Byte budget of each of the model's two caches; least recently used
+# entries go first.  A passage-cache entry takes 3 KB per passage token at
+# the paper profile in float64, so that cache holds about six 200-token
+# passages.  Only training on a small repeated set reads the provider
+# cache: 50 copy-locate examples make 76 sequences (seed 1) in 1.62 MiB,
+# after which every provider call hits.  Predicting or training on unique
+# SQuAD-length passages fills any budget with no hit (15.4-15.6 MiB of a
+# 16 MiB one, seed 1).
+CACHE_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -156,9 +156,9 @@ class Model:
         # never rebinds, so its cache survives training steps.
         self._provider_cache = _LRUCache(
             [tensor for name, tensor in self.store.items() if name not in trainable],
-            PROVIDER_CACHE_BYTES)
+            CACHE_BYTES)
         self._passage_cache = _LRUCache(
-            [tensor for _, tensor in self.store.items()], PASSAGE_CACHE_BYTES)
+            [tensor for _, tensor in self.store.items()], CACHE_BYTES)
         self.provider = ContextualProvider(
             num_layers=config.provider_layers, width=config.provider_width,
             run=self._provider_run)
@@ -284,7 +284,8 @@ class Model:
 
     def _sequence_repr(self, ids: np.ndarray, chars: np.ndarray,
                        tags: tuple[np.ndarray, ...] | None,
-                       subtokens, lengths: tuple[int, ...], training: bool,
+                       subtoken_counts: np.ndarray, lengths: tuple[int, ...],
+                       training: bool,
                        rng: np.random.Generator | None) -> dict[str, Tensor]:
         """The six granularity levels of one side of a pack.
 
@@ -313,7 +314,7 @@ class Model:
                         for part in ("wt", "bt", "wg", "bg")) for i in range(2)]
         embedded = highway(projected, layers)
         contextual = contextual_mix(self.provider, ids, store.get("theta"),
-                                    subtokens, lengths)
+                                    subtoken_counts, lengths)
         block_out = run_encoder_stack(
             embedded, lengths, store, "embenc", num_heads=cfg.num_heads,
             block=cfg.embedding_encoder, caps=cfg.capsules,
@@ -350,13 +351,18 @@ class Model:
         lengths and the selected passage levels.  In training mode
         stochastic depth draws once per sublayer per pack, and dropout
         masks cover the packed shape.  An example that
-        ``check_passage_lengths`` rejects raises a DataError naming it.
+        ``check_passage_lengths`` rejects raises a DataError naming it;
+        that is the one check of its sub-token counts.
+
+        Each side carries one int64 array of sub-token counts, one per
+        token, to ``contextual_mix``: the passages' ``subtokens``, or ones
+        for an example without them, and all ones for the questions.
 
         The passage side up to attention (the six granularity levels, λ
         mixing and top-3 selection) does not depend on the question.  In
         an eval-mode forward of a pack of one with no tape recording, its
         selected [n, 3d] levels and their indices are cached, keyed by the
-        passage's word, char, pos, ner, rule and sub-token ids.
+        passage's word, char, pos, ner, rule and sub-token count arrays.
         """
         cfg = self.config
         store = self.store
@@ -376,31 +382,28 @@ class Model:
         p_feats = tuple(np.concatenate([np.asarray(getattr(e, name), dtype=np.int64)
                                         for e in examples])
                         for name in ("pos", "ner", "rule"))
-        subtokens = None
-        if any(e.subtokens is not None for e in examples):
-            subtokens = np.concatenate([
-                np.ones(len(e.passage), dtype=np.int64) if e.subtokens is None
-                else np.asarray(e.subtokens, dtype=np.int64) for e in examples])
+        p_counts = np.concatenate([
+            np.ones(len(e.passage), dtype=np.int64) if e.subtokens is None
+            else np.asarray(e.subtokens, dtype=np.int64) for e in examples])
 
         cached = key = None
         if len(examples) == 1 and not training and not recording():
-            key = (p_ids.tobytes(), p_chars.tobytes(),
-                   *(f.tobytes() for f in p_feats),
-                   None if subtokens is None else subtokens.tobytes())
+            key = tuple(a.tobytes() for a in (p_ids, p_chars, *p_feats, p_counts))
             cached = self._passage_cache.get(key)
         if cached is not None:
             selected, levels = cached
             selected_p = Tensor(selected)
         else:
-            raw_p = self._sequence_repr(p_ids, p_chars, p_feats, subtokens,
+            raw_p = self._sequence_repr(p_ids, p_chars, p_feats, p_counts,
                                         p_lengths, training, rng)
             selected_p, levels = self._select_levels(raw_p, "lambda.p")
             if key is not None:
                 selected_p.data.setflags(write=False)
                 self._passage_cache.put(key, (selected_p.data, levels),
                                         selected_p.data.nbytes)
-        raw_q = self._sequence_repr(q_ids, q_chars, None, None, q_lengths,
-                                    training, rng)
+        raw_q = self._sequence_repr(q_ids, q_chars, None,
+                                    np.ones(len(q_ids), dtype=np.int64),
+                                    q_lengths, training, rng)
         selected_q, _ = self._select_levels(raw_q, "lambda.q")
 
         fused = bidirectional_attention(
@@ -627,6 +630,7 @@ def train_step(model: Model, batch: list[Example], optimizer: Adam,
                 f"non-finite loss at optimizer step {optimizer.step_count + 1}; "
                 f"first non-finite tensor: {culprit}")
         backward(tape, loss, store)
+        del tape    # free the records before the update allocates
         optimizer.step()
         return float(loss.data)
     finally:

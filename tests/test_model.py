@@ -3,6 +3,7 @@ float32 purity of a whole model step, float32 serving of a float64-trained
 model, models of both widths in one process, the provider and passage caches,
 the rebind-only parameter contract, full-model gradients, the Adam update
 and its moments created on first use, the freeing backward sweep, the
+update reading the sweep's gradients after the tape is freed, the
 training step's garbage-collection state, determinism and learning, the
 one-record weight decay and batch loss, the passage-length check of a
 forward, the record names a training tape may hold, and the model without
@@ -380,6 +381,22 @@ class TestProviderCache:
         model.predict(examples[0])
         assert before and all(model._provider_cache.get(key) is layers
                               for key, layers in before.items())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_budget_holds_the_copy_locate_working_set(self, seed):
+        """Training on 50 copy-locate examples at the paper profile, the
+        traffic that reads the provider cache, fits its budget: no
+        sequence is evicted, and a second pass hits every one."""
+        examples = gen_synthetic("copy-locate", 50, seed)
+        model = Model(PROFILES["paper"](), *build_vocabs(examples), seed=seed)
+        sequences = [model.word_vocab.ids(tokens) for e in examples
+                     for tokens in (e.passage, e.question)]
+        first = {ids.tobytes(): model._provider_run(ids) for ids in sequences}
+        cache = model._provider_cache
+        assert cache.entries.keys() == first.keys()
+        assert cache.nbytes <= cache.budget == model_module.CACHE_BYTES
+        assert all(model._provider_run(ids) is first[ids.tobytes()]
+                   for ids in sequences)
 
 
 def count_sequence_reprs(model, monkeypatch):
@@ -954,6 +971,36 @@ def test_freeing_sweep_keeps_leaf_gradients():
         assert set(grads) == set(leaves), sweep
         for key, g in leaves.items():
             np.testing.assert_array_equal(grads[key], g)
+
+
+def test_update_reads_the_sweep_gradients_after_the_tape_is_freed(monkeypatch):
+    """In a mini training step the tape is freed before ``Adam.step``, each
+    trainable gradient slot holds the very array the sweep returned, and
+    the update leaves the bytes of every one of them unchanged."""
+    model, examples = mini_model()
+    held, tapes = {}, []
+    sweep = model_module.backward
+
+    def checked_backward(tape, loss, params):
+        grads = sweep(tape, loss, params)
+        tapes.append(weakref.ref(tape))
+        for name, tensor in params.trainable():
+            assert tensor.grad is grads.get(id(tensor)), name
+            if tensor.grad is not None:
+                held[name] = (tensor.grad, tensor.grad.tobytes())
+        return grads
+
+    class FreedTapeAdam(Adam):
+        def step(self):
+            assert tapes and tapes[0]() is None
+            super().step()
+
+    monkeypatch.setattr(model_module, "backward", checked_backward)
+    train_step(model, examples[:2], FreedTapeAdam(model.store, 1e-2),
+               np.random.default_rng(0))
+    assert len(held) > 50
+    for name, (grad, before) in held.items():
+        assert grad.tobytes() == before, name
 
 
 class TestTrainStepGarbageCollection:
