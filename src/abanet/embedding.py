@@ -116,7 +116,9 @@ def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
     filter count.  The convolution weight is [kernel*char_dim x d_char].
     One ``char_cnn`` record: the kernel-wide windows of every word are one
     row gather, the convolution one matmul, and the pooled gradient goes
-    to the first position holding each maximum.
+    to the first position holding each maximum.  The backward keeps the
+    int windows and each maximum's position, and gathers the windows'
+    float rows again rather than keeping them.
     """
     char_ids = _check_ids(char_ids, char_table.shape[0], "char")
     n, c_max = char_ids.shape
@@ -126,8 +128,11 @@ def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
     positions = c_max - kernel + 1
     d_char = filters.shape[1]
     windows = np.lib.stride_tricks.sliding_window_view(char_ids, kernel, axis=1)
-    stacked = char_table.data[windows].reshape(n * positions, -1)
-    per_word = (stacked @ filters.data).reshape(n, positions, d_char)
+
+    def stack() -> np.ndarray:
+        return char_table.data[windows].reshape(n * positions, -1)
+
+    per_word = (stack() @ filters.data).reshape(n, positions, d_char)
     first_max = per_word.argmax(axis=1)[:, None, :]    # [n, 1, d_char]
 
     def bw(g):
@@ -137,7 +142,7 @@ def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
         d_table = np.zeros_like(char_table.data)
         np.add.at(d_table, windows,
                   (d_act @ filters.data.T).reshape(*windows.shape, -1))
-        return d_table, stacked.T @ d_act
+        return d_table, stack().T @ d_act
 
     return record_op("char_cnn", per_word.max(axis=1), (char_table, filters), bw)
 
@@ -296,7 +301,8 @@ class ContextualProvider:
     """Produces L hidden-state layers for a (possibly sub-token) sequence.
 
     ``run`` maps expanded token ids of length T to a list of L arrays of
-    shape [T x width].  The provider's own weights are frozen; only the
+    shape [T x width]; the model's provider caches them and returns them
+    read-only.  The provider's own weights are frozen; only the
     downstream mixture weights train.
     """
 

@@ -221,23 +221,29 @@ def conv_pri_dig_layer(x: np.ndarray, depthwise: np.ndarray, pointwise: np.ndarr
                        transform: np.ndarray, caps: CapsuleConfig,
                        lengths: Sequence[int] | None = None):
     """Separable convolution (per segment), primary capsules, routing and
-    flattened digits, as a branch helper that keeps the pre-squash
-    projection and rebuilds the primary capsules and depthwise output."""
+    flattened digits, as a branch helper whose backward keeps only the
+    routing's state: it rebuilds the depthwise output, the pre-squash
+    projection and the primary capsules from x with the forward's ops."""
     n, width = x.shape
     if caps.primary_count * caps.primary_dim != width:
         raise ShapeError(
             f"width {width} does not tile into {caps.primary_count} capsules "
             f"of dim {caps.primary_dim}")
-    convolved, _ = depthwise_conv1d(x, depthwise, lengths)
-    projected = (convolved @ pointwise).reshape(n, caps.primary_count, caps.primary_dim)
-    digits, routing_bw = dynamic_routing(_squash(projected)[0], transform,
+
+    def project(x):
+        convolved, conv_backward = depthwise_conv1d(x, depthwise, lengths)
+        projected = (convolved @ pointwise).reshape(n, caps.primary_count,
+                                                    caps.primary_dim)
+        return convolved, conv_backward, projected
+
+    digits, routing_bw = dynamic_routing(_squash(project(x)[2])[0], transform,
                                          caps.routing_iterations)
 
     def backward(g, x):
+        convolved, conv_backward, projected = project(x)
         primary, squash_grad = _squash(projected)
         dprimary, dtransform = routing_bw(g.reshape(n, caps.digit_count, -1), primary)
         dprojected = squash_grad(dprimary).reshape(n, width)
-        convolved, conv_backward = depthwise_conv1d(x, depthwise, lengths)
         dx, ddepthwise = conv_backward(dprojected @ pointwise.T)
         return dx, ddepthwise, convolved.T @ dprojected, dtransform
 
@@ -252,8 +258,9 @@ def multi_head_self_attention(x: np.ndarray, lengths: Sequence[int] | None,
     ``lengths`` splits the n rows into segments (None: one segment), and
     no token attends across a boundary.  One GEMM with [wq | wk | wv]
     projects; each segment is a dense [h, n_s, n_s] block over [h, n, d_h]
-    views.  The backward keeps no block and no attended values: it
-    recomputes both, one segment at a time, with the forward's own ops.
+    views.  The backward keeps no projection, no block and no attended
+    values: it recomputes the projection from x and then the blocks and
+    attended values, one segment at a time, with the forward's own ops.
     """
     n, d = x.shape
     if d % num_heads:
@@ -268,10 +275,7 @@ def multi_head_self_attention(x: np.ndarray, lengths: Sequence[int] | None,
     def heads(a: np.ndarray) -> np.ndarray:   # [n, c*d] -> [c, h, n, d_h]
         return a.reshape(n, -1, num_heads, head_dim).transpose(1, 2, 0, 3)
 
-    qkv = x @ w_qkv()
-    qh, kh, vh = heads(qkv)
-
-    def probabilities(seg: slice) -> np.ndarray:
+    def probabilities(qh: np.ndarray, kh: np.ndarray, seg: slice) -> np.ndarray:
         # Softmax in place in one [h, n_s, n_s] buffer: large temporaries
         # cost page faults at passage lengths.
         probs = np.matmul(qh[:, seg], kh[:, seg].transpose(0, 2, 1))
@@ -281,13 +285,18 @@ def multi_head_self_attention(x: np.ndarray, lengths: Sequence[int] | None,
         probs /= probs.sum(axis=-1, keepdims=True)
         return probs
 
+    qkv = x @ w_qkv()
+    qh, kh, vh = heads(qkv)
     attended = np.empty((n, d), dtype=qkv.dtype)
     attended_h = heads(attended)[0]
     for start, stop in bounds:
         seg = slice(start, stop)
-        np.matmul(probabilities(seg), vh[:, seg], out=attended_h[:, seg])
+        np.matmul(probabilities(qh, kh, seg), vh[:, seg], out=attended_h[:, seg])
 
     def backward(g, x):
+        w = w_qkv()
+        qkv = x @ w
+        qh, kh, vh = heads(qkv)
         gh = heads(g @ wo.T)[0]
         attended = np.empty((n, d), dtype=qkv.dtype)
         attended_h = heads(attended)[0]
@@ -295,7 +304,7 @@ def multi_head_self_attention(x: np.ndarray, lengths: Sequence[int] | None,
         dq_h, dk_h, dv_h = heads(dqkv)
         for start, stop in bounds:
             seg = slice(start, stop)
-            probs = probabilities(seg)
+            probs = probabilities(qh, kh, seg)
             np.matmul(probs, vh[:, seg], out=attended_h[:, seg])
             np.matmul(probs.transpose(0, 2, 1), gh[:, seg], out=dv_h[:, seg])
             # dS = A * (dA - sum(dA * A)), built in the dA buffer.
@@ -306,7 +315,7 @@ def multi_head_self_attention(x: np.ndarray, lengths: Sequence[int] | None,
             np.matmul(ds.transpose(0, 2, 1), qh[:, seg], out=dk_h[:, seg])
         dqkv[:, :2 * d] *= scale
         dw = x.T @ dqkv
-        return (dqkv @ w_qkv().T, dw[:, :d], dw[:, d:2 * d], dw[:, 2 * d:],
+        return (dqkv @ w.T, dw[:, :d], dw[:, d:2 * d], dw[:, 2 * d:],
                 attended.T @ g)
 
     return attended @ wo, backward
@@ -314,11 +323,17 @@ def multi_head_self_attention(x: np.ndarray, lengths: Sequence[int] | None,
 
 def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
                  b2: np.ndarray):
-    """relu(x w1 + b1) w2 + b2 as a branch helper that keeps only the
-    hidden activation; the ReLU gradient passes where it is positive."""
-    hidden = np.maximum(x @ w1 + b1, 0.0)
+    """relu(x w1 + b1) w2 + b2 as a branch helper that keeps no
+    activation: its backward rebuilds the hidden activation from x with
+    the forward's ops.  The ReLU gradient passes where it is positive."""
+
+    def activate(x):
+        return np.maximum(x @ w1 + b1, 0.0)
+
+    hidden = activate(x)
 
     def backward(g, x):
+        hidden = activate(x)
         dpre = (g @ w2.T) * (hidden > 0)
         return (dpre @ w1.T, x.T @ dpre, dpre.sum(axis=0),
                 hidden.T @ g, g.sum(axis=0))

@@ -272,6 +272,9 @@ class Model:
                 x, None, self.store, "provider.enc", num_heads=2,
                 block=self._provider_block(), caps=self.config.capsules,
                 collect_blocks=True)]
+        # Every later hit returns these very arrays, so no caller may write into them.
+        for layer in layers:
+            layer.setflags(write=False)
         self._provider_cache.put(key, layers, sum(layer.nbytes for layer in layers))
         return layers
 

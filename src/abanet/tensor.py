@@ -161,9 +161,14 @@ def record_op(name: str, out_data: np.ndarray, parents: Sequence[Tensor],
     parent; other modules define their own primitives through this hook.
     A backward keeps only what it reads and recomputes what is cheap: a
     value rebuilt from the parents, which stay on the tape anyway, with the
-    forward's own ops (normalised rows, a padded input, attention
-    probabilities) costs no memory and gives the same bits; a dropout mask
-    is kept as bools, not as its float scale.
+    forward's own ops costs no memory and gives the same bits.  The
+    encoder's sublayer records rebuild the normalised rows, the padded and
+    convolved input, the capsule projection, the attention projection and
+    probabilities, and the feed-forward hidden activation; ``char_cnn``
+    gathers its character windows again.  What stays costs more to rebuild
+    than to keep: routing's couplings and final s, a max-pool's positions,
+    a layer norm's mean and std, and a dropout mask, kept as bools rather
+    than as its float scale.
     """
     out = Tensor(out_data)
     if _ACTIVE_TAPE is not None:

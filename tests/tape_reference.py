@@ -7,10 +7,11 @@ sublayer and ``batch_loss`` records and ``segment_softmax`` replaced;
 each of the encoder's numpy helpers recorded as a tape op of its own; the
 op chains that the embedding tier's fused records and the encoder's
 ``capsule`` and ``self_attention`` branches replaced; and the
-keep-everything records that the encoder's lean records replaced, among
-them the ``layer_norm`` → branch → residual sublayer that one record per
-sublayer replaced.  Every op here is built on ``record_op``, so it records
-on the same tape as the package's own primitives.
+keep-everything records that the encoder's and the char CNN's lean
+records replaced, among them the ``layer_norm`` → branch → residual
+sublayer that one record per sublayer replaced.  Every op here is built
+on ``record_op``, so it records on the same tape as the package's own
+primitives.
 """
 
 from __future__ import annotations
@@ -426,7 +427,8 @@ def chain_self_attention(x: Tensor, lengths: Sequence[int] | None,
 
 
 # ---------------------------------------------------------------------------
-# The keep-everything records the encoder's lean records replaced
+# The keep-everything records the encoder's and the char CNN's lean records
+# replaced
 # ---------------------------------------------------------------------------
 # Each keeps every array its forward made, as the package did before its
 # backwards kept only what they read.  They draw from the rng in the same
@@ -545,6 +547,30 @@ def keep_all_self_attention(x: Tensor, lengths: Sequence[int] | None,
                 attended.T @ g)
 
     return record_op("self_attention", attended @ wo.data, (x, wq, wk, wv, wo), bw)
+
+
+def keep_all_embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
+                         *, kernel: int) -> Tensor:
+    """``embedding.embed_chars`` whose backward keeps the gathered
+    [n * positions, kernel * char_dim] windows."""
+    n, c_max = char_ids.shape
+    positions = c_max - kernel + 1
+    d_char = filters.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(char_ids, kernel, axis=1)
+    stacked = char_table.data[windows].reshape(n * positions, -1)
+    per_word = (stacked @ filters.data).reshape(n, positions, d_char)
+    first_max = per_word.argmax(axis=1)[:, None, :]
+
+    def bw(g):
+        d_act = np.zeros((n, positions, d_char), dtype=g.dtype)
+        np.put_along_axis(d_act, first_max, g[:, None, :], axis=1)
+        d_act = d_act.reshape(n * positions, d_char)
+        d_table = np.zeros_like(char_table.data)
+        np.add.at(d_table, windows,
+                  (d_act @ filters.data.T).reshape(*windows.shape, -1))
+        return d_table, stacked.T @ d_act
+
+    return record_op("char_cnn", per_word.max(axis=1), (char_table, filters), bw)
 
 
 def chain_feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,

@@ -4,11 +4,13 @@ Every lean record is checked against the keep-everything record it
 replaced (tests/tape_reference.py): outputs and every gradient must be
 equal bit for bit, over packs that include a 1-token segment, in float64
 and float32.  Whole encoder stacks and whole training steps built from the
-references must match too, and the live tape of a paper-profile training
+references must match too.  The arrays each record's backward keeps are
+counted at paper widths, and the live tape of a paper-profile training
 forward must stay under a fixed byte bound.
 """
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ import abanet.encoder as encoder
 import abanet.model as model_module
 from abanet.config import PROFILES, EncoderBlockConfig
 from abanet.data import Example, build_vocabs, gen_synthetic
-from abanet.encoder import residual_sublayer, run_encoder_stack
+from abanet.embedding import embed_chars
+from abanet.encoder import build_encoder_stack, residual_sublayer, run_encoder_stack
 from abanet.model import Adam, Model, train_step
 from abanet.params import ParamStore
 from abanet.tensor import (
@@ -34,6 +37,7 @@ from tape_reference import (
     keep_all_branch,
     keep_all_depthwise_conv1d,
     keep_all_dropout,
+    keep_all_embed_chars,
     keep_all_layer_norm,
     keep_all_residual_sublayer,
     keep_all_self_attention,
@@ -116,6 +120,18 @@ class TestRecordsMatchKeepAll:
         inputs = tensors(rng, dtype, (N, 6), (6, 10), (10,), (10, 6), (6,))
         assert_same(run(lambda: feed_forward(*inputs), inputs, 3),
                     run(lambda: chain_feed_forward(*inputs), inputs, 3), dtype)
+
+    def test_char_cnn(self, dtype):
+        """Over random character ids, with an all-PAD word whose window
+        positions tie for every maximum."""
+        rng = np.random.default_rng(7)
+        char_ids = rng.integers(0, 9, size=(N, 6))
+        char_ids[3] = 1
+        inputs = tensors(rng, dtype, (9, 4), (3 * 4, 5))
+        assert_same(run(lambda: embed_chars(char_ids, *inputs, kernel=3), inputs, 7),
+                    run(lambda: keep_all_embed_chars(char_ids, *inputs, kernel=3),
+                        inputs, 7),
+                    dtype)
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_dropout(self, dtype, rate):
@@ -214,6 +230,95 @@ def test_training_and_predict_match_keep_all(monkeypatch, profile):
     assert spans == want_spans
 
 
+def base_array(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory, through views and strided windows."""
+    owner = a
+    while getattr(a, "base", None) is not None:
+        a = a.base
+        if isinstance(a, np.ndarray):
+            owner = a
+    return owner
+
+
+def kept_arrays(record) -> list[np.ndarray]:
+    """The distinct base arrays that a tape record's backward reaches
+    through its closure cells, nested closures, Tensors, lists and tuples,
+    leaving out the arrays of the record's parents, which the tape keeps
+    anyway."""
+    _, _, parents, backward = record
+    parent_ids = {id(base_array(p.data)) for p in parents}
+    found, seen, todo = {}, set(), [backward]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = base_array(obj)
+            if id(base) not in parent_ids:
+                found[id(base)] = base
+        elif isinstance(obj, Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return list(found.values())
+
+
+# Bytes per token that each record's backward keeps at paper widths, in
+# float64.  The three sublayer records keep the layer norm's mean and std
+# and the bool dropout mask (144); the capsule record also keeps routing's
+# couplings, final s and squash scales (3,472 in all); char_cnn keeps its
+# int windows and each maximum's position (640).  Keeping the array each
+# one rebuilds added, per token, 3,072 for attention's qkv, 1,024 for the
+# capsule projection and for the feed-forward hidden activation, and 5,376
+# for the char windows.
+KEPT_BYTES_PER_TOKEN = {"capsule": 3472, "self_attention": 144,
+                        "feed_forward": 144, "char_cnn": 640}
+
+
+def test_records_keep_no_rebuildable_array():
+    """One paper-width block (one conv sublayer) over a 140-token pack of
+    two segments, with every sublayer kept and dropout on, and the paper
+    char CNN over 140 words."""
+    cfg = PROFILES["paper"]()
+    n, d, caps = 140, cfg.d, cfg.capsules
+    positions = cfg.max_word_len - cfg.char_kernel + 1
+    rng = np.random.default_rng(11)
+    store = ParamStore(np.float64)
+    block = EncoderBlockConfig(num_conv_layers=1, kernel=cfg.model_encoder.kernel,
+                               num_blocks=1)
+    build_encoder_stack(store, "enc", d=d, ffn_hidden=cfg.ffn_hidden, block=block,
+                        caps=caps, rng=rng)
+    x = Tensor(rng.normal(size=(n, d)))
+    with Tape() as tape:
+        run_encoder_stack(x, (60, 80), store, "enc", num_heads=cfg.num_heads,
+                          block=block, caps=caps, survival_end=1.0,
+                          dropout_rate=cfg.dropout_layer, training=True, rng=rng)
+        embed_chars(rng.integers(0, 40, size=(n, cfg.max_word_len)),
+                    Tensor(rng.normal(size=(40, cfg.char_emb_dim))),
+                    Tensor(rng.normal(size=(cfg.char_kernel * cfg.char_emb_dim,
+                                            cfg.char_out_dim))),
+                    kernel=cfg.char_kernel)
+    kept = {record[0]: kept_arrays(record) for record in tape._records
+            if record[0] in KEPT_BYTES_PER_TOKEN}
+    assert set(kept) == set(KEPT_BYTES_PER_TOKEN)
+
+    def floats(name):
+        return [a.shape for a in kept[name] if a.dtype.kind == "f"]
+
+    # No qkv, no hidden activation, no projection in either layout, and no
+    # gathered windows, whose base is [n, positions, kernel, char_dim].
+    assert not [s for s in floats("self_attention") if s[-1] == 3 * d]
+    assert (n, cfg.ffn_hidden) not in floats("feed_forward")
+    assert not {(n, d), (n, caps.primary_count, caps.primary_dim)} & set(floats("capsule"))
+    assert not [s for s in floats("char_cnn") if s[:2] == (n, positions)
+                or s[0] == n * positions]
+    for name, arrays in kept.items():
+        assert sum(a.nbytes for a in arrays) <= n * KEPT_BYTES_PER_TOKEN[name], name
+
+
 # Live bytes that a paper float64 training forward leaves behind for the
 # pack below, measured with tracemalloc: 210.8 MB with the keep-everything
 # records, 132.7 MB with lean records under the six-record capsule chain
@@ -222,9 +327,15 @@ def test_training_and_predict_match_keep_all(monkeypatch, profile):
 # with one record per sublayer.  Putting back, in that layout, the primary
 # capsules or the depthwise output in the capsule record reads 93.9 MB;
 # the layer norm's output in the sublayer record, 99.9 MB; the [h, n_s,
-# n_s] probabilities in the attention record, 110.7 MB.  The bound lies
-# between the lean figure and all of those.
-TAPE_BOUND_MB = 90.5
+# n_s] probabilities in the attention record, 110.7 MB.  Rebuilding in the
+# backward attention's qkv, the capsule projection, the feed-forward hidden
+# activation and the char windows brings it to 65.7 MB.  Putting back one
+# of them reads 75.3 MB for qkv, 72.9 MB for the capsule projection,
+# 68.4 MB for the hidden activation and 67.1 MB for the char windows.  Run
+# after other tests, which leave positional tables cached, each figure
+# reads about 0.3 MB less (65.3 MB lean, 66.8 MB with the char windows).
+# The bound lies between the lean figure and all of those in either case.
+TAPE_BOUND_MB = 66.5
 
 
 def memory_pack():

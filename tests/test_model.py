@@ -315,6 +315,19 @@ class TestProviderCache:
                              strict=True):
             np.testing.assert_array_equal(got, want)
 
+    def test_cached_layers_are_read_only(self):
+        """Writing into a returned layer raises, so the next hit returns
+        the values the provider computed."""
+        layers = self.model.provider.run(self.keys[0])
+        want = [layer.copy() for layer in layers]
+        for layer in layers:
+            with pytest.raises(ValueError, match="read-only"):
+                layer[0, 0] = 1e3
+        again = self.model.provider.run(self.keys[0])
+        assert again is layers
+        for got, expected in zip(again, want, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
     def test_invalidate_empties(self):
         """A rebound frozen array empties the cache at its next lookup."""
         cache = self.model._provider_cache
