@@ -18,9 +18,7 @@ from .tensor import (
     Tensor,
     _sigmoid,
     concat,
-    matmul,
     record_op,
-    reshape,
     segment_bounds,
 )
 
@@ -302,12 +300,11 @@ class ContextualProvider:
 
     ``run`` maps expanded token ids of length T to a list of L arrays of
     shape [T x width]; the model's provider caches them and returns them
-    read-only.  The provider's own weights are frozen; only the
-    downstream mixture weights train.
+    read-only.  L and the width are read off the layers ``run`` returns.
+    The provider's own weights are frozen; only the downstream mixture
+    weights train.
     """
 
-    num_layers: int
-    width: int
     run: Callable[[np.ndarray], list[np.ndarray]]
 
 
@@ -322,10 +319,11 @@ def contextual_mix(provider: ContextualProvider, token_ids: np.ndarray,
     the pack (``lengths``, None for one segment) on the segment's ids,
     each repeated its count times.  Each word's sub-token hidden states
     are averaged back to one row, and then all layers are combined over
-    the whole pack with weights theta (one scalar per layer).
+    the whole pack with weights theta (one scalar per layer), as one
+    ``contextual_mix`` record whose only parent is theta: the pooled
+    layers are a constant, so no gradient is formed for them.
     """
     n = token_ids.shape[0]
-    count = provider.num_layers
     pooled = []
     for start, stop in segment_bounds(lengths, n):
         counts = subtoken_counts[start:stop]
@@ -336,8 +334,9 @@ def contextual_mix(provider: ContextualProvider, token_ids: np.ndarray,
         pooled.append(np.stack([
             np.add.reduceat(layer, starts, axis=0) / counts.astype(layer.dtype)[:, None]
             for layer in layers]))
-    # A constant [L, n*w] in theta's width: the provider is frozen.
-    pooled = Tensor(np.concatenate(pooled, axis=1).reshape(count, n * provider.width),
-                    dtype=theta.data.dtype)
-    mixed = matmul(reshape(theta, (1, count)), pooled)
-    return reshape(mixed, (n, provider.width))
+    pooled = np.concatenate(pooled, axis=1)        # [L, n, w]
+    count, _, width = pooled.shape
+    pooled2d = pooled.reshape(count, n * width).astype(theta.data.dtype, copy=False)
+    return record_op(
+        "contextual_mix", (theta.data.reshape(1, -1) @ pooled2d).reshape(n, width),
+        (theta,), lambda g: ((g.reshape(1, -1) @ pooled2d.T).reshape(theta.shape),))

@@ -10,7 +10,6 @@ forward and one backward.
 
 from __future__ import annotations
 
-import gc
 import math
 import weakref
 from collections import OrderedDict
@@ -78,7 +77,6 @@ class ForwardResult:
     p_begin: Tensor                # [N], a distribution per passage segment
     p_end: Tensor
     p_lengths: tuple[int, ...]     # passage segment lengths, one per example
-    q_lengths: tuple[int, ...]
     selected_levels: tuple[int, ...]
 
 
@@ -159,9 +157,7 @@ class Model:
             CACHE_BYTES)
         self._passage_cache = _LRUCache(
             [tensor for _, tensor in self.store.items()], CACHE_BYTES)
-        self.provider = ContextualProvider(
-            num_layers=config.provider_layers, width=config.provider_width,
-            run=self._provider_run)
+        self.provider = ContextualProvider(run=self._provider_run)
 
     # -- parameters ---------------------------------------------------------
 
@@ -424,7 +420,7 @@ class Model:
         p_begin, p_end = span_logits(*passes, store.get("span.w1"),
                                      store.get("span.w2"), p_lengths)
         return ForwardResult(p_begin=p_begin, p_end=p_end, p_lengths=p_lengths,
-                             q_lengths=q_lengths, selected_levels=levels)
+                             selected_levels=levels)
 
     # -- inference ------------------------------------------------------------
 
@@ -493,31 +489,23 @@ def span_nll(p_begin: Tensor, p_end: Tensor, begin_gold, end_gold,
     return record_op("span_nll", out, (p_begin, p_end), bw)
 
 
-def l2_penalty(store: ParamStore, decay: float) -> Tensor | None:
-    """decay * sum of squared trainable weights, as one tape record."""
-    weights = [tensor for _, tensor in store.trainable()]
-    if decay <= 0.0 or not weights:
-        return None
-    total = sum((w.data * w.data).sum() for w in weights)
-    out = np.asarray(weights[0].data.dtype.type(decay) * total)
-    return record_op("l2_penalty", out, weights, lambda g: tuple(
-        2.0 * decay * g * w.data for w in weights))
-
-
 def batch_loss(nlls: Tensor, store: ParamStore | None = None,
                decay: float = 0.0) -> Tensor:
-    """Mean over the [B] example losses plus the L2 weight-decay term, as
-    one ``batch_loss`` record whose parents are the losses and the penalty."""
+    """Mean over the [B] example losses plus the L2 weight-decay term
+    ``decay * sum of squared trainable weights``, as one ``batch_loss``
+    record whose parents are the losses and, when ``store`` is given and
+    ``decay`` is positive, the trainable weights."""
     if nlls.ndim != 1 or nlls.shape[0] == 0:
         raise DataError(f"batch_loss needs a nonempty [B] vector, got {nlls.shape}")
     inverse = np.asarray(1.0 / nlls.shape[0], dtype=nlls.data.dtype)
     out = nlls.data.sum() * inverse
-    parents = (nlls,)
-    penalty = None if store is None else l2_penalty(store, decay)
-    if penalty is not None:
-        out, parents = out + penalty.data, (nlls, penalty)
-    return record_op("batch_loss", out, parents,
-                     lambda g: (np.full(nlls.shape, g * inverse), g)[:len(parents)])
+    weights = [] if store is None or decay <= 0.0 else [
+        tensor for _, tensor in store.trainable()]
+    if weights:
+        total = sum((w.data * w.data).sum() for w in weights)
+        out = out + np.asarray(weights[0].data.dtype.type(decay) * total)
+    return record_op("batch_loss", out, (nlls, *weights), lambda g: (
+        np.full(nlls.shape, g * inverse), *(2.0 * decay * g * w.data for w in weights)))
 
 
 def decode_span(p_begin: np.ndarray, p_end: np.ndarray, max_len: int,
@@ -609,36 +597,27 @@ def train_step(model: Model, batch: list[Example], optimizer: Adam,
     """One optimization step on a batch; returns the pre-update batch loss.
 
     The batch runs as one pack: one forward, one loss (the mean over its
-    examples plus weight decay) and one backward.  Automatic garbage
-    collection is suspended for the step: the live tape holds hundreds of
-    thousands of objects, none of them in a reference cycle, so a full
-    collection would scan them all and free nothing.
+    examples plus weight decay) and one backward.
     """
     if not batch:
         raise DataError("train_step needs a nonempty batch")
     store = model.store
     store.zero_grads()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with Tape() as tape:
-            result = model.forward(batch, training=True, rng=rng)
-            nlls = span_nll(result.p_begin, result.p_end,
-                            [e.answer_begin for e in batch],
-                            [e.answer_end for e in batch], result.p_lengths)
-            loss = batch_loss(nlls, store, model.config.l2_decay)
-        if not np.isfinite(loss.data):
-            culprit = tape.first_nonfinite() or "loss"
-            raise NumericsError(
-                f"non-finite loss at optimizer step {optimizer.step_count + 1}; "
-                f"first non-finite tensor: {culprit}")
-        backward(tape, loss, store)
-        del tape    # free the records before the update allocates
-        optimizer.step()
-        return float(loss.data)
-    finally:
-        if was_enabled:
-            gc.enable()
+    with Tape() as tape:
+        result = model.forward(batch, training=True, rng=rng)
+        nlls = span_nll(result.p_begin, result.p_end,
+                        [e.answer_begin for e in batch],
+                        [e.answer_end for e in batch], result.p_lengths)
+        loss = batch_loss(nlls, store, model.config.l2_decay)
+    if not np.isfinite(loss.data):
+        culprit = tape.first_nonfinite() or "loss"
+        raise NumericsError(
+            f"non-finite loss at optimizer step {optimizer.step_count + 1}; "
+            f"first non-finite tensor: {culprit}")
+    backward(tape, loss, store)
+    del tape    # free the records before the update allocates
+    optimizer.step()
+    return float(loss.data)
 
 
 def evaluate(model: Model, examples: list[Example]) -> dict[str, float]:

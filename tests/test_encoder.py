@@ -19,7 +19,7 @@ from abanet.encoder import (
     survival_probability,
 )
 from abanet.errors import ConfigError, ShapeError
-from abanet.model import Model, l2_penalty
+from abanet.model import Model, batch_loss
 from abanet.params import ParamStore
 from abanet.tensor import (
     Tape,
@@ -595,6 +595,7 @@ class TestFloat32:
         decayed = ParamStore(np.float32)
         weights = [decayed.register(f"w{i}", f32(rng.normal(size=shape)))
                    for i, shape in enumerate(((3, 8), (8,)))]
+        nlls = f32(rng.random(4))
         cases = {
             "layer_norm": (lambda: layer_norm(x, gain, bias), (x, gain, bias)),
             "squash": (lambda: squash(primary), (primary,)),
@@ -608,7 +609,7 @@ class TestFloat32:
                 (x, *attn)),
             "stack": (lambda: stack([x, dw]), (x, dw)),
             "select_top3": (lambda: select_top3(hos, alpha)[0], (hos, alpha)),
-            "l2_penalty": (lambda: l2_penalty(decayed, 3e-7), weights),
+            "batch_loss": (lambda: batch_loss(nlls, decayed, 3e-7), (nlls, *weights)),
         }
         for name, (op, inputs) in cases.items():
             with Tape() as tape:

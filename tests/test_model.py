@@ -4,10 +4,10 @@ model, models of both widths in one process, the provider and passage caches,
 the rebind-only parameter contract, full-model gradients, the Adam update
 and its moments created on first use, the freeing backward sweep, the
 update reading the sweep's gradients after the tape is freed, the
-training step's garbage-collection state, determinism and learning, the
-one-record weight decay and batch loss, the passage-length check of a
-forward, the record names a training tape may hold, and the model without
-level mixing."""
+training step's non-finite-loss check and its cyclic garbage, determinism
+and learning, the one batch_loss record with its weight decay, the
+passage-length check of a forward, the record names and census of a
+training tape, and the model without level mixing."""
 
 import ast
 import dataclasses
@@ -32,7 +32,6 @@ from abanet.model import (
     batch_loss,
     decode_span,
     fit,
-    l2_penalty,
     span_logits,
     span_nll,
     train_step,
@@ -650,17 +649,30 @@ class TestRebindOnly:
 
 def test_frozen_provider_stays_off_the_training_tape():
     """A cache miss in training mode records nothing that reads a frozen
-    parameter; the provider's layers enter the tape as constants."""
+    parameter; each side's mix is one record over theta alone, so the
+    sweep forms no gradient for the pooled [L, n*w] provider layers."""
     model, examples = mini_model()
     assert not model._provider_cache.entries
     frozen = {id(t) for _, t in model.store.items()}
     frozen -= {id(t) for _, t in model.store.trainable()}
+    pack = examples[:1]
     with Tape() as tape:
-        model.forward(examples[:1], training=True, rng=np.random.default_rng(0))
+        result = model.forward(pack, training=True, rng=np.random.default_rng(0))
+        loss = batch_loss(span_nll(result.p_begin, result.p_end,
+                                   [e.answer_begin for e in pack],
+                                   [e.answer_end for e in pack], result.p_lengths))
     assert model._provider_cache.entries
     leaks = [name for name, _, parents, _ in tape._records
              if any(id(p) in frozen for p in parents)]
     assert not leaks, leaks[:5]
+    theta = model.store.get("theta")
+    mixes = [parents for name, _, parents, _ in tape._records if name == "contextual_mix"]
+    assert len(mixes) == 2 and all(parents == (theta,) for parents in mixes)
+    config = model.config
+    pooled = {(config.provider_layers, len(rows) * config.provider_width)
+              for e in pack for rows in (e.passage, e.question)}
+    shapes = [g.shape for g in tape.gradients(loss).values()]
+    assert not pooled & set(shapes), shapes
 
 
 def test_question_tokens_leave_tag_zero_rows_untrained():
@@ -682,13 +694,13 @@ def test_question_tokens_leave_tag_zero_rows_untrained():
         np.testing.assert_array_equal(grad[0], 0.0, table)
 
 
-# Every record name a model tape may hold: the tape ops of tensor.py
-# (``sum`` is reduce_sum) and the fused records of the layers.
+# Every record name a model tape may hold: the tape ops of tensor.py and
+# the fused records of the layers.
 TAPE_OPS = {"add_const", "matmul", "reshape", "concat", "stack", "dropout",
             "segment_softmax"}
-FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "capsule",
-                 "self_attention", "feed_forward", "select_top3",
-                 "bidirectional_attention", "span_nll", "l2_penalty", "batch_loss"}
+FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "contextual_mix",
+                 "capsule", "self_attention", "feed_forward", "select_top3",
+                 "bidirectional_attention", "span_nll", "batch_loss"}
 
 
 def package_record_names():
@@ -739,6 +751,35 @@ def test_train_step_tape_holds_only_the_package_vocabulary(monkeypatch):
                     for name, count in (("highway", 2), ("char_cnn", 1))})
     want[("features", p_rows)] = 1
     assert tier == want
+
+
+# The record census of a packed mini train step on ten copy-locate examples
+# with no skipped sublayer: a later fold, or an op chain creeping back,
+# shows up here as one changed count.
+MINI_STEP_CENSUS = {
+    "add_const": 5, "batch_loss": 1, "bidirectional_attention": 1, "capsule": 5,
+    "char_cnn": 2, "concat": 8, "contextual_mix": 2, "dropout": 4, "features": 1,
+    "feed_forward": 5, "highway": 4, "lstm": 4, "matmul": 19, "reshape": 6,
+    "segment_softmax": 4, "select_top3": 2, "self_attention": 5, "span_nll": 1,
+    "stack": 2,
+}
+
+
+def test_mini_train_step_record_census(monkeypatch):
+    config = dataclasses.replace(mini_profile(), survival_end=1.0)
+    examples = gen_synthetic("copy-locate", 10, 0)
+    model = Model(config, *build_vocabs(examples), seed=0)
+    censuses = []
+    backward = model_module.backward
+
+    def counted(tape, *args, **kwargs):
+        censuses.append(Counter(name for name, _, _, _ in tape._records))
+        return backward(tape, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "backward", counted)
+    train_step(model, examples, Adam(model.store, 1e-3), np.random.default_rng(0))
+    assert censuses == [Counter(MINI_STEP_CENSUS)]
+    assert sum(MINI_STEP_CENSUS.values()) == 81
 
 
 @pytest.mark.parametrize("selected", [(0, 1, 2), (3, 4, 5)])
@@ -1016,29 +1057,32 @@ def test_update_reads_the_sweep_gradients_after_the_tape_is_freed(monkeypatch):
         assert grad.tobytes() == before, name
 
 
-class TestTrainStepGarbageCollection:
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_state_restored(self, enabled, fails):
-        """Also after a NumericsError, and when collection started disabled."""
-        model, examples = mini_model()
-        if fails:
-            model.store.get("span.w1").data = np.full((2 * model.config.d, 1), np.nan)
-        optimizer = Adam(model.store, 1e-3)
-        was = gc.isenabled()
-        try:
-            (gc.enable if enabled else gc.disable)()
-            if fails:
-                with pytest.raises(NumericsError, match="non-finite loss"):
-                    train_step(model, examples[:2], optimizer,
-                               np.random.default_rng(0))
-            else:
-                train_step(model, examples[:2], optimizer, np.random.default_rng(0))
-            assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if was else gc.disable)()
+def test_non_finite_loss_raises_before_any_update():
+    """A NaN span weight makes the step raise NumericsError naming the
+    first non-finite record, the begin logits' matmul, and leaves the step
+    count, every parameter, every grad slot and Adam's (absent) moments as
+    they were."""
+    model, examples = mini_model()
+    pack = examples[:2]
+    model.store.get("span.w1").data = np.full((2 * model.config.d, 1), np.nan)
+    arrays = {name: tensor.data for name, tensor in model.store.items()}
+    optimizer = Adam(model.store, 1e-3)
+    rows = sum(len(e.passage) for e in pack)
+    with pytest.raises(NumericsError, match=(
+            r"non-finite loss at optimizer step 1; "
+            rf"first non-finite tensor: matmul\[{rows}, 1\]$")):
+        train_step(model, pack, optimizer, np.random.default_rng(0))
+    assert optimizer.step_count == 0
+    assert not optimizer._m and not optimizer._v
+    for name, tensor in model.store.items():
+        assert tensor.data is arrays[name], name
+        assert tensor.grad is None, name
 
+
+class TestTrainStepGarbageCollection:
     def test_step_leaves_no_cyclic_garbage(self):
+        """A step, run with automatic collection on, leaves no reference
+        cycle for a later collection to free."""
         model, examples = mini_model()
         optimizer = Adam(model.store, 1e-3)
         rng = np.random.default_rng(0)
@@ -1084,7 +1128,8 @@ def test_fit_learns_marker_span():
 
 
 def chain_l2_penalty(store, decay):
-    """The per-parameter mul/sum/add chain that the one-record penalty replaced."""
+    """The per-parameter mul/sum/add chain that the L2 term of the one
+    ``batch_loss`` record replaced."""
     total = None
     for _, tensor in store.trainable():
         term = reduce_sum(mul(tensor, tensor))
@@ -1092,38 +1137,21 @@ def chain_l2_penalty(store, decay):
     return mul_const(total, decay)
 
 
-def test_l2_penalty_is_one_record_matching_the_chain():
-    """Value and every trainable gradient match the chain; frozen provider
-    weights stay out; no decay means no term."""
-    model, _ = mini_model()
-    store = model.store
-    results = []
-    for penalty in (l2_penalty, chain_l2_penalty):
-        with Tape() as tape:
-            value = penalty(store, 3e-4)
-        results.append((value.data, tape.gradients(value), len(tape)))
-    (value, grads, records), (ref_value, ref_grads, _) = results
-    assert records == 1
-    np.testing.assert_allclose(value, ref_value, rtol=1e-12)
-    trainable = {id(t) for _, t in store.trainable()}
-    assert set(grads) == trainable
-    for key in trainable:
-        np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12, atol=0.0)
-    assert l2_penalty(store, 0.0) is None
-
-
 def chain_batch_loss(nlls, store=None, decay=0.0):
     """The sum/scale/add chain that the one batch_loss record replaced."""
     loss = mul_const(reduce_sum(nlls), 1.0 / nlls.shape[0])
-    penalty = None if store is None else l2_penalty(store, decay)
-    return loss if penalty is None else add(loss, penalty)
+    if store is None or decay <= 0.0:
+        return loss
+    return add(loss, chain_l2_penalty(store, decay))
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("with_store,decay", [(False, 0.0), (True, 0.0), (True, 3e-4)])
 def test_batch_loss_is_one_record_equal_to_the_chain(dtype, with_store, decay):
-    """Value and the gradients of the losses and of every weight equal the
-    chain's bit for bit, with and without a penalty."""
+    """One record whose parents are the losses and, with a positive decay,
+    every trainable weight.  The value and the gradients of the losses and
+    of every weight equal the chain's bit for bit, with and without a
+    penalty, and the frozen provider weights get no gradient."""
     config = dataclasses.replace(mini_profile(), dtype=dtype)
     examples = gen_synthetic("copy-locate", 4, 0)
     store = Model(config, *build_vocabs(examples)).store if with_store else None
@@ -1132,12 +1160,15 @@ def test_batch_loss_is_one_record_equal_to_the_chain(dtype, with_store, decay):
     for loss_of in (batch_loss, chain_batch_loss):
         with Tape() as tape:
             loss = loss_of(nlls, store, decay)
-        results.append((loss.data, tape.gradients(loss), tape._records[-1][0]))
-    (value, grads, name), (ref_value, ref_grads, _) = results
+        results.append((loss.data, tape.gradients(loss), tape._records))
+    (value, grads, records), (ref_value, ref_grads, _) = results
+    ((name, _, parents, _),) = records
     assert name == "batch_loss"
+    weights = [] if decay <= 0.0 else [t for _, t in store.trainable()]
+    assert parents == (nlls, *weights)
     assert value.dtype == ref_value.dtype == np.dtype(dtype)
     np.testing.assert_array_equal(value, ref_value)
-    assert grads.keys() == ref_grads.keys()
+    assert grads.keys() == ref_grads.keys() == {id(nlls)} | {id(w) for w in weights}
     for key, ref_grad in ref_grads.items():
         np.testing.assert_array_equal(grads[key], ref_grad)
 
