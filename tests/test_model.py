@@ -4,8 +4,9 @@ model, models of both widths in one process, the provider and passage caches,
 the rebind-only parameter contract, full-model gradients, the Adam update
 and its moments created on first use, the freeing backward sweep, the
 update reading the sweep's gradients after the tape is freed, the
-training step's non-finite-loss check and its cyclic garbage, determinism
-and learning, the one batch_loss record with its weight decay, the
+training step's non-finite-loss check, garbage-collection state and cyclic
+garbage, determinism and learning, the one batch_loss record with its
+weight decay matching the per-parameter chain, the
 passage-length check of a forward, the record names and census of a
 training tape, and the model without level mixing."""
 
@@ -1080,6 +1081,28 @@ def test_non_finite_loss_raises_before_any_update():
 
 
 class TestTrainStepGarbageCollection:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_state_restored(self, enabled, fails):
+        """A step leaves the collector as it found it, also after a
+        NumericsError, and when collection started disabled."""
+        model, examples = mini_model()
+        if fails:
+            model.store.get("span.w1").data = np.full((2 * model.config.d, 1), np.nan)
+        optimizer = Adam(model.store, 1e-3)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if fails:
+                with pytest.raises(NumericsError, match="non-finite loss"):
+                    train_step(model, examples[:2], optimizer,
+                               np.random.default_rng(0))
+            else:
+                train_step(model, examples[:2], optimizer, np.random.default_rng(0))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_step_leaves_no_cyclic_garbage(self):
         """A step, run with automatic collection on, leaves no reference
         cycle for a later collection to free."""
@@ -1135,6 +1158,31 @@ def chain_l2_penalty(store, decay):
         term = reduce_sum(mul(tensor, tensor))
         total = term if total is None else add(total, term)
     return mul_const(total, decay)
+
+
+def test_l2_penalty_is_one_record_matching_the_chain():
+    """The L2 term of batch_loss, over zero example losses: its value and
+    every trainable gradient match the per-parameter chain; frozen provider
+    weights stay out; no decay means no term."""
+    model, _ = mini_model()
+    store = model.store
+    nlls = Tensor(np.zeros(1))
+    with Tape() as tape:
+        value = batch_loss(nlls, store, 3e-4)
+    grads, records = tape.gradients(value), len(tape)
+    with Tape() as tape:
+        ref_value = chain_l2_penalty(store, 3e-4)
+    ref_grads = tape.gradients(ref_value)
+    assert records == 1
+    np.testing.assert_allclose(value.data, ref_value.data, rtol=1e-12)
+    trainable = {id(t) for _, t in store.trainable()}
+    assert set(grads) == trainable | {id(nlls)}
+    for key in trainable:
+        np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12, atol=0.0)
+    with Tape() as tape:
+        batch_loss(nlls, store, 0.0)
+    ((_, _, parents, _),) = tape._records
+    assert parents == (nlls,)
 
 
 def chain_batch_loss(nlls, store=None, decay=0.0):
