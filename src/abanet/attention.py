@@ -26,7 +26,6 @@ from .tensor import (
     reshape,
     segment_bounds,
     segment_softmax,
-    stack,
 )
 
 COMPONENT_NAMES = ("word", "char", "embed", "contextual", "block", "bilstm")
@@ -35,8 +34,10 @@ COMPONENT_NAMES = ("word", "char", "embed", "contextual", "block", "bilstm")
 def assemble_hos(raw: dict[str, Tensor], projections: dict[str, Tensor]) -> Tensor:
     """Project each named representation to the shared width; stack to [G, n, d].
 
+    One ``assemble_hos`` record over the six levels and their projections.
     Projections are bias-free, so a zero representation stays zero after
-    reconciliation.
+    reconciliation.  A level whose gradient is all zero (left out by
+    ``select_top3`` of an unmixed stack) sends none to its parents.
     """
     missing = [name for name in COMPONENT_NAMES if name not in raw]
     if missing:
@@ -44,15 +45,19 @@ def assemble_hos(raw: dict[str, Tensor], projections: dict[str, Tensor]) -> Tens
     lengths = {name: raw[name].shape[0] for name in COMPONENT_NAMES}
     if len(set(lengths.values())) != 1:
         raise ShapeError(f"component token counts disagree: {lengths}")
-    components = []
-    for name in COMPONENT_NAMES:
-        projection = projections[name]
-        if projection.shape[0] != raw[name].shape[1]:
+    pairs = [(raw[name], projections[name]) for name in COMPONENT_NAMES]
+    for name, (x, w) in zip(COMPONENT_NAMES, pairs):
+        if w.shape[0] != x.shape[1]:
             raise ShapeError(
-                f"projection for {name!r} expects width {projection.shape[0]}, "
-                f"component has {raw[name].shape[1]}")
-        components.append(matmul(raw[name], projection))
-    return stack(components)
+                f"projection for {name!r} expects width {w.shape[0]}, "
+                f"component has {x.shape[1]}")
+
+    def bw(g):
+        return [grad for (x, w), row in zip(pairs, g) for grad in
+                ((row @ w.data.T, x.data.T @ row) if row.any() else (None, None))]
+
+    return record_op("assemble_hos", np.stack([x.data @ w.data for x, w in pairs]),
+                     [t for pair in pairs for t in pair], bw)
 
 
 def adaptive_scale(hos: Tensor, mixing: Tensor) -> Tensor:
@@ -127,8 +132,6 @@ def bidirectional_attention(hos_p: Tensor, hos_q: Tensor, w: Tensor,
             f"{len(p_bounds)} passage segments but {len(q_bounds)} question segments")
     keep = None
     if training and dropout_rate > 0.0:
-        if rng is None:
-            raise ConfigError("training-mode bidirectional_attention needs an rng")
         keep = dropout_mask((n, m), dropout_rate, rng)
     dtype = hos_p.data.dtype
     w_p, w_q, w_pq = (w.data[k * width:(k + 1) * width] for k in range(3))

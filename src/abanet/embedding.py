@@ -18,6 +18,8 @@ from .tensor import (
     Tensor,
     _sigmoid,
     concat,
+    dropout_mask,
+    dropout_scale,
     record_op,
     segment_bounds,
 )
@@ -100,13 +102,19 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> np.ndarray:
     return ids
 
 
-def embed_words(ids: np.ndarray, table: Tensor) -> Tensor:
-    """Row lookup in the frozen word table: a constant, off the tape."""
-    return Tensor(table.data[_check_ids(ids, table.shape[0], "word")])
+def embed_words(ids: np.ndarray, table: Tensor, rate: float = 0.0,
+                rng: np.random.Generator | None = None) -> Tensor:
+    """Row lookup in the frozen word table, dropped out at ``rate``: a
+    constant, off the tape, so no gradient is formed for it."""
+    rows = table.data[_check_ids(ids, table.shape[0], "word")]
+    if rate > 0.0:
+        rows *= dropout_scale(dropout_mask(rows.shape, rate, rng), rate, rows.dtype)
+    return Tensor(rows)
 
 
 def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
-                *, kernel: int) -> Tensor:
+                *, kernel: int, rate: float = 0.0,
+                rng: np.random.Generator | None = None) -> Tensor:
     """Character embedding, 1-D valid convolution, max-pool per word
     (Kim et al. 2016).
 
@@ -114,9 +122,9 @@ def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
     filter count.  The convolution weight is [kernel*char_dim x d_char].
     One ``char_cnn`` record: the kernel-wide windows of every word are one
     row gather, the convolution one matmul, and the pooled gradient goes
-    to the first position holding each maximum.  The backward keeps the
-    int windows and each maximum's position, and gathers the windows'
-    float rows again rather than keeping them.
+    to the first position holding each maximum, then dropped out at
+    ``rate``.  The backward keeps the int windows, each maximum's position
+    and the bool mask, and gathers the windows' float rows again.
     """
     char_ids = _check_ids(char_ids, char_table.shape[0], "char")
     n, c_max = char_ids.shape
@@ -132,8 +140,14 @@ def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
 
     per_word = (stack() @ filters.data).reshape(n, positions, d_char)
     first_max = per_word.argmax(axis=1)[:, None, :]    # [n, 1, d_char]
+    pooled = per_word.max(axis=1)
+    kept = dropout_mask(pooled.shape, rate, rng) if rate > 0.0 else None
+    if kept is not None:
+        pooled *= dropout_scale(kept, rate, pooled.dtype)
 
     def bw(g):
+        if kept is not None:
+            g = g * dropout_scale(kept, rate, g.dtype)
         d_act = np.zeros((n, positions, d_char), dtype=g.dtype)
         np.put_along_axis(d_act, first_max, g[:, None, :], axis=1)
         d_act = d_act.reshape(n * positions, d_char)
@@ -142,7 +156,7 @@ def embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
                   (d_act @ filters.data.T).reshape(*windows.shape, -1))
         return d_table, stack().T @ d_act
 
-    return record_op("char_cnn", per_word.max(axis=1), (char_table, filters), bw)
+    return record_op("char_cnn", pooled, (char_table, filters), bw)
 
 
 def embed_features(pos_ids: np.ndarray, ner_ids: np.ndarray, rule_ids: np.ndarray,

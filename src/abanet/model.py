@@ -47,7 +47,6 @@ from .tensor import (
     Tensor,
     backward,
     concat,
-    dropout,
     matmul,
     no_grad,
     record_op,
@@ -290,13 +289,13 @@ class Model:
 
         ``tags`` are the POS, NER and rule ids; a side without them (the
         questions) gets a constant zero feature block, so it trains no
-        row of the tag tables.
+        row of the tag tables.  Training drops out the word lookup, then
+        the char CNN, each inside its layer.
         """
         cfg = self.config
         store = self.store
-        word = embed_words(ids, store.get("word.table"))
-        if training and cfg.dropout_word > 0.0:
-            word = dropout(word, cfg.dropout_word, rng)
+        word_rate, char_rate = (cfg.dropout_word, cfg.dropout_char) if training else (0, 0)
+        word = embed_words(ids, store.get("word.table"), word_rate, rng)
         if tags is None:
             features = Tensor(np.zeros((len(ids), cfg.feature_dim), dtype=store.dtype))
         else:
@@ -304,9 +303,8 @@ class Model:
                                       store.get("feat.ner"), store.get("feat.rule"))
         word_level = concat([word, features], axis=1)
         char_level = embed_chars(chars, store.get("char.table"),
-                                 store.get("char.filters"), kernel=cfg.char_kernel)
-        if training and cfg.dropout_char > 0.0:
-            char_level = dropout(char_level, cfg.dropout_char, rng)
+                                 store.get("char.filters"), kernel=cfg.char_kernel,
+                                 rate=char_rate, rng=rng)
         projected = matmul(concat([word_level, char_level], axis=1),
                            store.get("embed.proj"))
         layers = [tuple(store.get(f"highway.l{i}.{part}")

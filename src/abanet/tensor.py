@@ -5,9 +5,10 @@ active appends one record (output, parents, backward rule).  Records are
 appended in creation order, so a single reverse sweep is a valid
 topological traversal.  With no tape active the same functions evaluate
 eagerly with zero recording overhead, which is what evaluation mode uses.
-Besides this module's tape ops (``add_const``, ``matmul``, ``reshape``,
-``concat``, ``stack``, ``dropout`` and ``segment_softmax``) the layers
-record fused records of their own through ``record_op``.
+Besides this module's five tape ops (``add_const``, ``matmul``,
+``reshape``, ``concat`` and ``segment_softmax``) the layers record fused
+records of their own through ``record_op``; each dropout is drawn inside
+the record (or the constant word lookup) it scales.
 
 A tensor keeps the float width of the array it wraps; anything else
 (ints, bools, Python lists of numbers) becomes float64, and a constant
@@ -232,16 +233,6 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     return record_op("concat", out, parts, bw)
 
 
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equally shaped tensors along a new leading axis: [G, ...].
-
-    An all-zero row of the gradient goes back as None, so the sweep skips
-    the branch that produced that part.
-    """
-    return record_op("stack", np.stack([p.data for p in parts]), parts,
-                     lambda g: tuple(row if row.any() else None for row in g))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|x|.
 
@@ -253,11 +244,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float,
-                 rng: np.random.Generator) -> np.ndarray:
+                 rng: np.random.Generator | None) -> np.ndarray:
     """Which elements inverted dropout keeps: a bool array from one
     ``rng.random(shape)`` draw.  ``dropout_scale`` turns it into the scale."""
     if rate >= 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    if rng is None:
+        raise ConfigError(f"dropout at rate {rate} needs an rng")
     return rng.random(shape) < 1.0 - rate
 
 
@@ -268,16 +261,6 @@ def dropout_scale(kept: np.ndarray, rate: float, dtype) -> np.ndarray:
     rebuilds the scale from it.
     """
     return kept.astype(dtype) / (1.0 - rate)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
-    if rate <= 0.0:
-        return a
-    kept = dropout_mask(a.shape, rate, rng)
-    dtype = a.data.dtype
-    return record_op("dropout", a.data * dropout_scale(kept, rate, dtype), (a,),
-                     lambda g: (g * dropout_scale(kept, rate, dtype),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Reference code the tests check the package against.
 
-Finite-difference gradient checking; the small tape ops that only
-reference chains and tests use, among them the broadcasting ``add``,
-``mul_const``, ``reduce_sum`` and ``softmax`` that the package's fused
-sublayer and ``batch_loss`` records and ``segment_softmax`` replaced;
+Finite-difference gradient checking and ``tape_grads``; the small tape
+ops that only reference chains and tests use, among them the broadcasting
+``add``, ``mul_const``, ``reduce_sum`` and ``softmax`` that the package's
+fused sublayer and ``batch_loss`` records and ``segment_softmax``
+replaced, and the ``stack`` and ``dropout`` records that
+``assemble_hos``'s record and the masks drawn inside the layers replaced;
 each of the encoder's numpy helpers recorded as a tape op of its own; the
-op chains that the embedding tier's fused records and the encoder's
-``capsule`` and ``self_attention`` branches replaced; and the
+op chains that the embedding tier's fused records, ``assemble_hos`` and
+the encoder's ``capsule`` and ``self_attention`` branches replaced; and the
 keep-everything records that the encoder's and the char CNN's lean
 records replaced, among them the ``layer_norm`` → branch → residual
 sublayer that one record per sublayer replaced.  Every op here is built
@@ -24,6 +26,7 @@ import math
 import numpy as np
 
 import abanet.encoder as encoder
+from abanet.attention import COMPONENT_NAMES
 from abanet.config import CapsuleConfig
 from abanet.encoder import survival_probability
 from abanet.errors import ConfigError, ShapeError
@@ -33,6 +36,8 @@ from abanet.tensor import (
     Tensor,
     _sigmoid,
     concat,
+    dropout_mask,
+    dropout_scale,
     matmul,
     record_op,
     reshape,
@@ -124,6 +129,15 @@ def grad_check(f: Callable[[], Tensor], params: ParamStore, *,
         rel = relative_error(analytic, numeric, rel_floor)
         report[name] = float(rel.max()) if rel.size else 0.0
     return GradCheckReport(per_param=report, tolerance=tolerance)
+
+
+def tape_grads(build: Callable[[], Tensor], tensors: Sequence[Tensor]) -> list:
+    """Run ``build()`` under a tape and sweep back from its scalar result:
+    the gradient of each of ``tensors``, None where none reaches it."""
+    with Tape() as tape:
+        loss = build()
+    grads = tape.gradients(loss)
+    return [grads.get(id(t)) for t in tensors]
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +279,29 @@ def relu(a: Tensor) -> Tensor:
     return record_op("relu", out, (a,), lambda g: (g * (a.data > 0),))
 
 
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Stack equally shaped tensors along a new leading axis: [G, ...].
+
+    An all-zero row of the gradient goes back as None, so the sweep skips
+    the branch that produced that part.
+    """
+    return record_op("stack", np.stack([p.data for p in parts]), parts,
+                     lambda g: tuple(row if row.any() else None for row in g))
+
+
+def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout as a record of its own; identity when rate is 0."""
+    if rate <= 0.0:
+        return a
+    kept = dropout_mask(a.shape, rate, rng)
+    dtype = a.data.dtype
+    return record_op("dropout", a.data * dropout_scale(kept, rate, dtype), (a,),
+                     lambda g: (g * dropout_scale(kept, rate, dtype),))
+
+
 # ---------------------------------------------------------------------------
-# The op chains the embedding tier's fused records replaced
+# The op chains the embedding tier's and the HOS stack's fused records
+# replaced
 # ---------------------------------------------------------------------------
 
 def chain_embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
@@ -303,6 +338,12 @@ def chain_highway(x: Tensor,
         carry = sub(Tensor(1.0, dtype=g.data.dtype), g)
         out = add(mul(g, t), mul(carry, out))
     return out
+
+
+def chain_assemble_hos(raw: dict[str, Tensor],
+                       projections: dict[str, Tensor]) -> Tensor:
+    """``attention.assemble_hos`` as six ``matmul`` records and a ``stack``."""
+    return stack([matmul(raw[name], projections[name]) for name in COMPONENT_NAMES])
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +590,19 @@ def keep_all_self_attention(x: Tensor, lengths: Sequence[int] | None,
     return record_op("self_attention", attended @ wo.data, (x, wq, wk, wv, wo), bw)
 
 
+def keep_all_embed_words(ids: np.ndarray, table: Tensor, rate: float = 0.0,
+                         rng: np.random.Generator | None = None) -> Tensor:
+    """``embedding.embed_words`` as the lookup, then ``keep_all_dropout``
+    as a record of its own over that constant."""
+    return keep_all_dropout(Tensor(table.data[ids]), rate, rng)
+
+
 def keep_all_embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tensor,
-                         *, kernel: int) -> Tensor:
+                         *, kernel: int, rate: float = 0.0,
+                         rng: np.random.Generator | None = None) -> Tensor:
     """``embedding.embed_chars`` whose backward keeps the gathered
-    [n * positions, kernel * char_dim] windows."""
+    [n * positions, kernel * char_dim] windows, followed by
+    ``keep_all_dropout`` as a record of its own."""
     n, c_max = char_ids.shape
     positions = c_max - kernel + 1
     d_char = filters.shape[1]
@@ -570,7 +620,8 @@ def keep_all_embed_chars(char_ids: np.ndarray, char_table: Tensor, filters: Tens
                   (d_act @ filters.data.T).reshape(*windows.shape, -1))
         return d_table, stacked.T @ d_act
 
-    return record_op("char_cnn", per_word.max(axis=1), (char_table, filters), bw)
+    return keep_all_dropout(
+        record_op("char_cnn", per_word.max(axis=1), (char_table, filters), bw), rate, rng)
 
 
 def chain_feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,

@@ -34,14 +34,8 @@ from tape_reference import (
     sigmoid,
     slice_axis,
     tanh,
+    tape_grads,
 )
-
-
-def tape_grads(build, tensors):
-    with Tape() as tape:
-        loss = build()
-    grads = tape.gradients(loss)
-    return [grads.get(id(t)) for t in tensors]
 
 
 class TestVocabulary:
@@ -89,6 +83,21 @@ class TestEmbedWords:
 
         (g,) = tape_grads(build, [table])
         assert g is None
+
+    def test_dropout_records_nothing(self):
+        """Dropped-out rows are still a constant: no record, no gradient;
+        each element is 0 or twice the table's at rate 0.5."""
+        table = Tensor(np.random.default_rng(1).normal(size=(4, 50)))
+        with Tape() as tape:
+            out = embed_words(np.array([2, 3]), table, 0.5, np.random.default_rng(0))
+        assert len(tape) == 0
+        kept = out.data != 0.0
+        assert 0 < kept.sum() < kept.size
+        np.testing.assert_array_equal(out.data[kept], 2.0 * table.data[[2, 3]][kept])
+
+    def test_dropout_without_rng_rejected(self):
+        with pytest.raises(ConfigError, match="needs an rng"):
+            embed_words(np.array([0]), Tensor(np.ones((3, 2))), 0.1)
 
 
 def naive_char_cnn(char_ids, table, filters, kernel):
@@ -152,6 +161,32 @@ class TestEmbedChars:
             (g,) = tape_grads(build, [t])
             f = fd_gradient(build, t, 1e-5)
             np.testing.assert_allclose(g, f, atol=1e-6)
+
+    def test_dropout_gradient(self):
+        """At rate 0.3 with one mask (a fresh rng of the same seed on every
+        call) the backward scales the gradient by the mask first."""
+        rng = np.random.default_rng(9)
+        ids = rng.integers(0, 10, size=(5, 6))
+        w = rng.normal(size=(5, 6))
+
+        def chars():
+            return embed_chars(ids, self.table, self.filters, kernel=3, rate=0.3,
+                               rng=np.random.default_rng(4))
+
+        def build():
+            return reduce_sum(mul(chars(), Tensor(w)))
+
+        dropped = chars().data == 0.0
+        assert 0 < dropped.sum() < dropped.size
+        for t in (self.table, self.filters):
+            (g,) = tape_grads(build, [t])
+            f = fd_gradient(build, t, 1e-5)
+            np.testing.assert_allclose(g, f, atol=1e-6)
+
+    def test_dropout_without_rng_rejected(self):
+        with pytest.raises(ConfigError, match="needs an rng"):
+            embed_chars(np.zeros((1, 4), dtype=int), self.table, self.filters,
+                        kernel=3, rate=0.1)
 
 
 class TestEmbedFeatures:

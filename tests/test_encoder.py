@@ -28,7 +28,6 @@ from abanet.tensor import (
     concat,
     matmul,
     record_op,
-    stack,
 )
 
 from tape_reference import (
@@ -46,18 +45,13 @@ from tape_reference import (
     slice_axis,
     softmax,
     squash,
+    stack,
+    tape_grads,
     transpose,
 )
 
 MINI_BLOCK = EncoderBlockConfig(num_conv_layers=1, kernel=3, num_blocks=1)
 MINI_CAPS = CapsuleConfig(2, 4, 2, 4, 1)
-
-
-def tape_grads(build, tensors):
-    with Tape() as tape:
-        loss = build()
-    grads = tape.gradients(loss)
-    return [grads.get(id(t)) for t in tensors]
 
 
 class TestPositionalEncoding:

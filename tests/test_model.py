@@ -697,11 +697,10 @@ def test_question_tokens_leave_tag_zero_rows_untrained():
 
 # Every record name a model tape may hold: the tape ops of tensor.py and
 # the fused records of the layers.
-TAPE_OPS = {"add_const", "matmul", "reshape", "concat", "stack", "dropout",
-            "segment_softmax"}
+TAPE_OPS = {"add_const", "matmul", "reshape", "concat", "segment_softmax"}
 FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "contextual_mix",
-                 "capsule", "self_attention", "feed_forward", "select_top3",
-                 "bidirectional_attention", "span_nll", "batch_loss"}
+                 "capsule", "self_attention", "feed_forward", "assemble_hos",
+                 "select_top3", "bidirectional_attention", "span_nll", "batch_loss"}
 
 
 def package_record_names():
@@ -758,11 +757,10 @@ def test_train_step_tape_holds_only_the_package_vocabulary(monkeypatch):
 # with no skipped sublayer: a later fold, or an op chain creeping back,
 # shows up here as one changed count.
 MINI_STEP_CENSUS = {
-    "add_const": 5, "batch_loss": 1, "bidirectional_attention": 1, "capsule": 5,
-    "char_cnn": 2, "concat": 8, "contextual_mix": 2, "dropout": 4, "features": 1,
-    "feed_forward": 5, "highway": 4, "lstm": 4, "matmul": 19, "reshape": 6,
+    "add_const": 5, "assemble_hos": 2, "batch_loss": 1, "bidirectional_attention": 1,
+    "capsule": 5, "char_cnn": 2, "concat": 8, "contextual_mix": 2, "features": 1,
+    "feed_forward": 5, "highway": 4, "lstm": 4, "matmul": 7, "reshape": 6,
     "segment_softmax": 4, "select_top3": 2, "self_attention": 5, "span_nll": 1,
-    "stack": 2,
 }
 
 
@@ -780,7 +778,29 @@ def test_mini_train_step_record_census(monkeypatch):
     monkeypatch.setattr(model_module, "backward", counted)
     train_step(model, examples, Adam(model.store, 1e-3), np.random.default_rng(0))
     assert censuses == [Counter(MINI_STEP_CENSUS)]
-    assert sum(MINI_STEP_CENSUS.values()) == 81
+    assert sum(MINI_STEP_CENSUS.values()) == 65
+
+
+def test_train_step_computes_no_gradient_for_a_constant(monkeypatch):
+    """The leaves of a packed mini train step's sweep that are not
+    parameters (each side's dropped-out word lookup and the questions'
+    zero feature block) get only views of a gradient they reach through
+    a ``concat``: no array is computed for them."""
+    model, examples = mini_model()
+    sweeps = []
+    gradients = Tape.gradients
+
+    def swept(tape, loss):
+        grads = gradients(tape, loss)
+        sweeps.append(grads)
+        return grads
+
+    monkeypatch.setattr(Tape, "gradients", swept)
+    train_step(model, examples, Adam(model.store, 1e-3), np.random.default_rng(0))
+    params = {id(t) for _, t in model.store.items()}
+    leaves = [g for key, g in sweeps[0].items() if key not in params]
+    assert len(sweeps) == 1 and len(leaves) == 3
+    assert all(g.base is not None for g in leaves)
 
 
 @pytest.mark.parametrize("selected", [(0, 1, 2), (3, 4, 5)])

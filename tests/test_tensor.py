@@ -13,17 +13,17 @@ from abanet.tensor import (
     add_const,
     backward,
     concat,
-    dropout,
+    dropout_mask,
     matmul,
     no_grad,
     recording,
     reshape,
-    stack,
 )
 
 from tape_reference import (
     add,
     depthwise_conv1d,
+    dropout,
     exp,
     fd_gradient,
     gather_rows,
@@ -38,6 +38,7 @@ from tape_reference import (
     sigmoid,
     slice_axis,
     softmax,
+    stack,
     sub,
     tanh,
     transpose,
@@ -457,6 +458,10 @@ class TestDropout:
     def test_invalid_rate(self):
         with pytest.raises(ConfigError):
             dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))
+
+    def test_mask_without_rng_rejected(self):
+        with pytest.raises(ConfigError, match="needs an rng"):
+            dropout_mask((3,), 0.1, None)
 
 
 class TestParamStore:
