@@ -119,10 +119,13 @@ class ModelConfig:
             raise ConfigError("routing_iterations must be >= 1")
         for name, enc in (("embedding_encoder", self.embedding_encoder),
                           ("model_encoder", self.model_encoder)):
-            if enc.kernel % 2 == 0:
-                raise ConfigError(f"{name}.kernel must be odd, got {enc.kernel}")
+            if enc.kernel < 1 or enc.kernel % 2 == 0:
+                raise ConfigError(f"{name}.kernel must be odd and >= 1, got {enc.kernel}")
             if enc.num_conv_layers < 0 or enc.num_blocks < 0:
                 raise ConfigError(f"{name} sizes must be nonnegative")
+        if not 0.0 < self.learning_rate < float("inf"):   # NaN fails too
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.survival_end <= 1.0:
             raise ConfigError(
                 f"survival_end must be in (0, 1], got {self.survival_end}")
@@ -130,9 +133,9 @@ class ModelConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {rate}")
-        if self.char_kernel % 2 == 0 or self.char_kernel > self.max_word_len:
+        if not 1 <= self.char_kernel <= self.max_word_len or self.char_kernel % 2 == 0:
             raise ConfigError(
-                f"char_kernel={self.char_kernel} must be odd and fit within "
+                f"char_kernel={self.char_kernel} must be odd, >= 1 and fit within "
                 f"max_word_len={self.max_word_len}")
         if self.max_span_len < 1:
             raise ConfigError("max_span_len must be >= 1")

@@ -74,16 +74,16 @@ def _sinusoid_table(rows: int, d: int) -> np.ndarray:
 def _squash(s: np.ndarray, eps: float = 1e-12):
     """Scale vectors along the last axis to norm |s|^2/(1+|s|^2), keeping
     their direction; eps keeps the gradient finite at 0.  Returns ``(v,
-    grad)``, where ``grad`` maps dL/dv to dL/ds."""
+    backward)``, where ``backward`` maps dL/dv to dL/ds."""
     sq = (s * s).sum(axis=-1, keepdims=True)
     scale = np.sqrt(sq + eps) / (sq + 1.0)
 
-    def grad(g: np.ndarray) -> np.ndarray:
+    def backward(g: np.ndarray) -> np.ndarray:
         # v = s * scale(q) with q = |s|^2; scale'(q) = scale * (1/(2(q+eps)) - 1/(q+1))
         dscale = scale * (0.5 / (sq + eps) - 1.0 / (sq + 1.0))
         return g * scale + (2.0 * (g * s).sum(axis=-1, keepdims=True) * dscale) * s
 
-    return s * scale, grad
+    return s * scale, backward
 
 
 def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,

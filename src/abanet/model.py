@@ -546,8 +546,10 @@ class Adam:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(self) -> None:
-        """Update every parameter with a gradient, then clear all gradients.
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """Update every trainable parameter that has a gradient in ``grads``
+        (name -> array, as ``backward`` returns it); other names are ignored
+        and the arrays are only read.
 
         A parameter's first gradient creates its moments as zeros: the
         bits of moments held at zero from the optimizer's start.
@@ -568,7 +570,7 @@ class Adam:
         step_size = rate * root_c2 / (1.0 - beta1 ** self.step_count)
         epsilon = self.epsilon * root_c2
         for name, tensor in self.store.trainable():
-            grad = tensor.grad
+            grad = grads.get(name)
             if grad is None:
                 continue
             if name not in self._m:
@@ -587,7 +589,6 @@ class Adam:
             np.divide(m, update, out=update)
             update *= step_size
             tensor.data = np.subtract(tensor.data, update, out=update)
-        self.store.zero_grads()
 
 
 def train_step(model: Model, batch: list[Example], optimizer: Adam,
@@ -595,12 +596,12 @@ def train_step(model: Model, batch: list[Example], optimizer: Adam,
     """One optimization step on a batch; returns the pre-update batch loss.
 
     The batch runs as one pack: one forward, one loss (the mean over its
-    examples plus weight decay) and one backward.
+    examples plus weight decay) and one backward, whose name -> gradient
+    map goes straight to ``optimizer.step``.
     """
     if not batch:
         raise DataError("train_step needs a nonempty batch")
     store = model.store
-    store.zero_grads()
     with Tape() as tape:
         result = model.forward(batch, training=True, rng=rng)
         nlls = span_nll(result.p_begin, result.p_end,
@@ -612,9 +613,9 @@ def train_step(model: Model, batch: list[Example], optimizer: Adam,
         raise NumericsError(
             f"non-finite loss at optimizer step {optimizer.step_count + 1}; "
             f"first non-finite tensor: {culprit}")
-    backward(tape, loss, store)
+    grads = backward(tape, loss, store)
     del tape    # free the records before the update allocates
-    optimizer.step()
+    optimizer.step(grads)
     return float(loss.data)
 
 

@@ -50,10 +50,11 @@ class _Entry:
 
 
 class ParamStore:
-    """Map from names to (tensor, gradient slot, trainable flag).
+    """Map from names to (tensor, trainable flag).
 
     A weight shared between use sites is one name fetched at each site;
-    the gradient contributions of all sites sum into its one slot.
+    the backward sweep sums the contributions of all sites into its one
+    gradient.
     Every parameter has the store's float width: ``create`` makes it so,
     and ``register`` rejects any other.
     """
@@ -86,9 +87,6 @@ class ParamStore:
     def get(self, name: str) -> Tensor:
         return self._entries[name].tensor
 
-    def grad(self, name: str) -> np.ndarray | None:
-        return self._entries[name].tensor.grad
-
     def trainable(self) -> Iterator[tuple[str, Tensor]]:
         for name, entry in self._entries.items():
             if entry.trainable:
@@ -98,31 +96,26 @@ class ParamStore:
         for name, entry in self._entries.items():
             yield name, entry.tensor
 
-    def zero_grads(self) -> None:
-        for entry in self._entries.values():
-            entry.tensor.grad = None
+    def accumulate(self, grads: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
+        """The trainable parameters' gradients in a sweep's id -> gradient
+        map, by name, in store order; a parameter the sweep did not reach
+        has no entry.
 
-    def accumulate(self, grads: dict[int, np.ndarray]) -> None:
-        """Add backpropagated gradients into the trainable slots.
-
-        An empty slot takes the sweep's own array, uncopied: nothing
-        writes into a gradient in place (``Adam.step`` only reads it, and
-        a second contribution makes a new sum).
+        The arrays are the sweep's own, uncopied: nothing writes into a
+        gradient in place (``Adam.step`` only reads them).  The name is
+        kept because perfbench's ``params.accumulate`` span wraps it.
         """
-        for entry in self._entries.values():
-            if not entry.trainable:
-                continue
-            g = grads.get(id(entry.tensor))
+        named = {}
+        for name, tensor in self.trainable():
+            g = grads.get(id(tensor))
             if g is None:
                 continue
-            if g.shape != entry.tensor.shape:
+            if g.shape != tensor.shape:
                 raise ShapeError(
                     f"gradient shape {g.shape} does not match parameter "
-                    f"shape {entry.tensor.shape}")
-            if entry.tensor.grad is None:
-                entry.tensor.grad = g
-            else:
-                entry.tensor.grad = entry.tensor.grad + g
+                    f"shape {tensor.shape}")
+            named[name] = g
+        return named
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Read-only views of every parameter array, by name.

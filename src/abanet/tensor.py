@@ -29,7 +29,8 @@ from .errors import ConfigError, ShapeError
 
 
 class Tensor:
-    """Dense N-d float array plus a gradient slot.
+    """Dense N-d float array; its gradients live in the maps a backward
+    sweep returns, not on the tensor.
 
     ``data`` keeps the float width of the array given, or takes ``dtype``
     when one is passed; non-float input becomes float64.
@@ -42,12 +43,11 @@ class Tensor:
     parameter by the identity of its array.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data",)
 
     def __init__(self, data, dtype=None):
         data = np.asarray(data, dtype=dtype)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -177,18 +177,13 @@ def record_op(name: str, out_data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def backward(tape: Tape, loss: Tensor, params=None) -> dict[int, np.ndarray]:
-    """Backpropagate ``loss`` over ``tape``; optionally fill a ParamStore.
-
-    Returns the leaf gradients of ``Tape.gradients``; recorded outputs
-    have none.  When ``params`` is given, every trainable entry's
-    gradient slot receives (accumulates) its contribution, so a weight
-    used at several sites ends up with the sum over all of them.
+def backward(tape: Tape, loss: Tensor, params) -> dict[str, np.ndarray]:
+    """Backpropagate ``loss`` over ``tape``; returns the gradient of every
+    trainable parameter of the ParamStore ``params`` that the loss reaches,
+    by name (see ``ParamStore.accumulate``).  A weight used at several
+    sites gets the sum over all of them.
     """
-    grads = tape.gradients(loss)
-    if params is not None:
-        params.accumulate(grads)
-    return grads
+    return params.accumulate(tape.gradients(loss))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Reference code the tests check the package against.
 
-Finite-difference gradient checking and ``tape_grads``; the small tape
-ops that only reference chains and tests use, among them the broadcasting
-``add``, ``mul_const``, ``reduce_sum`` and ``softmax`` that the package's
-fused sublayer and ``batch_loss`` records and ``segment_softmax``
-replaced, and the ``stack`` and ``dropout`` records that
-``assemble_hos``'s record and the masks drawn inside the layers replaced;
-each of the encoder's numpy helpers recorded as a tape op of its own; the
-op chains that the embedding tier's fused records, ``assemble_hos`` and
-the encoder's ``capsule`` and ``self_attention`` branches replaced; and the
+Finite-difference gradient checking, ``tape_grads`` and
+``capture_tapes``; the small tape ops that only reference chains and
+tests use, among them the broadcasting ``add``, ``mul_const``,
+``reduce_sum`` and ``softmax`` that the package's fused sublayer and
+``batch_loss`` records and ``segment_softmax`` replaced, and the
+``stack`` and ``dropout`` records that ``assemble_hos``'s record and the
+masks drawn inside the layers replaced; each of the encoder's numpy
+helpers recorded as a tape op of its own; the op chains that the
+embedding tier's fused records, ``assemble_hos`` and the encoder's
+``capsule`` and ``self_attention`` branches replaced; and the
 keep-everything records that the encoder's and the char CNN's lean
 records replaced, among them the ``layer_norm`` → branch → residual
-sublayer that one record per sublayer replaced.  Every op here is built
+sublayer that one record per sublayer replaced. Every op here is built
 on ``record_op``, so it records on the same tape as the package's own
 primitives.
 """
@@ -26,6 +27,7 @@ import math
 import numpy as np
 
 import abanet.encoder as encoder
+import abanet.model as model_module
 from abanet.attention import COMPONENT_NAMES
 from abanet.config import CapsuleConfig
 from abanet.encoder import survival_probability
@@ -138,6 +140,21 @@ def tape_grads(build: Callable[[], Tensor], tensors: Sequence[Tensor]) -> list:
         loss = build()
     grads = tape.gradients(loss)
     return [grads.get(id(t)) for t in tensors]
+
+
+def capture_tapes(monkeypatch) -> list[Tape]:
+    """Patch ``abanet.model.backward`` so that it appends each tape it
+    sweeps to the returned list, then sweeps it as before; ``train_step``
+    reaches the sweep through that module attribute."""
+    tapes = []
+    backward = model_module.backward
+
+    def captured(tape, *args, **kwargs):
+        tapes.append(tape)
+        return backward(tape, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "backward", captured)
+    return tapes
 
 
 # ---------------------------------------------------------------------------

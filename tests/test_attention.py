@@ -5,7 +5,6 @@ import pytest
 from mpmath import mp, mpf
 
 from abanet import attention
-from abanet import model as model_module
 from abanet.attention import (
     COMPONENT_NAMES,
     adaptive_scale,
@@ -29,6 +28,7 @@ from abanet.tensor import (
 
 from tape_reference import (
     add,
+    capture_tapes,
     chain_assemble_hos,
     dropout,
     fd_gradient,
@@ -638,16 +638,10 @@ class TestEndToEndGradient:
         record, with no slice or transpose record anywhere on its tape."""
         examples = gen_synthetic("copy-locate", 4, 0)
         model = Model(mini_profile(), *build_vocabs(examples), seed=0)
-        names = []
-        backward = model_module.backward
-
-        def traced(tape, *args, **kwargs):
-            names.extend(name for name, _, _, _ in tape._records)
-            return backward(tape, *args, **kwargs)
-
-        monkeypatch.setattr(model_module, "backward", traced)
+        tapes = capture_tapes(monkeypatch)
         train_step(model, examples, Adam(model.store, 1e-3),
                    np.random.default_rng(0))
+        names = [name for name, _, _, _ in tapes[0]._records]
         assert names.count("bidirectional_attention") == 1
         assert "slice" not in names and "transpose" not in names
 

@@ -41,6 +41,11 @@ def test_profiles_are_valid(name):
     ({"batch_size": 0}, "batch_size must be >= 1"),
     ({"l2_decay": -1e-7}, "l2_decay must be >= 0"),
     ({"warmup_steps": -1}, "warmup_steps must be >= 0"),
+    ({"embedding_encoder": EncoderBlockConfig(1, -1, 1)},
+     "embedding_encoder.kernel must be odd and >= 1"),
+    ({"char_kernel": -1}, "char_kernel=-1 must be odd, >= 1"),
+    ({"learning_rate": -1.0}, "learning_rate must be positive and finite"),
+    ({"learning_rate": float("nan")}, "learning_rate must be positive and finite"),
 ])
 def test_each_constraint_is_rejected(changes, message):
     config = dataclasses.replace(mini_profile(), **changes)

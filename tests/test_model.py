@@ -25,7 +25,7 @@ import pytest
 
 from abanet import model as model_module
 from abanet.config import PROFILES, mini_profile
-from abanet.data import build_vocabs, gen_synthetic
+from abanet.data import Example, build_vocabs, gen_synthetic
 from abanet.errors import DataError, NumericsError
 from abanet.model import (
     Adam,
@@ -40,7 +40,14 @@ from abanet.model import (
 from abanet.params import ParamStore
 from abanet.tensor import Tape, Tensor
 
-from tape_reference import add, mul, mul_const, reduce_sum, relative_error
+from tape_reference import (
+    add,
+    capture_tapes,
+    mul,
+    mul_const,
+    reduce_sum,
+    relative_error,
+)
 
 
 def loop_decode_span(p_begin, p_end, max_len, unanswerable_mode=False):
@@ -731,14 +738,7 @@ def test_train_step_tape_holds_only_the_package_vocabulary(monkeypatch):
     chain creeps back in."""
     assert package_record_names() == TAPE_OPS | FUSED_RECORDS
     model, examples = mini_model()
-    tapes = []
-    backward = model_module.backward
-
-    def captured(tape, *args, **kwargs):
-        tapes.append(tape)
-        return backward(tape, *args, **kwargs)
-
-    monkeypatch.setattr(model_module, "backward", captured)
+    tapes = capture_tapes(monkeypatch)
     train_step(model, examples, Adam(model.store, 1e-3), np.random.default_rng(0))
     records = tapes[0]._records
     assert {name for name, _, _, _ in records} <= TAPE_OPS | FUSED_RECORDS
@@ -768,15 +768,9 @@ def test_mini_train_step_record_census(monkeypatch):
     config = dataclasses.replace(mini_profile(), survival_end=1.0)
     examples = gen_synthetic("copy-locate", 10, 0)
     model = Model(config, *build_vocabs(examples), seed=0)
-    censuses = []
-    backward = model_module.backward
-
-    def counted(tape, *args, **kwargs):
-        censuses.append(Counter(name for name, _, _, _ in tape._records))
-        return backward(tape, *args, **kwargs)
-
-    monkeypatch.setattr(model_module, "backward", counted)
+    tapes = capture_tapes(monkeypatch)
     train_step(model, examples, Adam(model.store, 1e-3), np.random.default_rng(0))
+    censuses = [Counter(name for name, _, _, _ in tape._records) for tape in tapes]
     assert censuses == [Counter(MINI_STEP_CENSUS)]
     assert sum(MINI_STEP_CENSUS.values()) == 65
 
@@ -849,6 +843,69 @@ def test_full_model_gradient_matches_finite_differences(selected):
     assert max(worst.values()) < 1e-5, max(worst.items(), key=lambda kv: kv[1])
 
 
+def test_paper_width_gradient_matches_central_differences():
+    """Every trainable parameter of a ``paper`` model (float64, one routing
+    iteration) after three Adam steps, on the eval-mode batch loss with
+    weight decay over passages of 24 and 30 tokens: the derivative along
+    one random unit direction per name, read from the name map that
+    ``backward`` returns, against a central difference."""
+    config = PROFILES["paper"]()
+    config = dataclasses.replace(config, capsules=dataclasses.replace(
+        config.capsules, routing_iterations=1))
+    rng = np.random.default_rng(0)
+    words = [f"w{i:02d}" for i in range(30)]
+    batch = []
+    for k, n in enumerate((24, 30)):
+        passage = [words[i] for i in rng.integers(30, size=n)]
+        begin = int(rng.integers(n - 2))
+        batch.append(Example(
+            id=f"paper-{k}", passage=passage, question=passage[begin:begin + 3],
+            pos=rng.integers(0, 8, size=n).tolist(),
+            ner=rng.integers(0, 4, size=n).tolist(),
+            rule=rng.integers(0, 2, size=n).tolist(),
+            answer_begin=begin, answer_end=begin + 2))
+    model = Model(config, *build_vocabs(batch), seed=0)
+    optimizer = Adam(model.store, 1e-3)
+    for _ in range(3):
+        train_step(model, batch, optimizer, rng)
+
+    def loss():
+        result = model.forward(batch, training=False)
+        return batch_loss(span_nll(result.p_begin, result.p_end,
+                                   [e.answer_begin for e in batch],
+                                   [e.answer_end for e in batch], result.p_lengths),
+                          model.store, config.l2_decay)
+
+    with Tape() as tape:
+        value = loss()
+    grads = model_module.backward(tape, value, model.store)
+    del tape
+    # The direction has unit norm.  eps is small so that no step crosses a
+    # ReLU or max-pool kink, where a difference quotient reads the wrong
+    # slope: these passages still pass at 1e-4, but on another pair of 24-
+    # and 30-token copy-locate passages eps = 1e-5 put the first model-
+    # encoder block's feed-forward layer-norm gain 5% off.  At 1e-6 the
+    # rounding of the two losses (about 3.4), some 1e-14 over 2e-6, is what
+    # the 1e-8 term allows for; the largest error here is half the bound.
+    eps = 1e-6
+    excess = {}
+    for name, tensor in model.store.trainable():
+        base = tensor.data
+        direction = rng.standard_normal(base.shape)
+        direction /= np.linalg.norm(direction)
+        analytic = float(np.sum(grads.get(name, 0.0) * direction))
+        values = []
+        for sign in (1.0, -1.0):
+            tensor.data = base + sign * eps * direction
+            values.append(float(loss().data))
+        tensor.data = base
+        numeric = (values[0] - values[1]) / (2.0 * eps)
+        excess[name] = abs(analytic - numeric) / (1e-4 * abs(numeric) + 1e-8)
+    assert len(excess) > 150
+    failing = [f"{name} {ratio:.3g}x" for name, ratio in excess.items() if ratio > 1.0]
+    assert not failing, "error over the bound: " + ", ".join(failing)
+
+
 def test_adam_two_steps_with_warmup_match_hand_computation():
     store = ParamStore()
     p = store.register("p", Tensor(np.array([1.0, -2.0])))
@@ -858,19 +915,16 @@ def test_adam_two_steps_with_warmup_match_hand_computation():
     assert adam._m == {} and adam._v == {}
 
     g1 = np.array([0.5, -1.0])
-    p.grad = g1
-    frozen.grad = np.array([1.0])
-    adam.step()
+    # A frozen name in the map is not updated, and no moments are made for it.
+    adam.step({"p": g1, "frozen": np.array([1.0])})
     # Step 1: rate 0.1 * 1/2; bias-corrected moments are g1 and g1**2.
     p1 = np.array([1.0, -2.0]) - 0.05 * g1 / (np.abs(g1) + 1e-8)
     np.testing.assert_allclose(p.data, p1, rtol=1e-12)
-    assert p.grad is None and frozen.grad is None
     assert frozen.data[0] == 3.0 and idle.data[0] == 4.0
     # Moments exist for the parameter that had a gradient, and only for it.
     assert set(adam._m) == set(adam._v) == {"p"}
 
-    p.grad = np.array([0.25, 0.5])
-    adam.step()
+    adam.step({"p": np.array([0.25, 0.5])})
     # Step 2: full rate 0.1; m2 = 0.9 m1 + 0.1 g2, v2 = 0.999 v1 + 0.001 g2**2,
     # bias corrections 1 - 0.9**2 = 0.19 and 1 - 0.999**2 = 0.001999.
     m2 = np.array([0.07, -0.04])
@@ -885,13 +939,13 @@ class ArrayRebindingAdam(Adam):
     update arrays for every parameter on every step.  Moments start from
     zero at a parameter's first gradient, as in ``Adam``."""
 
-    def step(self) -> None:
+    def step(self, grads) -> None:
         self.step_count += 1
         rate = self.learning_rate
         if self.warmup_steps > 0:
             rate *= min(1.0, self.step_count / self.warmup_steps)
         for name, tensor in self.store.trainable():
-            grad = tensor.grad
+            grad = grads.get(name)
             if grad is None:
                 continue
             if name not in self._m:
@@ -903,7 +957,6 @@ class ArrayRebindingAdam(Adam):
             m_hat = m / (1.0 - self.beta1 ** self.step_count)
             v_hat = v / (1.0 - self.beta2 ** self.step_count)
             tensor.data = tensor.data - rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        self.store.zero_grads()
 
 
 def test_adam_matches_array_rebinding_update_over_five_steps():
@@ -922,11 +975,9 @@ def test_adam_matches_array_rebinding_update_over_five_steps():
     in_place = Adam(copy, 1e-2, warmup_steps=3)
 
     class Paired(ArrayRebindingAdam):
-        def step(self):
-            for name, tensor in trainable.items():
-                copy.get(name).grad = tensor.grad
-            in_place.step()
-            super().step()
+        def step(self, grads):
+            in_place.step(grads)
+            super().step(grads)
 
     optimizer = Paired(model.store, 1e-2, warmup_steps=3)
     rng = np.random.default_rng(0)
@@ -970,9 +1021,7 @@ def test_adam_late_first_gradient_matches_zero_start_bit_for_bit():
         if step >= 3:
             grads["late"] = rng.standard_normal(5)
         for optimizer in optimizers:
-            for name, grad in grads.items():
-                optimizer.store.get(name).grad = grad.copy()
-            optimizer.step()
+            optimizer.step({name: grad.copy() for name, grad in grads.items()})
         assert set(lazy._m) == set(lazy._v) == set(grads)
         for name in init:
             assert (lazy.store.get(name).data.tobytes()
@@ -1049,31 +1098,34 @@ def test_freeing_sweep_keeps_leaf_gradients():
 
 
 def test_update_reads_the_sweep_gradients_after_the_tape_is_freed(monkeypatch):
-    """In a mini training step the tape is freed before ``Adam.step``, each
-    trainable gradient slot holds the very array the sweep returned, and
-    the update leaves the bytes of every one of them unchanged."""
+    """In a mini training step the tape is freed before ``Adam.step``, the
+    step receives, by trainable name, the very arrays ``Tape.gradients``
+    returned, and the update leaves the bytes of every one of them
+    unchanged."""
     model, examples = mini_model()
-    held, tapes = {}, []
-    sweep = model_module.backward
+    held, tapes, sweeps = {}, [], []
+    gradients = Tape.gradients
 
-    def checked_backward(tape, loss, params):
-        grads = sweep(tape, loss, params)
+    def swept(tape, loss):
+        grads = gradients(tape, loss)
         tapes.append(weakref.ref(tape))
-        for name, tensor in params.trainable():
-            assert tensor.grad is grads.get(id(tensor)), name
-            if tensor.grad is not None:
-                held[name] = (tensor.grad, tensor.grad.tobytes())
+        sweeps.append(grads)
         return grads
 
     class FreedTapeAdam(Adam):
-        def step(self):
+        def step(self, grads):
             assert tapes and tapes[0]() is None
-            super().step()
+            trainable = dict(self.store.trainable())
+            assert set(grads) <= set(trainable)
+            for name, tensor in trainable.items():
+                assert grads.get(name) is sweeps[0].get(id(tensor)), name
+            held.update((name, (g, g.tobytes())) for name, g in grads.items())
+            super().step(grads)
 
-    monkeypatch.setattr(model_module, "backward", checked_backward)
+    monkeypatch.setattr(Tape, "gradients", swept)
     train_step(model, examples[:2], FreedTapeAdam(model.store, 1e-2),
                np.random.default_rng(0))
-    assert len(held) > 50
+    assert len(sweeps) == 1 and len(held) > 50
     for name, (grad, before) in held.items():
         assert grad.tobytes() == before, name
 
@@ -1081,8 +1133,7 @@ def test_update_reads_the_sweep_gradients_after_the_tape_is_freed(monkeypatch):
 def test_non_finite_loss_raises_before_any_update():
     """A NaN span weight makes the step raise NumericsError naming the
     first non-finite record, the begin logits' matmul, and leaves the step
-    count, every parameter, every grad slot and Adam's (absent) moments as
-    they were."""
+    count, every parameter and Adam's (absent) moments as they were."""
     model, examples = mini_model()
     pack = examples[:2]
     model.store.get("span.w1").data = np.full((2 * model.config.d, 1), np.nan)
@@ -1097,7 +1148,6 @@ def test_non_finite_loss_raises_before_any_update():
     assert not optimizer._m and not optimizer._v
     for name, tensor in model.store.items():
         assert tensor.data is arrays[name], name
-        assert tensor.grad is None, name
 
 
 class TestTrainStepGarbageCollection:
@@ -1311,8 +1361,8 @@ class TestWithoutAdaptiveScale:
         model = Model(config, *build_vocabs(examples), seed=0)
         optimizer = Adam(model.store, 1e-3)
         graded = {}
-        optimizer.step = lambda: graded.update(
-            (name, t.grad is not None) for name, t in model.store.trainable())
+        optimizer.step = lambda grads: graded.update(
+            (name, name in grads) for name, _ in model.store.trainable())
         train_step(model, examples[:2], optimizer, np.random.default_rng(0))
         assert graded["lambda.p"] is graded["lambda.q"] is flag
         assert graded["alpha"]
@@ -1327,8 +1377,8 @@ class TestWithoutAdaptiveScale:
         assert model.forward(examples[:1]).selected_levels == (0, 1, 2)
         optimizer = Adam(model.store, 1e-3)
         graded = {}
-        optimizer.step = lambda: graded.update(
-            (name, t.grad is not None) for name, t in model.store.trainable())
+        optimizer.step = lambda grads: graded.update(
+            (name, name in grads) for name, _ in model.store.trainable())
         train_step(model, examples[:2], optimizer, np.random.default_rng(0))
         skipped = [name for name in graded if name == "theta"
                    or name.startswith(("embenc.", "bilstm."))

@@ -32,6 +32,7 @@ from abanet.tensor import (
 )
 
 from tape_reference import (
+    capture_tapes,
     depthwise_conv1d,
     fd_gradient,
     mul,
@@ -310,18 +311,11 @@ def test_pack_of_ten_records_about_as_much_as_a_pack_of_one(monkeypatch):
     examples = gen_synthetic("copy-locate", 10, 0)
     model = Model(config, *build_vocabs(examples), seed=0)
     optimizer = Adam(model.store, 1e-3)
-    sizes = []
-    backward = model_module.backward
-
-    def counted(tape, *args, **kwargs):
-        sizes.append(len(tape))
-        return backward(tape, *args, **kwargs)
-
-    monkeypatch.setattr(model_module, "backward", counted)
+    tapes = capture_tapes(monkeypatch)
     rng = np.random.default_rng(0)
     train_step(model, examples[:1], optimizer, rng)
     train_step(model, examples, optimizer, rng)
-    one, ten = sizes
+    one, ten = map(len, tapes)
     assert ten <= 1.2 * one, (one, ten)
 
 
@@ -332,7 +326,7 @@ TRACED = {
                    "embed_words", "embed_features", "embed_chars", "highway",
                    "bilstm_encode", "contextual_mix", "assemble_hos",
                    "adaptive_scale", "select_top3", "bidirectional_attention",
-                   "run_encoder_stack"),
+                   "run_encoder_stack", "backward"),
     encoder_module: ("conv_pri_dig_layer", "dynamic_routing",
                      "multi_head_self_attention", "feed_forward", "layer_norm"),
 }
@@ -344,28 +338,37 @@ def test_traced_functions_are_reached_through_their_attribute(monkeypatch):
     encoder function, so a fused path that called a local copy could not
     zero ``encoder.routing_ms`` on any workload.  Encoder stacks get their
     prefix as the fourth positional argument, which the trace names spans
-    by."""
+    by.  The train step sweeps once through ``backward``, whose tape the
+    trace counts records on, and calls the store's ``accumulate`` and the
+    optimizer's ``step`` once each through the attributes the trace wraps."""
     calls = Counter()
     prefixes = set()
-    for module, names in TRACED.items():
+    examples = gen_synthetic("copy-locate", 4, 0)
+    model = Model(mini_profile(), *build_vocabs(examples), seed=0)
+    optimizer = Adam(model.store, 1e-3)
+    owners = [(module, module.__name__, names) for module, names in TRACED.items()]
+    owners += [(model.store, "ParamStore", ("accumulate",)), (optimizer, "Adam", ("step",))]
+    for owner, label, names in owners:
         for name in names:
-            def counted(*args, _key=(module.__name__, name),
-                        _original=getattr(module, name), **kwargs):
+            def counted(*args, _key=(label, name),
+                        _original=getattr(owner, name), **kwargs):
                 calls[_key] += 1
                 if _key[1] == "run_encoder_stack":
                     prefixes.add(args[3])
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-    examples = gen_synthetic("copy-locate", 4, 0)
-    model = Model(mini_profile(), *build_vocabs(examples), seed=0)
-    reached = []
+            monkeypatch.setattr(owner, name, counted)
+    counts = []
     for operation in (
-            lambda: train_step(model, examples[:3], Adam(model.store, 1e-3),
+            lambda: train_step(model, examples[:3], optimizer,
                                np.random.default_rng(0)),
             lambda: model.predict(examples[3])):
         calls.clear()
         operation()
-        reached.append({key for key, count in calls.items() if count})
+        counts.append(Counter(calls))
+    train = counts[0]
+    assert train[(model_module.__name__, "backward")] == 1
+    assert train[("ParamStore", "accumulate")] == train[("Adam", "step")] == 1
+    reached = [{key for key, count in c.items() if count} for c in counts]
     traced = {(module.__name__, name) for module, names in TRACED.items()
               for name in names}
     assert not traced - set.union(*reached), traced - set.union(*reached)

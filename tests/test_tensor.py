@@ -237,12 +237,28 @@ class TestDepthwiseSeparableConv:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
+        """The map ``backward`` returns holds the trainable parameters the
+        loss reaches, in store order (the sweep reaches b first), and no
+        frozen or unreached name."""
         store = ParamStore()
-        w = store.create("w", (3, 4), rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        a = store.create("a", (3, 4), rng=rng)
+        frozen = store.create("frozen", (3, 4), rng=rng, trainable=False)
+        b = store.create("b", (3, 4), rng=rng)
+        store.create("unused", (2,), rng=rng)
         with Tape() as tape:
-            loss = reduce_sum(w)
-        backward(tape, loss, store)
-        np.testing.assert_array_equal(store.grad("w"), np.ones((3, 4)))
+            loss = reduce_sum(add(b, add(a, frozen)))
+        grads = backward(tape, loss, store)
+        assert list(grads) == ["a", "b"]
+        for g in grads.values():
+            np.testing.assert_array_equal(g, np.ones((3, 4)))
+
+    def test_wrong_shaped_gradient_rejected(self):
+        store = ParamStore()
+        w = store.create("w", (2, 3), rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=(
+                r"gradient shape \(3, 2\) does not match parameter shape \(2, 3\)")):
+            store.accumulate({id(w): np.ones((3, 2))})
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor(np.zeros((2, 2)))
@@ -263,7 +279,7 @@ class TestBackward:
             h = tanh(matmul(Tensor(x_data), tied.get("w")))
             out = matmul(h, tied.get("w"))
             loss = reduce_sum(mul(out, out))
-        backward(tape, loss, tied)
+        tied_grads = backward(tape, loss, tied)
 
         untied = ParamStore()
         w1 = untied.register("w1", Tensor(w_data.copy()))
@@ -272,10 +288,10 @@ class TestBackward:
             h = tanh(matmul(Tensor(x_data), w1))
             out = matmul(h, w2)
             loss = reduce_sum(mul(out, out))
-        backward(tape, loss, untied)
+        untied_grads = backward(tape, loss, untied)
 
         np.testing.assert_allclose(
-            tied.grad("w"), untied.grad("w1") + untied.grad("w2"), atol=1e-12)
+            tied_grads["w"], untied_grads["w1"] + untied_grads["w2"], atol=1e-12)
 
     def test_recording_follows_the_active_tape(self):
         assert not recording()
@@ -300,15 +316,6 @@ class TestBackward:
         grads = tape.gradients(loss)
         np.testing.assert_array_equal(grads[id(a)], weights[0])
         assert id(b) not in grads and id(c) not in grads
-
-    def test_gradient_accumulates_across_backwards(self):
-        store = ParamStore()
-        w = store.create("w", (2,), rng=np.random.default_rng(0))
-        for _ in range(2):
-            with Tape() as tape:
-                loss = reduce_sum(w)
-            backward(tape, loss, store)
-        np.testing.assert_array_equal(store.grad("w"), 2 * np.ones(2))
 
 
 class TestElementwiseGradients:
