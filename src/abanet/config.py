@@ -98,12 +98,16 @@ class ModelConfig:
 
     def validate(self) -> None:
         caps = self.capsules
-        for name in ("num_heads", "provider_layers", "batch_size"):
+        for name in ("num_heads", "provider_layers", "batch_size", "lstm_hidden",
+                     "ffn_hidden", "word_dim", "char_emb_dim", "char_out_dim",
+                     "pos_dim", "ner_dim", "rule_dim", "pos_vocab", "ner_vocab",
+                     "rule_vocab", "provider_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("l2_decay", "warmup_steps"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.l2_decay < float("inf"):   # NaN fails too
+            raise ConfigError(f"l2_decay must be >= 0 and finite, got {self.l2_decay}")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.d % self.num_heads:
             raise ConfigError(
                 f"width d={self.d} not divisible by num_heads={self.num_heads}")

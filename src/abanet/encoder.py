@@ -74,16 +74,20 @@ def _sinusoid_table(rows: int, d: int) -> np.ndarray:
 def _squash(s: np.ndarray, eps: float = 1e-12):
     """Scale vectors along the last axis to norm |s|^2/(1+|s|^2), keeping
     their direction; eps keeps the gradient finite at 0.  Returns ``(v,
-    backward)``, where ``backward`` maps dL/dv to dL/ds."""
-    sq = (s * s).sum(axis=-1, keepdims=True)
-    scale = np.sqrt(sq + eps) / (sq + 1.0)
+    backward)``, where ``backward`` maps dL/dv to dL/ds.  The backward
+    keeps only s and rebuilds |s|^2 and the scale with the forward's ops."""
+
+    def squared_and_scale():
+        sq = (s * s).sum(axis=-1, keepdims=True)
+        return sq, np.sqrt(sq + eps) / (sq + 1.0)
 
     def backward(g: np.ndarray) -> np.ndarray:
         # v = s * scale(q) with q = |s|^2; scale'(q) = scale * (1/(2(q+eps)) - 1/(q+1))
+        sq, scale = squared_and_scale()
         dscale = scale * (0.5 / (sq + eps) - 1.0 / (sq + 1.0))
         return g * scale + (2.0 * (g * s).sum(axis=-1, keepdims=True) * dscale) * s
 
-    return s * scale, backward
+    return s * squared_and_scale()[1], backward
 
 
 def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray,

@@ -487,23 +487,35 @@ def span_nll(p_begin: Tensor, p_end: Tensor, begin_gold, end_gold,
     return record_op("span_nll", out, (p_begin, p_end), bw)
 
 
-def batch_loss(nlls: Tensor, store: ParamStore | None = None,
-               decay: float = 0.0) -> Tensor:
-    """Mean over the [B] example losses plus the L2 weight-decay term
-    ``decay * sum of squared trainable weights``, as one ``batch_loss``
-    record whose parents are the losses and, when ``store`` is given and
-    ``decay`` is positive, the trainable weights."""
+def weight_decay(store: ParamStore, decay: float) -> Tensor:
+    """The L2 term ``decay * sum of squared trainable weights`` as one
+    ``weight_decay`` record over the trainable weights.
+
+    Its backward yields 2 * decay * g * w one weight at a time, so the
+    sweep adds each into that weight's gradient before it forms the
+    next.  ``train_step`` records it first on the tape, so the sweep
+    reaches it last, after every other record's backward is released.
+    """
+    weights = [tensor for _, tensor in store.trainable()]
+    total = sum((w.data * w.data).sum() for w in weights)
+    out = np.asarray(store.dtype.type(decay) * total)
+    return record_op("weight_decay", out, weights, lambda g: (
+        2.0 * decay * g * w.data for w in weights))
+
+
+def batch_loss(nlls: Tensor, penalty: Tensor | None = None) -> Tensor:
+    """Mean over the [B] example losses plus, when given, a scalar
+    ``penalty`` such as ``weight_decay``'s, as one ``batch_loss`` record
+    over ``(nlls, penalty)`` or ``(nlls,)``."""
     if nlls.ndim != 1 or nlls.shape[0] == 0:
         raise DataError(f"batch_loss needs a nonempty [B] vector, got {nlls.shape}")
     inverse = np.asarray(1.0 / nlls.shape[0], dtype=nlls.data.dtype)
     out = nlls.data.sum() * inverse
-    weights = [] if store is None or decay <= 0.0 else [
-        tensor for _, tensor in store.trainable()]
-    if weights:
-        total = sum((w.data * w.data).sum() for w in weights)
-        out = out + np.asarray(weights[0].data.dtype.type(decay) * total)
-    return record_op("batch_loss", out, (nlls, *weights), lambda g: (
-        np.full(nlls.shape, g * inverse), *(2.0 * decay * g * w.data for w in weights)))
+    if penalty is None:
+        return record_op("batch_loss", out, (nlls,), lambda g: (
+            np.full(nlls.shape, g * inverse),))
+    return record_op("batch_loss", out + penalty.data, (nlls, penalty), lambda g: (
+        np.full(nlls.shape, g * inverse), g))
 
 
 def decode_span(p_begin: np.ndarray, p_end: np.ndarray, max_len: int,
@@ -596,23 +608,30 @@ def train_step(model: Model, batch: list[Example], optimizer: Adam,
     """One optimization step on a batch; returns the pre-update batch loss.
 
     The batch runs as one pack: one forward, one loss (the mean over its
-    examples plus weight decay) and one backward, whose name -> gradient
-    map goes straight to ``optimizer.step``.
+    examples plus, when ``l2_decay`` is positive, the ``weight_decay``
+    term) and one backward, whose name -> gradient map goes straight to
+    ``optimizer.step``.  The weight-decay record comes first on the tape,
+    so the sweep forms its gradients last.  On a non-finite loss the
+    error names the first non-finite parameter in store order, or else
+    the tape's first non-finite record.
     """
     if not batch:
         raise DataError("train_step needs a nonempty batch")
     store = model.store
+    decay = model.config.l2_decay
     with Tape() as tape:
+        penalty = weight_decay(store, decay) if decay > 0.0 else None
         result = model.forward(batch, training=True, rng=rng)
         nlls = span_nll(result.p_begin, result.p_end,
                         [e.answer_begin for e in batch],
                         [e.answer_end for e in batch], result.p_lengths)
-        loss = batch_loss(nlls, store, model.config.l2_decay)
+        loss = batch_loss(nlls, penalty)
     if not np.isfinite(loss.data):
-        culprit = tape.first_nonfinite() or "loss"
+        culprit = next((name for name, tensor in store.items()
+                        if not np.all(np.isfinite(tensor.data))), None)
         raise NumericsError(
             f"non-finite loss at optimizer step {optimizer.step_count + 1}; "
-            f"first non-finite tensor: {culprit}")
+            f"first non-finite tensor: {culprit or tape.first_nonfinite() or 'loss'}")
     grads = backward(tape, loss, store)
     del tape    # free the records before the update allocates
     optimizer.step(grads)

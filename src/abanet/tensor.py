@@ -76,15 +76,18 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     Usable as a context manager; nesting restores the previous tape on
-    exit.  A tape is meant to be built once and backpropagated once.  A
-    live tape holds every record's output and whatever its backward closes
-    over, at passage lengths most of a training step's memory, so each
-    record keeps only what its backward reads (see ``record_op``).
+    exit.  A tape is built once and backpropagated once: ``gradients``
+    releases each record's backward as it runs it, so a second sweep
+    raises.  A live tape holds every record's output and whatever its
+    backward closes over, at passage lengths most of a training step's
+    memory, so each record keeps only what its backward reads (see
+    ``record_op``).
     """
 
     def __init__(self):
-        self._records: list[tuple[str, Tensor, tuple[Tensor, ...], Callable]] = []
+        self._records: list[tuple[str, Tensor, tuple[Tensor, ...], Callable | None]] = []
         self._outer: Tape | None = None
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -115,23 +118,32 @@ class Tape:
         frozen tables).  A recorded output's gradient is dropped as soon
         as its record has been swept, since every consumer was swept
         before it.  Contributions from repeated use of one tensor (weight
-        tying) sum into a single entry.  The records stay on the tape, so
-        a second sweep returns the same map.
+        tying) sum into a single entry, in sweep order.
+
+        Each record's backward, and with it everything that backward kept,
+        is released as the sweep reaches the record: the record stays on
+        the tape as (name, out, parents, None).  So the tape sweeps once;
+        a second call raises RuntimeError.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if self._swept:
+            raise RuntimeError("this tape was already swept; its backwards are released")
+        self._swept = True
+        records = self._records
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for name, out, parents, backward in reversed(self._records):
+        for k in range(len(records) - 1, -1, -1):
+            name, out, parents, backward = records[k]
+            records[k] = (name, out, parents, None)
             g = grads.pop(id(out), None)
-            if g is None:
-                continue
-            parent_grads = backward(g)
-            for parent, pg in zip(parents, parent_grads):
-                if pg is None:
-                    continue
-                pid = id(parent)
-                acc = grads.get(pid)
-                grads[pid] = pg if acc is None else acc + pg
+            if g is not None:
+                for parent, pg in zip(parents, backward(g)):
+                    if pg is None:
+                        continue
+                    pid = id(parent)
+                    grads[pid] = grads[pid] + pg if pid in grads else pg
+            # Let go of the closure and the last arrays before the next record.
+            backward = g = pg = None
         return grads
 
 
@@ -159,7 +171,11 @@ def record_op(name: str, out_data: np.ndarray, parents: Sequence[Tensor],
     """Create the output tensor of a primitive and record it if a tape is live.
 
     ``backward`` maps the output gradient to one gradient (or None) per
-    parent; other modules define their own primitives through this hook.
+    parent, in parent order; other modules define their own primitives
+    through this hook.  It may yield them lazily, as a generator: the
+    sweep adds each gradient in before it asks for the next, so only one
+    is alive at a time.  The sweep runs each backward once and then
+    releases it (see ``Tape.gradients``).
     A backward keeps only what it reads and recomputes what is cheap: a
     value rebuilt from the parents, which stay on the tape anyway, with the
     forward's own ops costs no memory and gives the same bits.  The

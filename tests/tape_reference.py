@@ -1,10 +1,10 @@
 """Reference code the tests check the package against.
 
-Finite-difference gradient checking, ``tape_grads`` and
-``capture_tapes``; the small tape ops that only reference chains and
+Finite-difference gradient checking, ``tape_grads``, ``capture_tapes``
+and the keep-everything sweep ``keep_all_gradients``; the small tape ops that only reference chains and
 tests use, among them the broadcasting ``add``, ``mul_const``,
-``reduce_sum`` and ``softmax`` that the package's fused sublayer and
-``batch_loss`` records and ``segment_softmax`` replaced, and the
+``reduce_sum`` and ``softmax`` that the package's fused sublayer,
+``batch_loss`` and ``weight_decay`` records and ``segment_softmax`` replaced, and the
 ``stack`` and ``dropout`` records that ``assemble_hos``'s record and the
 masks drawn inside the layers replaced; each of the encoder's numpy
 helpers recorded as a tape op of its own; the op chains that the
@@ -140,6 +140,23 @@ def tape_grads(build: Callable[[], Tensor], tensors: Sequence[Tensor]) -> list:
         loss = build()
     grads = tape.gradients(loss)
     return [grads.get(id(t)) for t in tensors]
+
+
+def keep_all_gradients(tape: Tape, loss: Tensor) -> dict:
+    """The sweep before gradient freeing: every gradient stays in the map,
+    and every record keeps its backward, so it must run before the tape's
+    own sweep releases them."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for _, out, parents, backward in reversed(tape._records):
+        g = grads.get(id(out))
+        if g is None:
+            continue
+        for parent, pg in zip(parents, backward(g)):
+            if pg is None:
+                continue
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+    return grads
 
 
 def capture_tapes(monkeypatch) -> list[Tape]:

@@ -46,6 +46,20 @@ def test_profiles_are_valid(name):
     ({"char_kernel": -1}, "char_kernel=-1 must be odd, >= 1"),
     ({"learning_rate": -1.0}, "learning_rate must be positive and finite"),
     ({"learning_rate": float("nan")}, "learning_rate must be positive and finite"),
+    ({"l2_decay": float("nan")}, "l2_decay must be >= 0 and finite"),
+    ({"l2_decay": float("inf")}, "l2_decay must be >= 0 and finite"),
+    ({"lstm_hidden": 0}, "lstm_hidden must be >= 1"),
+    ({"ffn_hidden": 0}, "ffn_hidden must be >= 1"),
+    ({"word_dim": 0}, "word_dim must be >= 1"),
+    ({"char_emb_dim": 0}, "char_emb_dim must be >= 1"),
+    ({"char_out_dim": 0}, "char_out_dim must be >= 1"),
+    ({"pos_dim": 0}, "pos_dim must be >= 1"),
+    ({"ner_dim": 0}, "ner_dim must be >= 1"),
+    ({"rule_dim": 0}, "rule_dim must be >= 1"),
+    ({"pos_vocab": 0}, "pos_vocab must be >= 1"),
+    ({"ner_vocab": 0}, "ner_vocab must be >= 1"),
+    ({"rule_vocab": 0}, "rule_vocab must be >= 1"),
+    ({"provider_width": 0}, "provider_width must be >= 1"),
 ])
 def test_each_constraint_is_rejected(changes, message):
     config = dataclasses.replace(mini_profile(), **changes)

@@ -19,7 +19,7 @@ from abanet.encoder import (
     survival_probability,
 )
 from abanet.errors import ConfigError, ShapeError
-from abanet.model import Model, batch_loss
+from abanet.model import Model, batch_loss, weight_decay
 from abanet.params import ParamStore
 from abanet.tensor import (
     Tape,
@@ -603,7 +603,8 @@ class TestFloat32:
                 (x, *attn)),
             "stack": (lambda: stack([x, dw]), (x, dw)),
             "select_top3": (lambda: select_top3(hos, alpha)[0], (hos, alpha)),
-            "batch_loss": (lambda: batch_loss(nlls, decayed, 3e-7), (nlls, *weights)),
+            "batch_loss": (lambda: batch_loss(nlls, weight_decay(decayed, 3e-7)),
+                           (nlls, *weights)),
         }
         for name, (op, inputs) in cases.items():
             with Tape() as tape:

@@ -280,12 +280,13 @@ def kept_arrays(record) -> list[np.ndarray]:
 # Bytes per token that each record's backward keeps at paper widths, in
 # float64.  The three sublayer records keep the layer norm's mean and std
 # and the bool dropout mask (144); the capsule record also keeps routing's
-# couplings, final s and squash scales (3,472 in all); char_cnn keeps its
+# couplings and final s (3,216 in all; keeping the final squash's |s|^2 and
+# scale, which its backward rebuilds from s, added 256); char_cnn keeps its
 # int windows, each maximum's position and its bool dropout mask (704).
 # Keeping the array each one rebuilds added, per token, 3,072 for
 # attention's qkv, 1,024 for the capsule projection and for the
 # feed-forward hidden activation, and 5,376 for the char windows.
-KEPT_BYTES_PER_TOKEN = {"capsule": 3472, "self_attention": 144,
+KEPT_BYTES_PER_TOKEN = {"capsule": 3216, "self_attention": 144,
                         "feed_forward": 144, "char_cnn": 704}
 
 

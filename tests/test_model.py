@@ -2,11 +2,12 @@
 float32 purity of a whole model step, float32 serving of a float64-trained
 model, models of both widths in one process, the provider and passage caches,
 the rebind-only parameter contract, full-model gradients, the Adam update
-and its moments created on first use, the freeing backward sweep, the
+and its moments created on first use, the freeing backward sweep and the
+memory it adds, the
 update reading the sweep's gradients after the tape is freed, the
 training step's non-finite-loss check, garbage-collection state and cyclic
-garbage, determinism and learning, the one batch_loss record with its
-weight decay matching the per-parameter chain, the
+garbage, determinism and learning, the one batch_loss record and the one
+weight_decay record matching the per-parameter chain, the
 passage-length check of a forward, the record names and census of a
 training tape, and the model without level mixing."""
 
@@ -36,6 +37,7 @@ from abanet.model import (
     span_logits,
     span_nll,
     train_step,
+    weight_decay,
 )
 from abanet.params import ParamStore
 from abanet.tensor import Tape, Tensor
@@ -43,6 +45,7 @@ from abanet.tensor import Tape, Tensor
 from tape_reference import (
     add,
     capture_tapes,
+    keep_all_gradients,
     mul,
     mul_const,
     reduce_sum,
@@ -707,7 +710,8 @@ def test_question_tokens_leave_tag_zero_rows_untrained():
 TAPE_OPS = {"add_const", "matmul", "reshape", "concat", "segment_softmax"}
 FUSED_RECORDS = {"char_cnn", "features", "highway", "lstm", "contextual_mix",
                  "capsule", "self_attention", "feed_forward", "assemble_hos",
-                 "select_top3", "bidirectional_attention", "span_nll", "batch_loss"}
+                 "select_top3", "bidirectional_attention", "span_nll", "batch_loss",
+                 "weight_decay"}
 
 
 def package_record_names():
@@ -755,12 +759,13 @@ def test_train_step_tape_holds_only_the_package_vocabulary(monkeypatch):
 
 # The record census of a packed mini train step on ten copy-locate examples
 # with no skipped sublayer: a later fold, or an op chain creeping back,
-# shows up here as one changed count.
+# shows up here as one changed count.  The weight_decay record comes first.
 MINI_STEP_CENSUS = {
     "add_const": 5, "assemble_hos": 2, "batch_loss": 1, "bidirectional_attention": 1,
     "capsule": 5, "char_cnn": 2, "concat": 8, "contextual_mix": 2, "features": 1,
     "feed_forward": 5, "highway": 4, "lstm": 4, "matmul": 7, "reshape": 6,
     "segment_softmax": 4, "select_top3": 2, "self_attention": 5, "span_nll": 1,
+    "weight_decay": 1,
 }
 
 
@@ -772,7 +777,8 @@ def test_mini_train_step_record_census(monkeypatch):
     train_step(model, examples, Adam(model.store, 1e-3), np.random.default_rng(0))
     censuses = [Counter(name for name, _, _, _ in tape._records) for tape in tapes]
     assert censuses == [Counter(MINI_STEP_CENSUS)]
-    assert sum(MINI_STEP_CENSUS.values()) == 65
+    assert sum(MINI_STEP_CENSUS.values()) == 66
+    assert tapes[0]._records[0][0] == "weight_decay"
 
 
 def test_train_step_computes_no_gradient_for_a_constant(monkeypatch):
@@ -870,11 +876,12 @@ def test_paper_width_gradient_matches_central_differences():
         train_step(model, batch, optimizer, rng)
 
     def loss():
+        penalty = weight_decay(model.store, config.l2_decay)
         result = model.forward(batch, training=False)
         return batch_loss(span_nll(result.p_begin, result.p_end,
                                    [e.answer_begin for e in batch],
                                    [e.answer_end for e in batch], result.p_lengths),
-                          model.store, config.l2_decay)
+                          penalty)
 
     with Tape() as tape:
         value = loss()
@@ -1056,45 +1063,89 @@ def test_adam_set_up_allocates_no_moments():
     assert moment_bytes == 2 * sum(data.nbytes for data in updated.values())
 
 
-def keep_all_gradients(tape, loss):
-    """The sweep before gradient freeing: every gradient stays in the map."""
-    grads = {id(loss): np.ones_like(loss.data)}
-    for _, out, parents, backward in reversed(tape._records):
-        g = grads.get(id(out))
-        if g is None:
-            continue
-        for parent, pg in zip(parents, backward(g)):
-            if pg is None:
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
-    return grads
-
-
 def test_freeing_sweep_keeps_leaf_gradients():
     """One mini training batch: the freeing sweep returns exactly the leaf
-    gradients of a keep-everything sweep, and nothing else, twice."""
+    gradients of a keep-everything sweep run before it, and nothing else;
+    the tape then refuses a second sweep."""
     model, examples = mini_model()
-    rng = np.random.default_rng(0)
     batch = examples[:2]
     with Tape() as tape:
-        result = model.forward(batch, training=True, rng=rng)
+        penalty = weight_decay(model.store, model.config.l2_decay)
+        result = model.forward(batch, training=True, rng=np.random.default_rng(0))
         nlls = span_nll(result.p_begin, result.p_end,
                         [e.answer_begin for e in batch],
                         [e.answer_end for e in batch], result.p_lengths)
-        loss = batch_loss(nlls, model.store, model.config.l2_decay)
+        loss = batch_loss(nlls, penalty)
     recorded = {id(out) for _, out, _, _ in tape._records}
     reference = keep_all_gradients(tape, loss)
     leaves = {key: g for key, g in reference.items() if key not in recorded}
     trainable = [id(t) for _, t in model.store.trainable()]
     assert len(trainable) > 50
     assert set(trainable) <= set(leaves)
-    for sweep in range(2):
-        grads = tape.gradients(loss)
-        assert not recorded & set(grads), sweep
-        assert set(grads) == set(leaves), sweep
-        for key, g in leaves.items():
-            np.testing.assert_array_equal(grads[key], g)
+    grads = tape.gradients(loss)
+    assert not recorded & set(grads)
+    assert set(grads) == set(leaves)
+    for key, g in leaves.items():
+        np.testing.assert_array_equal(grads[key], g)
+    with pytest.raises(RuntimeError, match="already swept"):
+        tape.gradients(loss)
+
+
+def test_training_sweep_releases_every_backward(monkeypatch):
+    """After a mini train step's sweep every record on its tape holds no
+    backward, while the record count and the bytes of the recorded outputs
+    are those the tape had before the sweep; the swept tape refuses a
+    second sweep."""
+    model, examples = mini_model()
+    before, tapes = [], []
+    sweep = model_module.backward
+
+    def measured(tape, loss, store):
+        tapes.append((tape, loss))
+        before.append((len(tape), sum(out.data.nbytes for _, out, _, _ in tape._records)))
+        assert all(record[3] is not None for record in tape._records)
+        return sweep(tape, loss, store)
+
+    monkeypatch.setattr(model_module, "backward", measured)
+    train_step(model, examples[:2], Adam(model.store, 1e-3), np.random.default_rng(0))
+    (tape, loss), = tapes
+    records = tape._records
+    assert all(len(record) == 4 and record[3] is None for record in records)
+    assert before == [(len(tape), sum(out.data.nbytes for _, out, _, _ in records))]
+    with pytest.raises(RuntimeError, match="already swept"):
+        tape.gradients(loss)
+
+
+def test_sweep_adds_less_than_the_trainable_bytes(monkeypatch):
+    """A paper train step on ten copy-locate examples, after a first step
+    made Adam's moments: the sweep's traced peak above the bytes live at its
+    start stays below the trainable weights' bytes.  A sweep that formed
+    every weight-decay gradient at its first record, or all at once at the
+    weight-decay record, would add about those bytes on top of the tape."""
+    examples = gen_synthetic("copy-locate", 10, 0)
+    model = Model(PROFILES["paper"](), *build_vocabs(examples), seed=0)
+    optimizer = Adam(model.store, 1e-3)
+    rng = np.random.default_rng(0)
+    train_step(model, examples, optimizer, rng)
+    added = []
+    sweep = model_module.backward
+
+    def traced(tape, loss, store):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = sweep(tape, loss, store)
+        added.append(tracemalloc.get_traced_memory()[1] - entry)
+        return grads
+
+    monkeypatch.setattr(model_module, "backward", traced)
+    tracemalloc.start()
+    try:
+        train_step(model, examples, optimizer, rng)
+    finally:
+        tracemalloc.stop()
+    trainable = sum(t.data.nbytes for _, t in model.store.trainable())
+    assert trainable > 12e6
+    assert len(added) == 1 and added[0] < trainable, (added, trainable)
 
 
 def test_update_reads_the_sweep_gradients_after_the_tape_is_freed(monkeypatch):
@@ -1131,23 +1182,40 @@ def test_update_reads_the_sweep_gradients_after_the_tape_is_freed(monkeypatch):
 
 
 def test_non_finite_loss_raises_before_any_update():
-    """A NaN span weight makes the step raise NumericsError naming the
-    first non-finite record, the begin logits' matmul, and leaves the step
-    count, every parameter and Adam's (absent) moments as they were."""
+    """A NaN span weight makes the step raise NumericsError naming that
+    parameter, and leaves the step count, every parameter and Adam's
+    (absent) moments as they were."""
     model, examples = mini_model()
     pack = examples[:2]
     model.store.get("span.w1").data = np.full((2 * model.config.d, 1), np.nan)
     arrays = {name: tensor.data for name, tensor in model.store.items()}
     optimizer = Adam(model.store, 1e-3)
-    rows = sum(len(e.passage) for e in pack)
     with pytest.raises(NumericsError, match=(
             r"non-finite loss at optimizer step 1; "
-            rf"first non-finite tensor: matmul\[{rows}, 1\]$")):
+            r"first non-finite tensor: span\.w1$")):
         train_step(model, pack, optimizer, np.random.default_rng(0))
     assert optimizer.step_count == 0
     assert not optimizer._m and not optimizer._v
     for name, tensor in model.store.items():
         assert tensor.data is arrays[name], name
+
+
+def test_non_finite_activation_names_its_record():
+    """With every weight finite, and their squares summing to a finite
+    weight-decay term, depthwise and pointwise weights of 1e100 overflow
+    the primary squash's |s|^2 in the first capsule sublayer: the error
+    names that record, not the weight-decay record before it."""
+    config = dataclasses.replace(mini_profile(), survival_end=1.0)
+    examples = gen_synthetic("copy-locate", 3, 0)
+    model = Model(config, *build_vocabs(examples), seed=0)
+    for name in ("embenc.block0.conv0.dw", "embenc.block0.conv0.pw"):
+        weights = model.store.get(name)
+        weights.data = np.full_like(weights.data, 1e100)
+    width = config.capsules.digit_count * config.capsules.digit_dim
+    rows = sum(len(e.passage) for e in examples)
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match=(
+            rf"first non-finite tensor: capsule\[{rows}, {width}\]$")):
+        train_step(model, examples, Adam(model.store, 1e-3), np.random.default_rng(0))
 
 
 class TestTrainStepGarbageCollection:
@@ -1230,60 +1298,76 @@ def chain_l2_penalty(store, decay):
     return mul_const(total, decay)
 
 
-def test_l2_penalty_is_one_record_matching_the_chain():
-    """The L2 term of batch_loss, over zero example losses: its value and
-    every trainable gradient match the per-parameter chain; frozen provider
-    weights stay out; no decay means no term."""
+def test_l2_penalty_is_one_record_matching_the_chain(monkeypatch):
+    """``weight_decay`` is one record over the trainable weights whose value
+    and gradients match the per-parameter chain; frozen provider weights
+    stay out.  A train step records it only when the decay is positive."""
     model, _ = mini_model()
     store = model.store
-    nlls = Tensor(np.zeros(1))
     with Tape() as tape:
-        value = batch_loss(nlls, store, 3e-4)
-    grads, records = tape.gradients(value), len(tape)
+        value = weight_decay(store, 3e-4)
+    ((name, _, parents, _),) = tape._records
+    grads = tape.gradients(value)
     with Tape() as tape:
         ref_value = chain_l2_penalty(store, 3e-4)
     ref_grads = tape.gradients(ref_value)
-    assert records == 1
+    assert name == "weight_decay"
     np.testing.assert_allclose(value.data, ref_value.data, rtol=1e-12)
-    trainable = {id(t) for _, t in store.trainable()}
-    assert set(grads) == trainable | {id(nlls)}
-    for key in trainable:
+    trainable = [t for _, t in store.trainable()]
+    assert parents == tuple(trainable)
+    assert set(grads) == {id(t) for t in trainable}
+    for key in grads:
         np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-12, atol=0.0)
-    with Tape() as tape:
-        batch_loss(nlls, store, 0.0)
-    ((_, _, parents, _),) = tape._records
-    assert parents == (nlls,)
+    examples = gen_synthetic("copy-locate", 2, 0)
+    no_decay = Model(dataclasses.replace(mini_profile(), l2_decay=0.0),
+                     *build_vocabs(examples), seed=0)
+    tapes = capture_tapes(monkeypatch)
+    train_step(no_decay, examples, Adam(no_decay.store, 1e-3), np.random.default_rng(0))
+    names = [name for name, _, _, _ in tapes[0]._records]
+    assert "weight_decay" not in names and names[-1] == "batch_loss"
 
 
 def chain_batch_loss(nlls, store=None, decay=0.0):
-    """The sum/scale/add chain that the one batch_loss record replaced."""
+    """The penalty, then the sum/scale/add chain that the one batch_loss
+    record replaced."""
+    penalty = None if store is None or decay <= 0.0 else chain_l2_penalty(store, decay)
     loss = mul_const(reduce_sum(nlls), 1.0 / nlls.shape[0])
-    if store is None or decay <= 0.0:
-        return loss
-    return add(loss, chain_l2_penalty(store, decay))
+    return loss if penalty is None else add(loss, penalty)
+
+
+def package_batch_loss(nlls, store=None, decay=0.0):
+    """``batch_loss`` after ``weight_decay``, as ``train_step`` records them."""
+    penalty = None if store is None or decay <= 0.0 else weight_decay(store, decay)
+    return batch_loss(nlls, penalty)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("with_store,decay", [(False, 0.0), (True, 0.0), (True, 3e-4)])
 def test_batch_loss_is_one_record_equal_to_the_chain(dtype, with_store, decay):
-    """One record whose parents are the losses and, with a positive decay,
-    every trainable weight.  The value and the gradients of the losses and
-    of every weight equal the chain's bit for bit, with and without a
+    """One batch_loss record whose parents are the losses and, with a
+    positive decay, the one weight_decay record before it, over every
+    trainable weight.  The value and the gradients of the losses and of
+    every weight equal the chain's bit for bit, with and without a
     penalty, and the frozen provider weights get no gradient."""
     config = dataclasses.replace(mini_profile(), dtype=dtype)
     examples = gen_synthetic("copy-locate", 4, 0)
     store = Model(config, *build_vocabs(examples)).store if with_store else None
     nlls = Tensor(np.random.default_rng(3).random(5).astype(dtype))
     results = []
-    for loss_of in (batch_loss, chain_batch_loss):
+    for loss_of in (package_batch_loss, chain_batch_loss):
         with Tape() as tape:
             loss = loss_of(nlls, store, decay)
-        results.append((loss.data, tape.gradients(loss), tape._records))
-    (value, grads, records), (ref_value, ref_grads, _) = results
-    ((name, _, parents, _),) = records
-    assert name == "batch_loss"
+        results.append((loss.data, tape._records, tape.gradients(loss)))
+    (value, records, grads), (ref_value, _, ref_grads) = results
     weights = [] if decay <= 0.0 else [t for _, t in store.trainable()]
-    assert parents == (nlls, *weights)
+    if weights:
+        (penalty_name, penalty, penalty_parents, _), (name, _, parents, _) = records
+        assert penalty_name == "weight_decay" and penalty_parents == tuple(weights)
+        assert parents == (nlls, penalty)
+    else:
+        ((name, _, parents, _),) = records
+        assert parents == (nlls,)
+    assert name == "batch_loss"
     assert value.dtype == ref_value.dtype == np.dtype(dtype)
     np.testing.assert_array_equal(value, ref_value)
     assert grads.keys() == ref_grads.keys() == {id(nlls)} | {id(w) for w in weights}
